@@ -70,8 +70,9 @@ def _build_parser() -> _Parser:
 
     bench = sub.add_parser("bench", help="tabulate the cost model for every mode of a kernel")
     bench.add_argument("--kernel", required=True)
+    defaults = ", ".join(f"{kernel} {runs[0][1]}" for kernel, runs in _measured().items())
     bench.add_argument("--pixels", type=int, default=None,
-                       help="workload size (default: yiq 64000, histeq 16384)")
+                       help=f"workload size (default: {defaults})")
     _common_cost_flags(bench)
 
     rt = sub.add_parser("roundtrip", help="forward+reverse conversion error sweep")
@@ -197,18 +198,24 @@ def cmd_histeq(args) -> int:
     return EXIT_OK
 
 
-_BENCH_DEFAULT_PIXELS = {"yiq": 64000, "histeq": 16384}
-_BENCH_MODES = {"yiq": colorspace.CONVERT_MODES, "histeq": histeq.HISTEQ_MODES}
+def _measured() -> dict[str, list[tuple[str, int]]]:
+    """kernel -> (mode, pixels) of each of its calibration measurements."""
+    runs: dict[str, list[tuple[str, int]]] = {}
+    for kernel, mode, pixels, _ in cycle_model.CALIBRATION_MEASUREMENTS:
+        runs.setdefault(kernel, []).append((mode, pixels))
+    return runs
 
 
 def cmd_bench(args) -> int:
     profile = cycle_model.resolve_profile(args.profile)
     kernel = args.kernel
-    if kernel not in _BENCH_MODES:
+    measured = _measured()
+    if kernel not in measured:
         raise cycle_model.UnknownKernelConfig(
-            f"bench supports kernels {sorted(_BENCH_MODES)}, got {kernel!r}"
+            f"bench supports kernels {sorted(measured)}, got {kernel!r}"
         )
-    pixels = args.pixels if args.pixels is not None else _BENCH_DEFAULT_PIXELS[kernel]
+    runs = measured[kernel]
+    pixels = args.pixels if args.pixels is not None else runs[0][1]
     rows = []
     header = (
         f"{'mode':<8} {'cycles':>12} {'cycles/px':>10} {'speedup':>8} "
@@ -216,14 +223,8 @@ def cmd_bench(args) -> int:
     )
     print(f"kernel={kernel} pixels={pixels} profile={profile.name} buffers={args.buffers}")
     print(header)
-    for mode in _BENCH_MODES[kernel]:
-        if kernel == "yiq":
-            resources, stages = colorspace.kernel_resources(colorspace.RGB2YIQ, mode)
-        else:
-            resources, stages = histeq.kernel_resources(mode)
-        report = cycle_model.estimate(
-            kernel, mode, pixels, profile, args.buffers, resources=resources, stages=stages
-        )
+    for mode, _ in runs:
+        report = cycle_model.estimate(kernel, mode, pixels, profile, args.buffers)
         d = report.to_dict()
         rows.append(d)
         speed = d["speedup_vs_scalar"]

@@ -19,15 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import cycle_model
 from .fabric import (
+    WR_BYTES,
     ExtensionInstruction,
     InvocationLog,
-    ResourceLedger,
     WideRegister,
     ei_execute,
     ei_validate,
@@ -199,28 +200,36 @@ def apply_matrix_np(flat: np.ndarray, matrix: ConversionMatrix) -> np.ndarray:
 # Fabric kernels
 # ---------------------------------------------------------------------------
 
-#: ALU accounting per lane: 3 input-offset subtracts, and per row two
-#: accumulate adds, a truncating divide lowered to shift+compare+select,
-#: one offset add, and a two-sided saturate (two compares, two selects).
-_ALU_OPS_PER_LANE = 3 + 3 * (2 + 3 + 1 + 4)
 _MATRIX_OPS = frozenset({"add", "sub", "mul", "shift", "compare", "select"})
 
 
 def _convert_lanes(matrix: ConversionMatrix, raw: bytes, lanes: int) -> bytearray:
     out = bytearray(3 * lanes)
-    in_off = matrix.input_offset
-    out_off = matrix.output_offset
-    rows = matrix.coeffs
-    for px in range(lanes):
-        base = 3 * px
-        s = (
-            raw[base] - in_off[0],
-            raw[base + 1] - in_off[1],
-            raw[base + 2] - in_off[2],
-        )
-        for c in range(3):
-            out[base + c] = clamp_u8(div256_trunc(mul_acc3(rows[c], s)) + out_off[c])
+    i0, i1, i2 = matrix.input_offset
+    o0, o1, o2 = matrix.output_offset
+    r0, r1, r2 = matrix.coeffs
+    for base in range(0, 3 * lanes, 3):
+        s = (raw[base] - i0, raw[base + 1] - i1, raw[base + 2] - i2)
+        out[base] = clamp_u8(div256_trunc(mul_acc3(r0, s)) + o0)
+        out[base + 1] = clamp_u8(div256_trunc(mul_acc3(r1, s)) + o1)
+        out[base + 2] = clamp_u8(div256_trunc(mul_acc3(r2, s)) + o2)
     return out
+
+
+def _register_sizes(lanes: int) -> tuple[int, ...]:
+    """Bytes held by each register carrying ``lanes`` interleaved pixels."""
+    span = 3 * lanes
+    return tuple(min(WR_BYTES, span - k) for k in range(0, span, WR_BYTES))
+
+
+def _pack_lanes(data: bytes) -> list[WideRegister]:
+    """Interleaved pixel bytes across as many registers as they fill."""
+    return [wr_pack(data[k : k + WR_BYTES]) for k in range(0, len(data), WR_BYTES)]
+
+
+def _unpack_lanes(regs, sizes: tuple[int, ...]) -> bytes:
+    """The bytes held by registers filled by _pack_lanes."""
+    return b"".join(map(wr_unpack, regs, repeat(0), sizes))
 
 
 @lru_cache(maxsize=None)
@@ -228,84 +237,31 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
     """Build (and validate) the fabric kernel converting ``lanes`` pixels.
 
     Coefficients and offsets are part of the fabric configuration, not
-    operands, so one data register (two for the 8-pixel variant) is the
-    whole input.
+    operands, so the pixels' interleaved bytes are the whole input: one
+    register for up to five pixels, two for eight.
     """
-    if lanes not in (1, 5, 8):
+    shape = cycle_model.KERNEL_SHAPES.get(f"ei{lanes}")
+    if shape is None:
         raise ValueError(f"unsupported lane count {lanes}")
-    ledger = ResourceLedger(
-        multipliers_used=9 * lanes,
-        alu_ops_used=_ALU_OPS_PER_LANE * lanes,
-        iram_bytes_used=0,
+    (ledger,) = shape.ledgers
+    sizes = _register_sizes(lanes)
+
+    def body(inputs, iram):
+        return _pack_lanes(_convert_lanes(matrix, _unpack_lanes(inputs, sizes), lanes))
+
+    ei = ExtensionInstruction(
+        name=f"{matrix.name}_x{lanes}",
+        body=body,
+        n_inputs=len(sizes),
+        n_outputs=len(sizes),
+        ledger=ledger,
+        ops_used=_MATRIX_OPS,
     )
-    if lanes == 8:
-
-        def body(inputs, iram):
-            a, b = inputs
-            raw = wr_unpack(a, 0, 16) + wr_unpack(b, 0, 8)
-            out = _convert_lanes(matrix, raw, 8)
-            return (wr_pack(bytes(out[:16])), wr_pack(bytes(out[16:24])))
-
-        ei = ExtensionInstruction(
-            name=f"{matrix.name}_x8",
-            body=body,
-            n_inputs=2,
-            n_outputs=2,
-            ledger=ledger,
-            ops_used=_MATRIX_OPS,
-        )
-    else:
-
-        def body(inputs, iram):
-            (wr,) = inputs
-            raw = wr_unpack(wr, 0, 3 * lanes)
-            return (wr_pack(bytes(_convert_lanes(matrix, raw, lanes))),)
-
-        ei = ExtensionInstruction(
-            name=f"{matrix.name}_x{lanes}",
-            body=body,
-            n_inputs=1,
-            n_outputs=1,
-            ledger=ledger,
-            ops_used=_MATRIX_OPS,
-        )
     ei_validate(ei)
     return ei
 
 
-def ei_convert1(wr: WideRegister, matrix: ConversionMatrix, log: Optional[InvocationLog] = None) -> WideRegister:
-    """Convert one pixel held in bytes 0..2 of a register."""
-    (out,) = ei_execute(matrix_ei(matrix, 1), (wr,), log=log)
-    return out
-
-
-def ei_convert5(wr: WideRegister, matrix: ConversionMatrix, log: Optional[InvocationLog] = None) -> WideRegister:
-    """Convert five interleaved pixels held in bytes 0..14 of a register."""
-    (out,) = ei_execute(matrix_ei(matrix, 5), (wr,), log=log)
-    return out
-
-
-def ei_convert8(
-    wr_a: WideRegister,
-    wr_b: WideRegister,
-    matrix: ConversionMatrix,
-    log: Optional[InvocationLog] = None,
-) -> tuple[WideRegister, WideRegister]:
-    """Convert eight pixels packed as 24 bytes across two registers."""
-    out_a, out_b = ei_execute(matrix_ei(matrix, 8), (wr_a, wr_b), log=log)
-    return out_a, out_b
-
-
 CONVERT_MODES = ("scalar", "ei1", "ei5", "ei8")
-
-
-def kernel_resources(matrix: ConversionMatrix, mode: str) -> tuple[ResourceLedger, int]:
-    """Per-invocation ledger and stage count for a conversion mode."""
-    if mode == "scalar":
-        return ResourceLedger(), 0
-    lanes = cycle_model.mode_lanes(mode)
-    ei = matrix_ei(matrix, lanes)
-    return ei.ledger, ei.stages
 
 
 def convert_image(
@@ -329,6 +285,7 @@ def convert_image(
         raise ValueError(f"mode must be one of {CONVERT_MODES}, got {mode!r}")
     if log is None:
         log = InvocationLog()
+    logged = log.total
 
     flat = img.samples.reshape(-1, 3)
     n = flat.shape[0]
@@ -336,40 +293,30 @@ def convert_image(
         out = apply_matrix_np(flat, matrix)
     else:
         lanes = cycle_model.mode_lanes(mode)
-        groups = n // lanes
+        ei = matrix_ei(matrix, lanes)
+        head = lanes * (n // lanes)
+        span = 3 * lanes
+        sizes = _register_sizes(lanes)
+        raw = flat[:head].tobytes()
+        lane_bytes = bytearray()
+        for start in range(0, len(raw), span):
+            outputs = ei_execute(ei, _pack_lanes(raw[start : start + span]), log=log)
+            lane_bytes += _unpack_lanes(outputs, sizes)
         out = np.empty_like(flat)
-        if lanes == 8:
-            ei = matrix_ei(matrix, 8)
-            for gi in range(groups):
-                chunk = flat[8 * gi : 8 * gi + 8].tobytes()
-                out_a, out_b = ei_execute(ei, (wr_pack(chunk[:16]), wr_pack(chunk[16:])), log=log)
-                merged = out_a.data + wr_unpack(out_b, 0, 8)
-                out[8 * gi : 8 * gi + 8] = np.frombuffer(merged, dtype=np.uint8).reshape(8, 3)
-        else:
-            ei = matrix_ei(matrix, lanes)
-            span = 3 * lanes
-            for gi in range(groups):
-                chunk = flat[lanes * gi : lanes * gi + lanes].tobytes()
-                (res,) = ei_execute(ei, (wr_pack(chunk),), log=log)
-                out[lanes * gi : lanes * gi + lanes] = np.frombuffer(
-                    wr_unpack(res, 0, span), dtype=np.uint8
-                ).reshape(lanes, 3)
-        tail = n - groups * lanes
-        if tail:
-            out[groups * lanes :] = apply_matrix_np(flat[groups * lanes :], matrix)
+        out[:head] = np.frombuffer(lane_bytes, dtype=np.uint8).reshape(-1, 3)
+        if head < n:
+            out[head:] = apply_matrix_np(flat[head:], matrix)
 
     converted = ImageBuffer(
         width=img.width, height=img.height, channels=3, samples=out
     )
     if profile is None:
         return converted, None
-    resources, stages = kernel_resources(matrix, mode)
-    report = cycle_model.estimate(
-        matrix.kernel, mode, n, profile, buffer_location, resources=resources, stages=stages
-    )
-    if report.ei_invocations != log.total:
+    report = cycle_model.estimate(matrix.kernel, mode, n, profile, buffer_location)
+    executed = log.total - logged
+    if report.ei_invocations != executed:
         raise RuntimeError(
-            f"cost model predicted {report.ei_invocations} invocations, executed {log.total}"
+            f"cost model predicted {report.ei_invocations} invocations, executed {executed}"
         )
     return converted, report
 

@@ -11,25 +11,25 @@ reproduced exactly, not approximately: fitting the bundled
 ``s6000_paper`` profile to the six measured totals and estimating the
 same workloads returns those totals bit for bit.
 
-Lane accounting: a pixel count that does not divide the lane width is
+Lane accounting: ``KERNEL_SHAPES`` gives each mode its lanes, the
+instructions one group of lanes issues and whether a composite merge
+step follows.  A pixel count that does not divide the lane width is
 finished on the scalar path, so the model charges floor(pixels/lanes)
-vector groups plus the remainder at the scalar per-pixel rate.  The
-histogram pipeline runs two instructions per 16-pixel group (accumulate
-and transform) plus one composite merge; its fitted measurement is
-split uniformly across those 2*groups + 1 steps, the merge receiving
-exactly one step's worth.
+groups plus the remainder at the scalar per-pixel rate.  A mode with a
+merge step (the histogram pipeline: accumulate and transform per
+16-pixel group, one merge per run) has its fitted measurement split
+uniformly across the instructions of all groups plus the merge, the
+merge receiving exactly one step's worth.
 """
 
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources as importlib_resources
 from typing import Iterable, Mapping, Optional, Union
 
-from .fabric import ResourceLedger
+from .fabric import BANK_COUNT, HIST_ENTRIES, ResourceLedger, stage_count
 
 
 class UnknownKernelConfig(KeyError):
@@ -60,28 +60,77 @@ CALIBRATION_MEASUREMENTS = (
     ("histeq", "isef", 16384, 3154353),
 )
 
-_EI_MODE = re.compile(r"^ei(\d+)$")
+
+@dataclass(frozen=True)
+class KernelShape:
+    """How one mode runs: ``lanes`` pixels per group (0 for the plain
+    processor), the ledger of each instruction a group issues, in issue
+    order, and whether one composite merge step follows the groups."""
+
+    lanes: int
+    ledgers: tuple[ResourceLedger, ...] = ()
+    merge: bool = False
+
+    @property
+    def peak(self) -> ResourceLedger:
+        """Componentwise peak demand over the mode's instructions."""
+        peak = ResourceLedger()
+        for ledger in self.ledgers:
+            peak = peak.merged_peak(ledger)
+        return peak
+
+    @property
+    def stages(self) -> int:
+        """Most stages any of the mode's instructions needs on the default fabric."""
+        return max((stage_count(ledger) for ledger in self.ledgers), default=0)
+
+
+#: ALU accounting per conversion lane: 3 input-offset subtracts, and per
+#: row two accumulate adds, a truncating divide lowered to
+#: shift+compare+select, one offset add, and a two-sided saturate (two
+#: compares, two selects).
+_CONVERT_ALU_OPS_PER_LANE = 3 + 3 * (2 + 3 + 1 + 4)
+
+
+def _convert_shape(lanes: int) -> KernelShape:
+    # Nine products per pixel; coefficients live in the fabric configuration.
+    return KernelShape(
+        lanes, (ResourceLedger(9 * lanes, _CONVERT_ALU_OPS_PER_LANE * lanes, 0),)
+    )
+
+
+#: Every executable mode, by name.  The colour conversion runs one
+#: instruction per group of 1, 5 or 8 pixels.  The histogram pipeline
+#: gives lane j bank j: it counts a group into per-lane 16-bit
+#: sub-histograms (one address add and one counter increment per lane),
+#: merges them once, then maps each group through the table replicated
+#: in every bank (one address add per lane).
+KERNEL_SHAPES = {
+    "scalar": KernelShape(0),
+    "ei1": _convert_shape(1),
+    "ei5": _convert_shape(5),
+    "ei8": _convert_shape(8),
+    "isef": KernelShape(
+        BANK_COUNT,
+        (
+            ResourceLedger(0, 2 * BANK_COUNT, BANK_COUNT * 2 * HIST_ENTRIES),
+            ResourceLedger(0, BANK_COUNT, BANK_COUNT * HIST_ENTRIES),
+        ),
+        merge=True,
+    ),
+}
+
+
+def _shape(mode: str) -> KernelShape:
+    shape = KERNEL_SHAPES.get(mode)
+    if shape is None:
+        raise UnknownKernelConfig(f"unrecognized mode name {mode!r}")
+    return shape
 
 
 def mode_lanes(mode: str) -> int:
     """Pixels per vector group for a mode name; 0 for the scalar path."""
-    if mode == "scalar":
-        return 0
-    if mode == "isef":
-        return 16
-    m = _EI_MODE.match(mode)
-    if m and int(m.group(1)) > 0:
-        return int(m.group(1))
-    raise UnknownKernelConfig(f"unrecognized mode name {mode!r}")
-
-
-def _eis_per_group(kernel: str, mode: str) -> int:
-    # The histogram pipeline touches each 16-pixel group twice.
-    return 2 if (kernel, mode) == ("histeq", "isef") else 1
-
-
-def _has_merge(kernel: str, mode: str) -> bool:
-    return (kernel, mode) == ("histeq", "isef")
+    return _shape(mode).lanes
 
 
 @dataclass(frozen=True)
@@ -176,10 +225,11 @@ def estimate(
     pixels: int,
     profile: CalibrationProfile,
     buffer_location: str = "internal",
-    resources: Optional[ResourceLedger] = None,
-    stages: int = 0,
 ) -> CycleReport:
     """Predict the cycle total for a workload under a profile.
+
+    The report carries the mode's peak per-invocation resources and its
+    stage count from ``KERNEL_SHAPES``.
 
     Raises UnknownKernelConfig when the profile has no entry for the
     requested (kernel, mode), including the scalar entry needed to
@@ -190,7 +240,8 @@ def estimate(
     if buffer_location not in ("internal", "external"):
         raise ValueError(f"buffer_location must be internal or external, got {buffer_location!r}")
 
-    lanes = mode_lanes(mode)
+    shape = _shape(mode)
+    lanes = shape.lanes
     overhead = profile.fixed_overhead.get((kernel, mode), 0)
 
     if lanes == 0:
@@ -207,8 +258,8 @@ def estimate(
             )
         groups, tail = divmod(pixels, lanes)
         total = groups * per_group + overhead
-        invocations = groups * _eis_per_group(kernel, mode)
-        if _has_merge(kernel, mode):
+        invocations = groups * len(shape.ledgers)
+        if shape.merge:
             total += profile.merge_cycles
             invocations += 1
         if tail:
@@ -233,8 +284,8 @@ def estimate(
         cycles_total=_exact(total),
         cycles_per_pixel=total / pixels,
         speedup_vs_scalar=speedup_vs_scalar,
-        resources=resources if resources is not None else ResourceLedger(),
-        stages=stages,
+        resources=shape.peak,
+        stages=shape.stages,
         buffer_location=buffer_location,
         profile_name=profile.name,
     )
@@ -256,8 +307,8 @@ def fit_profile(
     """Solve per-unit costs so each measurement is reproduced exactly.
 
     One unknown per (kernel, mode): the scalar rate or the per-group
-    cost.  The histogram merge charge is folded into the isef fit as
-    one uniform step (see the module docstring for the split).  Scalar
+    cost.  A mode's merge charge is folded into its fit as one uniform
+    step (see the module docstring for the split).  Scalar
     measurements are fitted first so lane tails can be subtracted.
     """
     rows = list(measurements)
@@ -274,7 +325,8 @@ def fit_profile(
             scalar_cpp[kernel] = Fraction(cycles, pixels)
 
     for kernel, mode, pixels, cycles in rows:
-        lanes = mode_lanes(mode)
+        shape = _shape(mode)
+        lanes = shape.lanes
         if lanes == 0:
             continue
         groups, tail = divmod(pixels, lanes)
@@ -290,12 +342,11 @@ def fit_profile(
             pool -= tail * cpp
         if pool < 0:
             raise Underdetermined(f"{kernel}/{mode}: tail charge exceeds the measured total")
-        if _has_merge(kernel, mode):
-            step = pool / (2 * groups + 1)
-            ei_cycles[(kernel, mode)] = 2 * step
+        per_group = len(shape.ledgers)
+        step = pool / (per_group * groups + int(shape.merge))
+        ei_cycles[(kernel, mode)] = per_group * step
+        if shape.merge:
             merge = step
-        else:
-            ei_cycles[(kernel, mode)] = pool / groups
 
     return CalibrationProfile(
         name=name,
@@ -366,6 +417,10 @@ def parse_profile(text: str) -> CalibrationProfile:
             elif what == "ei_cycles":
                 ei_cycles[(kernel, mode)] = number
             elif what == "fixed_overhead":
+                if number.denominator != 1:
+                    raise ValueError(
+                        f"profile line {lineno}: fixed_overhead must be an integer, got {value!r}"
+                    )
                 overhead[(kernel, mode)] = int(number)
             else:
                 raise ValueError(f"profile line {lineno}: unrecognized key {key!r}")
@@ -410,11 +465,3 @@ def resolve_profile(spec: str) -> CalibrationProfile:
         return load_profile(spec)
     raise FileNotFoundError(f"cannot resolve profile {spec!r}")
 
-
-def packaged_profile_text(name: str = "s6000_paper") -> str:
-    """Contents of the profile file shipped inside the package."""
-    return (
-        importlib_resources.files("scpsim")
-        .joinpath("profiles", f"{name}.profile")
-        .read_text(encoding="utf-8")
-    )

@@ -92,9 +92,6 @@ class WideRegister:
         return f"WideRegister({self.data.hex()})"
 
 
-ZERO_WR = WideRegister(bytes(WR_BYTES))
-
-
 def wr_pack(data: Iterable[int] | bytes) -> WideRegister:
     """Pack up to 16 bytes into a wide register, zero-filling the tail.
 
@@ -210,12 +207,6 @@ class IramState:
         self._touch(bank, entry)
         return self._mem[bank][entry]
 
-    def write_lut(self, bank: int, entry: int, value: int):
-        if not 0 <= value <= 0xFF:
-            raise ValueError(f"LUT value {value} outside 8-bit range")
-        self._touch(bank, entry)
-        self._mem[bank][entry] = value
-
     # -- host-visible bulk access ------------------------------------------
 
     def counters(self, bank: int) -> list[int]:
@@ -240,7 +231,7 @@ class IramState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceLedger:
     """Per-invocation resource demand declared by a kernel."""
 
@@ -273,6 +264,11 @@ class FabricCapacity:
 DEFAULT_CAPACITY = FabricCapacity()
 
 
+def stage_count(ledger: ResourceLedger, capacity: FabricCapacity = DEFAULT_CAPACITY) -> int:
+    """Stages one invocation needs: ceil(multipliers / capacity), at least one."""
+    return max(1, -(-ledger.multipliers_used // capacity.multipliers))
+
+
 @dataclass
 class ExtensionInstruction:
     """A custom instruction: a host-level kernel plus its declared needs.
@@ -290,18 +286,12 @@ class ExtensionInstruction:
     n_outputs: int
     ledger: ResourceLedger
     ops_used: frozenset = frozenset()
-    stages: Optional[int] = field(default=None, compare=False)
+    #: Set by ei_execute once the instruction passed ei_validate at DEFAULT_CAPACITY.
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def uses_iram(self) -> bool:
         return bool(self.ops_used & {"iram_read", "iram_write"})
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    stages: int
-    ledger: ResourceLedger
-    capacity: FabricCapacity
 
 
 class InvocationLog:
@@ -320,12 +310,11 @@ class InvocationLog:
 
 def ei_validate(
     ei: ExtensionInstruction, capacity: FabricCapacity = DEFAULT_CAPACITY
-) -> ValidationReport:
-    """Check an instruction against the fabric rules; compute its stages.
+) -> int:
+    """Check an instruction against the fabric rules; return its stage count.
 
     Stage count is ceil(multipliers / capacity) with a floor of one;
-    the ALU budget is one full complement per stage.  The result is
-    cached on the instruction.
+    the ALU budget is one full complement per stage.
     """
     if ei.n_inputs > MAX_INPUTS or ei.n_inputs < 0:
         raise ArityViolation(f"{ei.name}: {ei.n_inputs} inputs exceeds limit of {MAX_INPUTS}")
@@ -335,7 +324,7 @@ def ei_validate(
     if bad:
         raise ForbiddenOperation(f"{ei.name}: operations not supported by the fabric: {sorted(bad)}")
     led = ei.ledger
-    stages = max(1, -(-led.multipliers_used // capacity.multipliers))
+    stages = stage_count(led, capacity)
     if led.iram_bytes_used > capacity.iram_bytes:
         raise ResourceExceeded(
             f"{ei.name}: {led.iram_bytes_used} IRAM bytes exceeds {capacity.iram_bytes}"
@@ -345,8 +334,7 @@ def ei_validate(
             f"{ei.name}: {led.alu_ops_used} ALU ops exceeds "
             f"{capacity.alu_ops} x {stages} stage(s)"
         )
-    ei.stages = stages
-    return ValidationReport(stages=stages, ledger=led, capacity=capacity)
+    return stages
 
 
 def ei_execute(
@@ -355,15 +343,17 @@ def ei_execute(
     iram: Optional[IramState] = None,
     log: Optional[InvocationLog] = None,
 ) -> tuple[WideRegister, ...]:
-    """Run one invocation of a validated instruction.
+    """Run one invocation of an instruction, validating it at
+    DEFAULT_CAPACITY before its first run.
 
     Deterministic: identical (instruction, inputs, IRAM state) yields
     identical outputs and identical IRAM end state.  The IRAM access log
     is cleared at entry and every entry access inside the body is
     checked against the one-touch-per-bank rule.
     """
-    if ei.stages is None:
+    if not ei._validated:
         ei_validate(ei)
+        ei._validated = True
     if len(inputs) != ei.n_inputs:
         raise ArityViolation(f"{ei.name}: expected {ei.n_inputs} inputs, got {len(inputs)}")
     for wr in inputs:

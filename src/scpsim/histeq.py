@@ -24,12 +24,10 @@ import numpy as np
 
 from . import cycle_model
 from .fabric import (
-    BANK_COUNT,
     HIST_ENTRIES,
     ExtensionInstruction,
     InvocationLog,
     IramState,
-    ResourceLedger,
     WideRegister,
     ei_execute,
     ei_validate,
@@ -38,7 +36,8 @@ from .fabric import (
 )
 from .image_io import ChannelMismatch, ImageBuffer
 
-LANES = 16
+LANES = cycle_model.mode_lanes("isef")
+_SUBHIST_LEDGER, _TRANSFORM_LEDGER = cycle_model.KERNEL_SHAPES["isef"].ledgers
 
 
 class EmptyImage(ValueError):
@@ -59,12 +58,7 @@ def _subhist_ei() -> ExtensionInstruction:
         body=body,
         n_inputs=1,
         n_outputs=0,
-        # 16 lanes, each one address add plus one counter increment
-        ledger=ResourceLedger(
-            multipliers_used=0,
-            alu_ops_used=2 * LANES,
-            iram_bytes_used=BANK_COUNT * 2 * HIST_ENTRIES,
-        ),
+        ledger=_SUBHIST_LEDGER,
         ops_used=frozenset({"add", "iram_read", "iram_write"}),
     )
     ei_validate(ei)
@@ -83,11 +77,7 @@ def _transform_ei() -> ExtensionInstruction:
         body=body,
         n_inputs=1,
         n_outputs=1,
-        ledger=ResourceLedger(
-            multipliers_used=0,
-            alu_ops_used=LANES,
-            iram_bytes_used=BANK_COUNT * HIST_ENTRIES,
-        ),
+        ledger=_TRANSFORM_LEDGER,
         ops_used=frozenset({"add", "iram_read"}),
     )
     ei_validate(ei)
@@ -147,15 +137,6 @@ def scalar_histogram(flat: np.ndarray) -> np.ndarray:
 HISTEQ_MODES = ("scalar", "isef")
 
 
-def kernel_resources(mode: str) -> tuple[ResourceLedger, int]:
-    """Peak per-invocation ledger and stage count for an equalization mode."""
-    if mode == "scalar":
-        return ResourceLedger(), 0
-    sub = _subhist_ei()
-    lut = _transform_ei()
-    return sub.ledger.merged_peak(lut.ledger), max(sub.stages, lut.stages)
-
-
 def histeq_image(
     img: ImageBuffer,
     mode: str,
@@ -176,6 +157,7 @@ def histeq_image(
         raise ValueError(f"mode must be one of {HISTEQ_MODES}, got {mode!r}")
     if log is None:
         log = InvocationLog()
+    logged = log.total
 
     flat = img.samples
     n = flat.size
@@ -216,12 +198,10 @@ def histeq_image(
     result = ImageBuffer(width=img.width, height=img.height, channels=1, samples=out)
     if profile is None:
         return result, None
-    resources, stages = kernel_resources(mode)
-    report = cycle_model.estimate(
-        "histeq", mode, n, profile, buffer_location, resources=resources, stages=stages
-    )
-    if report.ei_invocations != log.total:
+    report = cycle_model.estimate("histeq", mode, n, profile, buffer_location)
+    executed = log.total - logged
+    if report.ei_invocations != executed:
         raise RuntimeError(
-            f"cost model predicted {report.ei_invocations} invocations, executed {log.total}"
+            f"cost model predicted {report.ei_invocations} invocations, executed {executed}"
         )
     return result, report

@@ -9,15 +9,12 @@ from scpsim.colorspace import (
     ConversionMatrix,
     RGB2CMY,
     RGB2YIQ,
+    ROUNDTRIP_ARGMAX,
     ROUNDTRIP_MAX_ERROR,
     YIQ2RGB,
     apply_matrix_np,
     convert_image,
     convert_px,
-    ei_convert1,
-    ei_convert5,
-    ei_convert8,
-    kernel_resources,
     matrix_ei,
     rgb_to_cmy_px,
     rgb_to_yiq_px,
@@ -28,7 +25,7 @@ from scpsim.colorspace import (
 )
 from scpsim.fixed_point import clamp_u8, div256_trunc, mul_acc3
 from scpsim.image_io import ChannelMismatch, ImageBuffer
-from scpsim.fabric import wr_pack, wr_unpack
+from scpsim.fabric import InvocationLog, ei_execute, ei_validate, wr_pack, wr_unpack
 
 from util import random_rgb_image
 
@@ -141,33 +138,33 @@ def test_batch_path_matches_per_pixel(pixels):
 
 def test_ei_convert5_uniform_pixels():
     wr = wr_pack(bytes([100, 50, 25] * 5))
-    out = ei_convert5(wr, RGB2YIQ)
+    (out,) = ei_execute(matrix_ei(RGB2YIQ, 5), (wr,))
     assert out.data == bytes([62, 166, 130] * 5) + b"\x00"
 
 
 def test_ei_convert5_zero_pixels():
-    out = ei_convert5(wr_pack(bytes(15)), RGB2YIQ)
+    (out,) = ei_execute(matrix_ei(RGB2YIQ, 5), (wr_pack(bytes(15)),))
     assert out.data == bytes([0, 128, 128] * 5) + b"\x00"
 
 
 def test_ei_convert5_lanewise_equals_scalar():
     pixels = [(1, 2, 3), (250, 0, 99), (77, 150, 29), (10, 200, 30), (100, 50, 25)]
     wr = wr_pack(bytes(v for p in pixels for v in p))
-    out = ei_convert5(wr, RGB2YIQ)
+    (out,) = ei_execute(matrix_ei(RGB2YIQ, 5), (wr,))
     for lane, p in enumerate(pixels):
         assert tuple(wr_unpack(out, 3 * lane, 3)) == convert_px(RGB2YIQ, p)
 
 
 def test_ei_convert8_uniform_pixels():
     raw = bytes([100, 50, 25] * 8)
-    out_a, out_b = ei_convert8(wr_pack(raw[:16]), wr_pack(raw[16:]), RGB2YIQ)
+    out_a, out_b = ei_execute(matrix_ei(RGB2YIQ, 8), (wr_pack(raw[:16]), wr_pack(raw[16:])))
     assert out_a.data + wr_unpack(out_b, 0, 8) == bytes([62, 166, 130] * 8)
     assert wr_unpack(out_b, 8, 8) == bytes(8)
 
 
 def test_ei_convert8_white_pixels():
     raw = bytes([255] * 24)
-    out_a, out_b = ei_convert8(wr_pack(raw[:16]), wr_pack(raw[16:]), RGB2YIQ)
+    out_a, out_b = ei_execute(matrix_ei(RGB2YIQ, 8), (wr_pack(raw[:16]), wr_pack(raw[16:])))
     assert out_a.data + wr_unpack(out_b, 0, 8) == bytes([255, 128, 128] * 8)
 
 
@@ -175,7 +172,7 @@ def test_ei_convert8_lanewise_equals_scalar():
     rng = np.random.default_rng(3)
     pixels = [tuple(int(v) for v in rng.integers(0, 256, 3)) for _ in range(8)]
     raw = bytes(v for p in pixels for v in p)
-    out_a, out_b = ei_convert8(wr_pack(raw[:16]), wr_pack(raw[16:]), RGB2YIQ)
+    out_a, out_b = ei_execute(matrix_ei(RGB2YIQ, 8), (wr_pack(raw[:16]), wr_pack(raw[16:])))
     merged = out_a.data + wr_unpack(out_b, 0, 8)
     for lane, p in enumerate(pixels):
         assert tuple(merged[3 * lane : 3 * lane + 3]) == convert_px(RGB2YIQ, p)
@@ -184,15 +181,15 @@ def test_ei_convert8_lanewise_equals_scalar():
 @given(rgb_triples)
 @settings(max_examples=50)
 def test_ei_convert1_equals_scalar(rgb):
-    out = ei_convert1(wr_pack(bytes(rgb)), RGB2YIQ)
+    (out,) = ei_execute(matrix_ei(RGB2YIQ, 1), (wr_pack(bytes(rgb)),))
     assert tuple(wr_unpack(out, 0, 3)) == convert_px(RGB2YIQ, rgb)
 
 
 def test_lane_kernel_resources():
     ei5 = matrix_ei(RGB2YIQ, 5)
     ei8 = matrix_ei(RGB2YIQ, 8)
-    assert ei5.ledger.multipliers_used == 45 and ei5.stages == 1
-    assert ei8.ledger.multipliers_used == 72 and ei8.stages == 2
+    assert ei5.ledger.multipliers_used == 45 and ei_validate(ei5) == 1
+    assert ei8.ledger.multipliers_used == 72 and ei_validate(ei8) == 2
     assert matrix_ei(RGB2YIQ, 1).ledger.multipliers_used == 9
 
 
@@ -244,6 +241,16 @@ def test_convert_image_report_fields():
     assert report.stages == 1
 
 
+def test_convert_image_with_a_reused_log():
+    profile = cycle_model.builtin_profile()
+    img = ImageBuffer.from_array(np.zeros((2, 5, 3), dtype=np.uint8))
+    log = InvocationLog()
+    for _ in range(2):
+        _, report = convert_image(img, RGB2YIQ, "ei5", profile=profile, log=log)
+    assert report.ei_invocations == 2
+    assert log.total == 4
+
+
 def test_convert_image_without_profile_has_no_report():
     rng = np.random.default_rng(5)
     img = random_rgb_image(rng)
@@ -252,8 +259,8 @@ def test_convert_image_without_profile_has_no_report():
 
 
 def test_kernel_resources_scalar_mode():
-    ledger, stages = kernel_resources(RGB2YIQ, "scalar")
-    assert ledger.multipliers_used == 0 and stages == 0
+    report = cycle_model.estimate("yiq", "scalar", 64000, cycle_model.builtin_profile())
+    assert report.resources.multipliers_used == 0 and report.stages == 0
 
 
 # ------------------------------------------------------------ round trip
@@ -289,3 +296,10 @@ def test_roundtrip_gray_only_is_exact():
 def test_roundtrip_sample_subset_bound():
     result = roundtrip_sweep(sample=10000, seed=0)
     assert result.max_error <= ROUNDTRIP_MAX_ERROR
+
+
+def test_roundtrip_sweep_exhaustive():
+    result = roundtrip_sweep()
+    assert result.samples == 256**3
+    assert result.max_error == ROUNDTRIP_MAX_ERROR
+    assert result.argmax_rgb == ROUNDTRIP_ARGMAX

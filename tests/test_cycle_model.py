@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from scpsim.colorspace import RGB2YIQ, convert_image
 from scpsim.cycle_model import (
     CALIBRATION_MEASUREMENTS,
     CalibrationProfile,
@@ -14,11 +16,12 @@ from scpsim.cycle_model import (
     format_profile,
     load_profile,
     mode_lanes,
-    packaged_profile_text,
     parse_profile,
     resolve_profile,
     speedup,
 )
+from scpsim.histeq import histeq_image
+from scpsim.image_io import ImageBuffer, to_gray
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +106,23 @@ def test_affine_in_pixels_on_lane_multiples(profile):
     c2 = Fraction(estimate("yiq", "ei5", 10000, profile).cycles_total)
     c3 = Fraction(estimate("yiq", "ei5", 15000, profile).cycles_total)
     assert c1 + c3 == 2 * c2
+
+
+def test_estimate_reports_what_the_image_runs_report(profile):
+    rng = np.random.default_rng(2)
+    rgb = ImageBuffer.from_array(rng.integers(0, 256, (4, 20, 3), dtype=np.uint8))
+    gray = to_gray(rgb)
+    for kernel, mode, _, _ in CALIBRATION_MEASUREMENTS:
+        bare = estimate(kernel, mode, 80, profile)
+        if kernel == "yiq":
+            _, run = convert_image(rgb, RGB2YIQ, mode, profile=profile)
+        else:
+            _, run = histeq_image(gray, mode, profile=profile)
+        assert (run.resources, run.stages) == (bare.resources, bare.stages), mode
+    ei8 = estimate("yiq", "ei8", 64000, profile)
+    assert (ei8.resources.multipliers_used, ei8.stages) == (72, 2)
+    isef = estimate("histeq", "isef", 16384, profile)
+    assert (isef.resources.iram_bytes_used, isef.stages) == (8192, 1)
 
 
 def test_monotone_in_pixels_on_lane_multiples(profile):
@@ -198,6 +218,11 @@ def test_mode_lanes():
     assert mode_lanes("isef") == 16
     with pytest.raises(UnknownKernelConfig):
         mode_lanes("wide")
+    # only the executable lane widths have a shape
+    with pytest.raises(UnknownKernelConfig):
+        mode_lanes("ei3")
+    with pytest.raises(UnknownKernelConfig):
+        fit_profile([("k", "ei3", 30, 100)])
 
 
 # ------------------------------------------------------------- persistence
@@ -207,10 +232,6 @@ def test_profile_text_round_trip(profile):
     assert parse_profile(format_profile(profile)) == profile
 
 
-def test_packaged_profile_matches_builtin(profile):
-    assert parse_profile(packaged_profile_text()) == profile
-
-
 def test_parse_profile_errors():
     with pytest.raises(ValueError):
         parse_profile("nonsense line")
@@ -218,6 +239,8 @@ def test_parse_profile_errors():
         parse_profile("yiq.ei5.ei_cycles = a/b")
     with pytest.raises(ValueError):
         parse_profile("what.ever = 3")
+    with pytest.raises(ValueError):
+        parse_profile("yiq.ei5.fixed_overhead = 1/2")
 
 
 def test_parse_profile_ignores_comments_and_blanks():

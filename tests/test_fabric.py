@@ -84,18 +84,18 @@ def test_register_requires_sixteen_bytes():
 
 
 def test_validate_single_stage():
-    report = ei_validate(make_ei(ledger=ResourceLedger(multipliers_used=45, alu_ops_used=165)))
-    assert report.stages == 1
+    assert ei_validate(make_ei(ledger=ResourceLedger(multipliers_used=45, alu_ops_used=165))) == 1
 
 
 def test_validate_two_stages():
     ei = make_ei(ledger=ResourceLedger(multipliers_used=72, alu_ops_used=264))
-    assert ei_validate(ei).stages == 2
-    assert ei.stages == 2
+    before = dict(vars(ei))
+    assert ei_validate(ei) == 2
+    assert vars(ei) == before
 
 
 def test_validate_zero_multipliers_is_one_stage():
-    assert ei_validate(make_ei(ledger=ResourceLedger())).stages == 1
+    assert ei_validate(make_ei(ledger=ResourceLedger())) == 1
 
 
 def test_validate_iram_over_capacity():
@@ -108,7 +108,7 @@ def test_validate_alu_budget_scales_with_stages():
     with pytest.raises(ResourceExceeded):
         ei_validate(make_ei(ledger=ResourceLedger(alu_ops_used=5000)))
     ok = make_ei(ledger=ResourceLedger(multipliers_used=72, alu_ops_used=5000))
-    assert ei_validate(ok).stages == 2
+    assert ei_validate(ok) == 2
 
 
 def test_validate_input_arity():
@@ -129,7 +129,7 @@ def test_validate_forbidden_operations(op):
 
 def test_validate_custom_capacity():
     small = FabricCapacity(multipliers=8, alu_ops=16, iram_bytes=128)
-    assert ei_validate(make_ei(ledger=ResourceLedger(multipliers_used=20)), small).stages == 3
+    assert ei_validate(make_ei(ledger=ResourceLedger(multipliers_used=20)), small) == 3
     with pytest.raises(ResourceExceeded):
         ei_validate(make_ei(ledger=ResourceLedger(iram_bytes_used=129)), small)
 
@@ -154,6 +154,11 @@ def test_execute_is_deterministic():
     first = ei_execute(ei, (wr,))
     second = ei_execute(ei, (wr,))
     assert first == second
+
+
+def test_execute_validates_before_the_first_run():
+    with pytest.raises(ForbiddenOperation):
+        ei_execute(make_ei(ops=("sqrt",)), (wr_pack(b""),))
 
 
 def test_execute_checks_input_count():

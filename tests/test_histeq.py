@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from scpsim import cycle_model
-from scpsim.fabric import BankConflict, CounterOverflow, IramState, wr_pack, wr_unpack
+from scpsim.fabric import (
+    BankConflict,
+    CounterOverflow,
+    InvocationLog,
+    IramState,
+    wr_pack,
+    wr_unpack,
+)
 from scpsim.histeq import (
     EmptyImage,
     build_lut,
     ei_subhist16,
     ei_transform16,
     histeq_image,
-    kernel_resources,
     lut_replicate,
     merge_cumulative,
     scalar_histogram,
@@ -228,10 +234,20 @@ def test_histeq_128x128_cycle_totals():
     assert rep_i.ei_invocations == 2049
 
 
+def test_histeq_with_a_reused_log():
+    profile = cycle_model.builtin_profile()
+    img = gray_image(np.arange(32), width=8)
+    log = InvocationLog()
+    for _ in range(2):
+        _, report = histeq_image(img, "isef", profile=profile, log=log)
+    assert report.ei_invocations == 5
+    assert log.total == 10
+
+
 def test_histeq_report_resources():
-    _, stages = kernel_resources("isef")
-    assert stages == 1
-    ledger, _ = kernel_resources("isef")
+    report = cycle_model.estimate("histeq", "isef", 16384, cycle_model.builtin_profile())
+    assert report.stages == 1
+    ledger = report.resources
     assert ledger.multipliers_used == 0
     assert ledger.iram_bytes_used == 8192
 

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scpsim.colorspace import RGB2YIQ, apply_matrix_np
 from scpsim.image_io import (
     ChannelMismatch,
     ImageBuffer,
@@ -105,6 +108,15 @@ def test_to_gray_extremes():
 def test_to_gray_uses_luminance_row():
     img = ImageBuffer(width=1, height=1, channels=3, samples=np.array([100, 50, 25], np.uint8))
     assert to_gray(img).samples.tolist() == [62]
+
+
+def test_to_gray_is_the_forward_luma_row():
+    # image_io cannot import colorspace (cycle), so its luma copy is pinned here
+    rng = np.random.default_rng(21)
+    extremes = np.array(list(itertools.product((0, 1, 254, 255), repeat=3)), dtype=np.uint8)
+    for flat in (rng.integers(0, 256, (500, 3), dtype=np.uint8), extremes):
+        img = ImageBuffer(width=len(flat), height=1, channels=3, samples=flat.ravel())
+        assert np.array_equal(to_gray(img).samples, apply_matrix_np(flat, RGB2YIQ)[:, 0])
 
 
 def test_to_gray_needs_three_channels():
