@@ -1,4 +1,4 @@
-"""The CLI's documented exit codes and its bench table."""
+"""The CLI's documented exit codes, its bench table and its report files."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,91 @@ mode           cycles  cycles/px  speedup  (~)  invocations  mults stages
 scalar       17124334    1045.19     1.00    1            0      0      0
 isef          3154353     192.53     5.43    5         2049      0      1
 """
+
+CONVERT_JSON = """\
+{
+  "kernel": "yiq",
+  "mode": "ei5",
+  "pixels": 28,
+  "ei_invocations": 5,
+  "stages": 1,
+  "cycles_total": 57.97690625,
+  "cycles_total_exact": "1855261/32000",
+  "cycles_per_pixel": 2.070603794642857,
+  "cycles_per_pixel_exact": "1855261/896000",
+  "speedup_vs_scalar": 5.3390525645717775,
+  "speedup_vs_scalar_exact": "9905336/1855261",
+  "speedup_rounded": 5,
+  "multipliers_used": 45,
+  "alu_ops_used": 165,
+  "iram_bytes_used": 0,
+  "buffer_location": "internal",
+  "profile": "s6000_paper"
+}
+"""
+
+REPORT_HEADER = (
+    "kernel,mode,pixels,ei_invocations,stages,cycles_total,cycles_per_pixel,"
+    "speedup_vs_scalar,speedup_rounded,multipliers_used,alu_ops_used,"
+    "iram_bytes_used,buffer_location,profile\r\n"
+)
+
+CONVERT_CSV = REPORT_HEADER + (
+    "yiq,ei5,28,5,1,57.97690625,2.070603794642857,5.3390525645717775,5,45,165,0,"
+    "internal,s6000_paper\r\n"
+)
+
+HISTEQ_JSON = """\
+{
+  "kernel": "histeq",
+  "mode": "isef",
+  "pixels": 35,
+  "ei_invocations": 5,
+  "stages": 1,
+  "cycles_total": 10832.857886385604,
+  "cycles_total_exact": "60611313143/5595136",
+  "cycles_per_pixel": 309.51022532530294,
+  "cycles_per_pixel_exact": "60611313143/195829760",
+  "speedup_vs_scalar": 3.3769042695396267,
+  "speedup_vs_scalar_exact": "204678602135/60611313143",
+  "speedup_rounded": 3,
+  "multipliers_used": 0,
+  "alu_ops_used": 32,
+  "iram_bytes_used": 8192,
+  "buffer_location": "internal",
+  "profile": "s6000_paper"
+}
+"""
+
+BENCH_HISTEQ_CSV = REPORT_HEADER + (
+    "histeq,scalar,16384,0,0,17124334,1045.1864013671875,1,1,0,0,0,internal,s6000_paper\r\n"
+    "histeq,isef,16384,2049,1,3154353,192.52642822265625,5.4287944310608225,5,0,32,8192,"
+    "internal,s6000_paper\r\n"
+)
+
+ROUNDTRIP_GRAY_JSON = """\
+{
+  "samples": 256,
+  "max_error": 0,
+  "per_channel_max": [
+    0,
+    0,
+    0
+  ],
+  "mean_error": 0.0,
+  "argmax_rgb": [
+    0,
+    0,
+    0
+  ],
+  "frozen_bound": 5
+}
+"""
+
+ROUNDTRIP_GRAY_CSV = (
+    "argmax_rgb,frozen_bound,max_error,mean_error,per_channel_max,samples\r\n"
+    '"[0, 0, 0]",5,0,0.0,"[0, 0, 0]",256\r\n'
+)
 
 
 @pytest.fixture
@@ -80,3 +165,36 @@ def test_bench_table(capsys, kernel, table):
 
 def test_bench_rejects_a_kernel_without_measurements():
     assert cli.main(["bench", "--kernel", "cmy"]) == cli.EXIT_CONSTRAINT
+
+
+@pytest.mark.parametrize("fmt,golden", [("json", CONVERT_JSON), ("csv", CONVERT_CSV)])
+def test_convert_report_file(ppm, tmp_path, fmt, golden):
+    report = tmp_path / f"r.{fmt}"
+    args = ("--to", "yiq", "--mode", "ei5", "--report", str(report), "--format", fmt)
+    assert convert(ppm, tmp_path, *args) == cli.EXIT_OK
+    assert report.read_bytes() == golden.encode()
+
+
+def test_histeq_report_file(tmp_path):
+    rng = np.random.default_rng(5)
+    pgm = tmp_path / "in.pgm"
+    pgm.write_bytes(write_pnm(ImageBuffer.from_array(rng.integers(0, 256, (7, 5), dtype=np.uint8))))
+    report = tmp_path / "r.json"
+    argv = ["histeq", "--in", str(pgm), "--out", str(tmp_path / "out.pgm"), "--mode", "isef"]
+    assert cli.main([*argv, "--report", str(report)]) == cli.EXIT_OK
+    assert report.read_bytes() == HISTEQ_JSON.encode()
+
+
+def test_bench_report_file(tmp_path):
+    report = tmp_path / "r.csv"
+    argv = ["bench", "--kernel", "histeq", "--format", "csv", "--report", str(report)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert report.read_bytes() == BENCH_HISTEQ_CSV.encode()
+
+
+@pytest.mark.parametrize("fmt,golden", [("json", ROUNDTRIP_GRAY_JSON), ("csv", ROUNDTRIP_GRAY_CSV)])
+def test_roundtrip_report_file(tmp_path, fmt, golden):
+    report = tmp_path / f"r.{fmt}"
+    argv = ["roundtrip", "--gray-only", "--report", str(report), "--format", fmt]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert report.read_bytes() == golden.encode()
