@@ -6,6 +6,7 @@ from .cycle_model import (
     CALIBRATION_MEASUREMENTS,
     CalibrationProfile,
     CycleReport,
+    InvocationMismatch,
     MismatchedWorkload,
     Underdetermined,
     UnknownKernelConfig,
@@ -20,12 +21,9 @@ from .cycle_model import (
     speedup,
 )
 from .colorspace import (
-    BUILTIN_MATRICES,
     CMY2RGB,
     CONVERT_MODES,
     ConversionMatrix,
-    PixelRGB,
-    PixelYIQ,
     RGB2CMY,
     RGB2YIQ,
     ROUNDTRIP_MAX_ERROR,
@@ -83,10 +81,8 @@ from .image_io import (
     TruncatedData,
     UnsupportedMaxval,
     read_pnm,
-    read_raw,
     to_gray,
     write_pnm,
-    write_raw,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,11 @@
 """Command-line front end: convert, histeq, bench, roundtrip.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 validation or
-constraint error, 4 regression failure.  Every command is
-deterministic; reports never carry timestamps.
+Exit codes: 0 success, 1 usage error, 2 I/O error (unreadable or
+malformed image, missing file), 3 validation or constraint error (a
+fabric rule, a malformed matrix or profile, a kernel or mode the
+profile cannot cost, an invocation count the cost model disagrees
+with), 4 regression failure (round-trip error above the frozen bound).
+Every command is deterministic; reports never carry timestamps.
 """
 
 from __future__ import annotations
@@ -94,6 +97,9 @@ def _common_cost_flags(cmd):
     cmd.add_argument("--format", default="json", choices=("json", "csv"))
 
 
+_MATRIX_KEYS = ("name", "row0", "row1", "row2", "input_offset", "output_offset")
+
+
 def _load_matrix_file(path: str) -> colorspace.ConversionMatrix:
     """Matrix file: 'name = x', 'row0 = a b c' (thrice), optional offsets."""
     fields = {}
@@ -102,7 +108,11 @@ def _load_matrix_file(path: str) -> colorspace.ConversionMatrix:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"matrix file {path}: expected 'key = value', got {line!r}")
             key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _MATRIX_KEYS:
+                raise ValueError(f"matrix file {path}: unrecognized key {key!r}")
             fields[key] = value
     try:
         rows = tuple(
@@ -131,13 +141,14 @@ def _resolve_matrix(target: str) -> colorspace.ConversionMatrix:
     raise UsageError(f"--to must be yiq, rgb, cmy, or matrix:<file>, got {target!r}")
 
 
-def _write_report(path: str, fmt: str, rows: list[dict]):
+def _write_report(path: str, fmt: str, rows: list[dict], columns=REPORT_COLUMNS):
+    """One object (or a list of them) as JSON, or ``columns`` of each row as CSV."""
     if fmt == "json":
         payload = rows[0] if len(rows) == 1 else rows
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=REPORT_COLUMNS, extrasaction="ignore")
+        writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -167,34 +178,23 @@ def _write_image(path: str, img: image_io.ImageBuffer):
         fh.write(image_io.write_pnm(img))
 
 
-def cmd_convert(args) -> int:
-    matrix = _resolve_matrix(args.target)
+def cmd_image(args) -> int:
+    """convert and histeq: read the image, run it, write the result and,
+    with --report, the cost report."""
+    if args.command == "convert":
+        matrix = _resolve_matrix(args.target)
     profile = cycle_model.resolve_profile(args.profile) if args.report else None
     img = _read_image(args.infile)
-    out, report = colorspace.convert_image(
-        img, matrix, args.mode, profile=profile, buffer_location=args.buffers
-    )
+    if args.command == "convert":
+        out, report = colorspace.convert_image(img, matrix, args.mode, profile, args.buffers)
+    else:
+        if img.channels == 3:
+            img = image_io.to_gray(img)
+        out, report = histeq.histeq_image(img, args.mode, profile, args.buffers)
     _write_image(args.outfile, out)
     if report is not None:
         _print_report_line(report)
-        if args.report:
-            _write_report(args.report, args.format, [report.to_dict()])
-    return EXIT_OK
-
-
-def cmd_histeq(args) -> int:
-    profile = cycle_model.resolve_profile(args.profile) if args.report else None
-    img = _read_image(args.infile)
-    if img.channels == 3:
-        img = image_io.to_gray(img)
-    out, report = histeq.histeq_image(
-        img, args.mode, profile=profile, buffer_location=args.buffers
-    )
-    _write_image(args.outfile, out)
-    if report is not None:
-        _print_report_line(report)
-        if args.report:
-            _write_report(args.report, args.format, [report.to_dict()])
+        _write_report(args.report, args.format, [report.to_dict()])
     return EXIT_OK
 
 
@@ -260,15 +260,7 @@ def cmd_roundtrip(args) -> int:
             "argmax_rgb": list(result.argmax_rgb),
             "frozen_bound": bound,
         }
-        if args.format == "json":
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-        else:
-            with open(args.report, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(sorted(payload))
-                writer.writerow([payload[k] for k in sorted(payload)])
+        _write_report(args.report, args.format, [payload], columns=sorted(payload))
     if result.max_error > bound:
         print(f"REGRESSION: max error {result.max_error} exceeds frozen bound {bound}")
         return EXIT_REGRESSION
@@ -276,8 +268,8 @@ def cmd_roundtrip(args) -> int:
 
 
 _COMMANDS = {
-    "convert": cmd_convert,
-    "histeq": cmd_histeq,
+    "convert": cmd_image,
+    "histeq": cmd_image,
     "bench": cmd_bench,
     "roundtrip": cmd_roundtrip,
 }
@@ -304,6 +296,7 @@ def main(argv=None) -> int:
         cycle_model.UnknownKernelConfig,
         cycle_model.MismatchedWorkload,
         cycle_model.Underdetermined,
+        cycle_model.InvocationMismatch,
         histeq.EmptyImage,
         ValueError,
     ) as exc:

@@ -18,9 +18,9 @@ Three routes compute the same map and are kept bit-identical:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
-from typing import NamedTuple, Optional
+from numbers import Integral
+from typing import Optional
 
 import numpy as np
 
@@ -54,20 +54,6 @@ ROUNDTRIP_MAX_ERROR = 5
 ROUNDTRIP_ARGMAX = (0, 121, 212)
 
 
-class PixelRGB(NamedTuple):
-    r: int
-    g: int
-    b: int
-
-
-class PixelYIQ(NamedTuple):
-    """Luma in [0, 255]; chroma at full signed precision (|i| <= 152, |q| <= 134)."""
-
-    y: int
-    i: int
-    q: int
-
-
 @dataclass(frozen=True)
 class ConversionMatrix:
     """A named affine fixed-point conversion.
@@ -90,6 +76,9 @@ class ConversionMatrix:
         for row in self.coeffs:
             for value in row:
                 check_coefficient(value)
+        for offset in (self.input_offset, self.output_offset):
+            if len(offset) != 3 or not all(isinstance(v, Integral) for v in offset):
+                raise ValueError(f"conversion offsets must be three integers, got {offset!r}")
         if not self.kernel:
             object.__setattr__(self, "kernel", self.name)
 
@@ -123,29 +112,28 @@ CMY2RGB = ConversionMatrix(
     kernel="cmy",
 )
 
-BUILTIN_MATRICES = {m.name: m for m in (RGB2YIQ, YIQ2RGB, RGB2CMY, CMY2RGB)}
-
 
 # ---------------------------------------------------------------------------
 # Scalar reference functions
 # ---------------------------------------------------------------------------
 
 
-def rgb_to_yiq_px(p) -> PixelYIQ:
-    """Forward conversion of one pixel; chroma stays signed."""
+def rgb_to_yiq_px(p) -> tuple[int, int, int]:
+    """Forward conversion of one pixel: luma in [0, 255], chroma at full
+    signed precision (|i| <= 152, |q| <= 134)."""
     r, g, b = p
     rows = RGB2YIQ.coeffs
     y = clamp_u8(div256_trunc(mul_acc3(rows[0], (r, g, b))))
     i = div256_trunc(mul_acc3(rows[1], (r, g, b)))
     q = div256_trunc(mul_acc3(rows[2], (r, g, b)))
-    return PixelYIQ(y, i, q)
+    return (y, i, q)
 
 
-def yiq_to_rgb_px(p) -> PixelRGB:
+def yiq_to_rgb_px(p) -> tuple[int, int, int]:
     """Reverse conversion of one pixel from signed chroma."""
     y, i, q = p
     rows = YIQ2RGB.coeffs
-    return PixelRGB(
+    return (
         clamp_u8(div256_trunc(mul_acc3(rows[0], (y, i, q)))),
         clamp_u8(div256_trunc(mul_acc3(rows[1], (y, i, q)))),
         clamp_u8(div256_trunc(mul_acc3(rows[2], (y, i, q)))),
@@ -164,10 +152,10 @@ def yiq_encode_offset128(p) -> tuple[int, int, int]:
     return (y, clamp_u8(i + 128), clamp_u8(q + 128))
 
 
-def yiq_decode_offset128(p) -> PixelYIQ:
+def yiq_decode_offset128(p) -> tuple[int, int, int]:
     """Inverse of the offset-128 encoding (saturated values stay clipped)."""
     y, i, q = p
-    return PixelYIQ(y, i - 128, q - 128)
+    return (y, i - 128, q - 128)
 
 
 def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
@@ -232,13 +220,15 @@ def _unpack_lanes(regs, sizes: tuple[int, ...]) -> bytes:
     return b"".join(map(wr_unpack, regs, repeat(0), sizes))
 
 
-@lru_cache(maxsize=None)
 def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
     """Build (and validate) the fabric kernel converting ``lanes`` pixels.
 
     Coefficients and offsets are part of the fabric configuration, not
     operands, so the pixels' interleaved bytes are the whole input: one
-    register for up to five pixels, two for eight.
+    register for up to five pixels, two for eight.  Kernels are not
+    cached: building one costs a few microseconds, far less than the
+    smallest image run it serves, and a cache would keep every custom
+    matrix's kernel alive.
     """
     shape = cycle_model.KERNEL_SHAPES.get(f"ei{lanes}")
     if shape is None:
@@ -277,7 +267,8 @@ def convert_image(
     Output samples are identical across all modes.  Lane modes finish a
     pixel count that does not divide the lane width on the batch path
     (the scalar tail).  With a profile the cycle report is filled from
-    the cost model; without one the report is None.
+    the cost model, which must agree with the invocations executed
+    (``cycle_model.checked_report``); without one the report is None.
     """
     if img.channels != 3:
         raise ChannelMismatch(f"conversion needs 3 channels, got {img.channels}")
@@ -310,14 +301,9 @@ def convert_image(
     converted = ImageBuffer(
         width=img.width, height=img.height, channels=3, samples=out
     )
-    if profile is None:
-        return converted, None
-    report = cycle_model.estimate(matrix.kernel, mode, n, profile, buffer_location)
-    executed = log.total - logged
-    if report.ei_invocations != executed:
-        raise RuntimeError(
-            f"cost model predicted {report.ei_invocations} invocations, executed {executed}"
-        )
+    report = cycle_model.checked_report(
+        matrix.kernel, mode, n, profile, buffer_location, log.total - logged
+    )
     return converted, report
 
 

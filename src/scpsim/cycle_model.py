@@ -17,9 +17,10 @@ step follows.  A pixel count that does not divide the lane width is
 finished on the scalar path, so the model charges floor(pixels/lanes)
 groups plus the remainder at the scalar per-pixel rate.  A mode with a
 merge step (the histogram pipeline: accumulate and transform per
-16-pixel group, one merge per run) has its fitted measurement split
-uniformly across the instructions of all groups plus the merge, the
-merge receiving exactly one step's worth.
+16-pixel group, one merge per ``COUNTER_MAX`` groups and at least one
+per run) has its fitted measurement split uniformly across the
+instructions of all groups plus the merges, each merge receiving
+exactly one step's worth.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Optional, Union
 
-from .fabric import BANK_COUNT, HIST_ENTRIES, ResourceLedger, stage_count
+from .fabric import BANK_COUNT, COUNTER_MAX, HIST_ENTRIES, ResourceLedger, stage_count
 
 
 class UnknownKernelConfig(KeyError):
@@ -45,6 +47,10 @@ class MismatchedWorkload(ValueError):
 
 class Underdetermined(ValueError):
     """Not enough measurements to fit a profile parameter."""
+
+
+class InvocationMismatch(Exception):
+    """A run executed a different number of invocations than the model charges."""
 
 
 Rational = Union[int, Fraction]
@@ -65,11 +71,19 @@ CALIBRATION_MEASUREMENTS = (
 class KernelShape:
     """How one mode runs: ``lanes`` pixels per group (0 for the plain
     processor), the ledger of each instruction a group issues, in issue
-    order, and whether one composite merge step follows the groups."""
+    order, and whether composite merge steps follow the groups."""
 
     lanes: int
     ledgers: tuple[ResourceLedger, ...] = ()
     merge: bool = False
+
+    def merges(self, groups: int) -> int:
+        """Merge steps a run of ``groups`` groups takes: one per
+        ``COUNTER_MAX`` groups, the most a 16-bit lane counter can count
+        before it is flushed, and at least one; none without a merge step."""
+        if not self.merge:
+            return 0
+        return max(1, -(-groups // COUNTER_MAX))
 
     @property
     def peak(self) -> ResourceLedger:
@@ -103,8 +117,8 @@ def _convert_shape(lanes: int) -> KernelShape:
 #: instruction per group of 1, 5 or 8 pixels.  The histogram pipeline
 #: gives lane j bank j: it counts a group into per-lane 16-bit
 #: sub-histograms (one address add and one counter increment per lane),
-#: merges them once, then maps each group through the table replicated
-#: in every bank (one address add per lane).
+#: merges them (see ``KernelShape.merges``), then maps each group through
+#: the table replicated in every bank (one address add per lane).
 KERNEL_SHAPES = {
     "scalar": KernelShape(0),
     "ei1": _convert_shape(1),
@@ -258,10 +272,9 @@ def estimate(
             )
         groups, tail = divmod(pixels, lanes)
         total = groups * per_group + overhead
-        invocations = groups * len(shape.ledgers)
-        if shape.merge:
-            total += profile.merge_cycles
-            invocations += 1
+        merges = shape.merges(groups)
+        total += merges * profile.merge_cycles
+        invocations = groups * len(shape.ledgers) + merges
         if tail:
             cpp = profile.scalar_cycles_per_pixel.get(kernel)
             if cpp is None:
@@ -291,6 +304,30 @@ def estimate(
     )
 
 
+def checked_report(
+    kernel: str,
+    mode: str,
+    pixels: int,
+    profile: Optional[CalibrationProfile],
+    buffer_location: str,
+    executed: int,
+) -> Optional[CycleReport]:
+    """The cost of a run that executed ``executed`` invocations; None
+    without a profile.
+
+    Raises InvocationMismatch when the model charges a different number
+    of invocations than the run executed.
+    """
+    if profile is None:
+        return None
+    report = estimate(kernel, mode, pixels, profile, buffer_location)
+    if report.ei_invocations != executed:
+        raise InvocationMismatch(
+            f"cost model predicted {report.ei_invocations} invocations, executed {executed}"
+        )
+    return report
+
+
 def speedup(report: CycleReport, baseline: CycleReport) -> Fraction:
     """baseline cycles / report cycles, for the same workload."""
     if report.kernel != baseline.kernel or report.pixels != baseline.pixels:
@@ -307,8 +344,8 @@ def fit_profile(
     """Solve per-unit costs so each measurement is reproduced exactly.
 
     One unknown per (kernel, mode): the scalar rate or the per-group
-    cost.  A mode's merge charge is folded into its fit as one uniform
-    step (see the module docstring for the split).  Scalar
+    cost.  A mode's merge charge is folded into its fit, each merge one
+    uniform step (see the module docstring for the split).  Scalar
     measurements are fitted first so lane tails can be subtracted.
     """
     rows = list(measurements)
@@ -343,7 +380,7 @@ def fit_profile(
         if pool < 0:
             raise Underdetermined(f"{kernel}/{mode}: tail charge exceeds the measured total")
         per_group = len(shape.ledgers)
-        step = pool / (per_group * groups + int(shape.merge))
+        step = pool / (per_group * groups + shape.merges(groups))
         ei_cycles[(kernel, mode)] = per_group * step
         if shape.merge:
             merge = step
@@ -440,22 +477,16 @@ def load_profile(path: Union[str, os.PathLike]) -> CalibrationProfile:
         return parse_profile(fh.read())
 
 
-_BUILTIN_CACHE: dict[str, CalibrationProfile] = {}
-
-
-def builtin_profile(name: str = "s6000_paper") -> CalibrationProfile:
-    """A profile shipped with the package, fitted at first use."""
-    if name not in _BUILTIN_CACHE:
-        if name != "s6000_paper":
-            raise UnknownKernelConfig(f"no builtin profile named {name!r}")
-        _BUILTIN_CACHE[name] = fit_profile(CALIBRATION_MEASUREMENTS, name="s6000_paper")
-    return _BUILTIN_CACHE[name]
+@cache
+def builtin_profile() -> CalibrationProfile:
+    """The ``s6000_paper`` profile shipped with the package, fitted at first use."""
+    return fit_profile(CALIBRATION_MEASUREMENTS, name="s6000_paper")
 
 
 def resolve_profile(spec: str) -> CalibrationProfile:
     """Resolve a profile by builtin name, SCPSIM_PROFILE_DIR entry, or path."""
     if spec == "s6000_paper":
-        return builtin_profile(spec)
+        return builtin_profile()
     profile_dir = os.environ.get("SCPSIM_PROFILE_DIR")
     if profile_dir:
         candidate = os.path.join(profile_dir, f"{spec}.profile")

@@ -5,7 +5,7 @@ The fabric owns three things:
 * ``WideRegister`` -- the immutable 16-byte conduit between processor
   and fabric.  Packing and unpacking registers is free in the cost
   model; capacity violations raise at pack time.
-* ``IramState`` -- fabric-local memory, 16 banks of 4 KB by default.
+* ``IramState`` -- fabric-local memory, 16 banks of 4 KB.
   A bank can be addressed as 256 16-bit counters (histogram use) or as
   256 8-bit values (table lookup use).  Within one extension-instruction
   invocation each bank may be touched at most once; a read-modify-write
@@ -122,7 +122,7 @@ COUNTER_MAX = 0xFFFF
 
 
 class IramState:
-    """Fabric-local RAM: ``banks`` banks of ``bank_bytes`` bytes each.
+    """Fabric-local RAM: ``BANK_COUNT`` banks of ``BANK_BYTES`` bytes each.
 
     Entry accessors (``read_counter``/``add_counter``/``read_lut``/...)
     are the kernel-visible interface and are subject to the
@@ -132,22 +132,21 @@ class IramState:
     constrained.
     """
 
-    def __init__(self, banks: int = BANK_COUNT, bank_bytes: int = BANK_BYTES):
-        if banks < 1 or bank_bytes < 2 * HIST_ENTRIES:
-            raise ValueError("bank geometry too small for 256 16-bit entries")
-        self.banks = banks
-        self.bank_bytes = bank_bytes
-        self._mem = [bytearray(bank_bytes) for _ in range(banks)]
+    def __init__(self):
+        # An instance attribute, not a class one: _touch reads it on every
+        # entry access, and the instance lookup is the faster of the two.
+        self.banks = BANK_COUNT
+        self._mem = [bytearray(BANK_BYTES) for _ in range(BANK_COUNT)]
         #: bank -> entry touched in the current invocation (None outside one)
         self.access_log: Optional[dict[int, int]] = None
 
     @property
     def total_bytes(self) -> int:
-        return self.banks * self.bank_bytes
+        return BANK_COUNT * BANK_BYTES
 
     def clear(self):
         for bank in self._mem:
-            bank[:] = bytes(self.bank_bytes)
+            bank[:] = bytes(BANK_BYTES)
 
     # -- invocation bracketing -------------------------------------------
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SCALE = 256
 COEFF_LIMIT = 512
 
 

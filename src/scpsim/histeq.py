@@ -2,12 +2,13 @@
 
 The pipeline: a 16-lane kernel counts 16 gray pixels per invocation
 into 16 per-lane sub-histograms (lane j owns bank j, so each bank is
-touched exactly once per invocation); a composite merge step sums the
-sub-histograms into the cumulative histogram and derives the gray-level
-lookup table; the table is replicated into all banks so a second
-16-lane kernel can transform 16 pixels per invocation, again one bank
-per lane.  Replication, not striping, is what keeps the lookup kernel
-conflict-free for arbitrary pixel data.
+touched exactly once per invocation); a composite merge step, run once
+per ``COUNTER_MAX`` groups so that no 16-bit lane counter can overflow,
+adds the sub-histograms into the cumulative histogram, from which the
+gray-level lookup table is derived; the table is replicated into all
+banks so a second 16-lane kernel can transform 16 pixels per
+invocation, again one bank per lane.  Replication, not striping, is
+what keeps the lookup kernel conflict-free for arbitrary pixel data.
 
 The table discretization is entries[k] = floor(255 * cum[k] / n): it
 maps a perfectly uniform histogram to the identity and a constant
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import cycle_model
 from .fabric import (
+    COUNTER_MAX,
     HIST_ENTRIES,
     ExtensionInstruction,
     InvocationLog,
@@ -142,14 +144,17 @@ def histeq_image(
     mode: str,
     profile: Optional[cycle_model.CalibrationProfile] = None,
     buffer_location: str = "internal",
-    iram: Optional[IramState] = None,
     log: Optional[InvocationLog] = None,
 ) -> tuple[ImageBuffer, Optional[cycle_model.CycleReport]]:
     """Equalize a single-channel image.
 
     Output samples are identical between modes.  In fabric mode a pixel
     count that does not divide 16 leaves a tail that is counted and
-    transformed on the plain-processor path.
+    transformed on the plain-processor path, and the sub-histograms are
+    merged once per ``COUNTER_MAX`` groups, at least once.  With a
+    profile the cycle report is filled from the cost model, which must
+    agree with the invocations executed (``cycle_model.checked_report``);
+    without one the report is None.
     """
     if img.channels != 1:
         raise ChannelMismatch(f"equalization needs 1 channel, got {img.channels}")
@@ -169,19 +174,20 @@ def histeq_image(
         lut = build_lut(cum, n)
         out = lut[flat]
     else:
-        if iram is None:
-            iram = IramState()
-        else:
-            iram.clear()
+        iram = IramState()
         groups = n // LANES
         head = flat[: groups * LANES]
         tail = flat[groups * LANES :]
-        for gi in range(groups):
-            ei_subhist16(wr_pack(head[LANES * gi : LANES * gi + LANES].tobytes()), iram, log=log)
-        cum = merge_cumulative(iram)
+        cum = np.zeros(HIST_ENTRIES, dtype=np.int64)
+        # Flush before a lane counter can pass COUNTER_MAX; zero groups still merge once.
+        for first in range(0, max(groups, 1), COUNTER_MAX):
+            for gi in range(first, min(first + COUNTER_MAX, groups)):
+                ei_subhist16(wr_pack(head[LANES * gi : LANES * gi + LANES].tobytes()), iram, log=log)
+            cum += merge_cumulative(iram)
+            log.record("merge_lut")
+            iram.clear()
         if tail.size:
             cum += np.cumsum(scalar_histogram(tail))
-        log.record("merge_lut")
         lut = build_lut(cum, n)
         lut_replicate(lut, iram)
         out = np.empty_like(flat)
@@ -196,12 +202,7 @@ def histeq_image(
             out[groups * LANES :] = lut[tail]
 
     result = ImageBuffer(width=img.width, height=img.height, channels=1, samples=out)
-    if profile is None:
-        return result, None
-    report = cycle_model.estimate("histeq", mode, n, profile, buffer_location)
-    executed = log.total - logged
-    if report.ei_invocations != executed:
-        raise RuntimeError(
-            f"cost model predicted {report.ei_invocations} invocations, executed {executed}"
-        )
+    report = cycle_model.checked_report(
+        "histeq", mode, n, profile, buffer_location, log.total - logged
+    )
     return result, report

@@ -69,10 +69,6 @@ class ImageBuffer:
             raise ValueError("expected a 2-D or 3-D array")
         return cls(width=w, height=h, channels=c, samples=arr)
 
-    @property
-    def pixel_count(self) -> int:
-        return self.width * self.height
-
     def as_array(self) -> np.ndarray:
         """View as (height, width, channels)."""
         return self.samples.reshape(self.height, self.width, self.channels)
@@ -155,20 +151,6 @@ def write_pnm(img: ImageBuffer) -> bytes:
     magic = "P5" if img.channels == 1 else "P6"
     header = f"{magic}\n{img.width} {img.height}\n255\n".encode("ascii")
     return header + img.samples.tobytes()
-
-
-def read_raw(data: bytes, width: int, height: int, channels: int) -> ImageBuffer:
-    """Decode a headerless interleaved dump with explicit geometry."""
-    need = width * height * channels
-    if len(data) < need:
-        raise TruncatedData(f"raw dump holds {len(data)} of {need} bytes")
-    samples = np.frombuffer(bytes(data[:need]), dtype=np.uint8).copy()
-    return ImageBuffer(width=width, height=height, channels=channels, samples=samples)
-
-
-def write_raw(img: ImageBuffer) -> bytes:
-    """Encode as a headerless interleaved dump."""
-    return img.samples.tobytes()
 
 
 def to_gray(img: ImageBuffer) -> ImageBuffer:

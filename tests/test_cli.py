@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scpsim import cli, colorspace
+from scpsim import cli, colorspace, histeq
 from scpsim.image_io import ImageBuffer, read_pnm, write_pnm
 
 BENCH_YIQ = """\
@@ -145,6 +145,30 @@ def test_out_of_range_coefficient_is_a_constraint_error(ppm, tmp_path):
     matrix = tmp_path / "bad.matrix"
     matrix.write_text("name = bad\nrow0 = 600 0 0\nrow1 = 0 256 0\nrow2 = 0 0 256\n")
     assert convert(ppm, tmp_path, "--to", f"matrix:{matrix}") == cli.EXIT_CONSTRAINT
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 = 0 0 256\noutput_offset = 1 2 3 4\n",
+        "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 = 0 0 256\noutput_ofset = 100 100 100\n",
+        "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 0 0 256\n",
+    ],
+    ids=["four-offsets", "misspelt-key", "no-equals"],
+)
+def test_malformed_matrix_file_is_a_constraint_error(ppm, tmp_path, text):
+    matrix = tmp_path / "bad.matrix"
+    matrix.write_text(text)
+    assert convert(ppm, tmp_path, "--to", f"matrix:{matrix}") == cli.EXIT_CONSTRAINT
+
+
+def test_invocation_mismatch_is_a_constraint_error(monkeypatch, tmp_path):
+    transform = histeq.ei_transform16
+    monkeypatch.setattr(histeq, "ei_transform16", lambda pixels, iram, log=None: transform(pixels, iram))
+    pgm = tmp_path / "in.pgm"
+    pgm.write_bytes(write_pnm(ImageBuffer.from_array(np.arange(32, dtype=np.uint8).reshape(4, 8))))
+    argv = ["histeq", "--in", str(pgm), "--out", str(tmp_path / "out.pgm")]
+    assert cli.main([*argv, "--report", str(tmp_path / "r.json")]) == cli.EXIT_CONSTRAINT
 
 
 def test_report_without_a_profile_entry_is_a_constraint_error(ppm, tmp_path):

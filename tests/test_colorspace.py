@@ -1,11 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scpsim import cycle_model
 from scpsim.colorspace import (
     CMY2RGB,
+    CONVERT_MODES,
     ConversionMatrix,
     RGB2CMY,
     RGB2YIQ,
@@ -23,7 +27,7 @@ from scpsim.colorspace import (
     yiq_encode_offset128,
     yiq_to_rgb_px,
 )
-from scpsim.fixed_point import clamp_u8, div256_trunc, mul_acc3
+from scpsim.fixed_point import COEFF_LIMIT, clamp_u8, div256_trunc, mul_acc3
 from scpsim.image_io import ChannelMismatch, ImageBuffer
 from scpsim.fabric import InvocationLog, ei_execute, ei_validate, wr_pack, wr_unpack
 
@@ -103,6 +107,12 @@ def test_matrix_validation():
         ConversionMatrix(name="bad", coeffs=((600, 0, 0), (0, 0, 0), (0, 0, 0)))
     with pytest.raises(ValueError):
         ConversionMatrix(name="bad", coeffs=((1, 2), (3, 4), (5, 6)))
+    identity = ((256, 0, 0), (0, 256, 0), (0, 0, 256))
+    for offset in ((1, 2, 3, 4), (1, 2), (0, 0.5, 0)):
+        with pytest.raises(ValueError):
+            ConversionMatrix(name="bad", coeffs=identity, output_offset=offset)
+        with pytest.raises(ValueError):
+            ConversionMatrix(name="bad", coeffs=identity, input_offset=offset)
 
 
 def test_cmy_matrix_matches_direct_complement():
@@ -196,6 +206,13 @@ def test_lane_kernel_resources():
 # ------------------------------------------------------------ whole images
 
 
+def test_matrix_ei_keeps_no_kernel_alive():
+    fresh = ConversionMatrix(name="fresh", coeffs=((1, 2, 3), (4, 5, 6), (7, 8, 9)))
+    kernel = weakref.ref(matrix_ei(fresh, 5))
+    gc.collect()
+    assert kernel() is None
+
+
 def test_convert_image_rejects_single_channel():
     gray = ImageBuffer(width=2, height=2, channels=1, samples=np.zeros(4, np.uint8))
     with pytest.raises(ChannelMismatch):
@@ -226,6 +243,37 @@ def test_mode_equivalence_other_matrices():
         for mode in ("ei1", "ei5", "ei8"):
             got, _ = convert_image(img, matrix, mode)
             assert got == ref, (matrix.name, mode)
+
+
+coefficients = st.integers(-COEFF_LIMIT, COEFF_LIMIT)
+offsets = st.tuples(*(st.integers(0, 255),) * 3)
+custom_matrices = st.builds(
+    ConversionMatrix,
+    name=st.just("custom"),
+    coeffs=st.tuples(*(st.tuples(*(coefficients,) * 3),) * 3),
+    input_offset=offsets,
+    output_offset=offsets,
+)
+AT_THE_LIMITS = ConversionMatrix(
+    name="limits",
+    coeffs=((512, -512, 512), (-512, 512, -512), (512, 512, -512)),
+    input_offset=(0, 255, 128),
+    output_offset=(255, 0, 128),
+)
+EXTREME_PIXELS = [(0, 0, 0), (255, 255, 255), (255, 0, 255), (0, 255, 0)] * 3 + [(1, 128, 254)]
+
+
+@pytest.mark.parametrize("mode", CONVERT_MODES)
+@settings(max_examples=60, deadline=None)
+@given(
+    matrix=st.one_of(st.sampled_from((RGB2YIQ, YIQ2RGB, RGB2CMY, CMY2RGB)), custom_matrices),
+    pixels=st.lists(rgb_triples, min_size=1, max_size=40),
+)
+@example(matrix=AT_THE_LIMITS, pixels=EXTREME_PIXELS)
+def test_every_mode_matches_the_scalar_oracle(mode, matrix, pixels):
+    img = ImageBuffer(width=len(pixels), height=1, channels=3, samples=np.array(pixels))
+    out, _ = convert_image(img, matrix, mode)
+    assert out.samples.reshape(-1, 3).tolist() == [list(convert_px(matrix, p)) for p in pixels]
 
 
 def test_convert_image_report_fields():
@@ -303,3 +351,5 @@ def test_roundtrip_sweep_exhaustive():
     assert result.samples == 256**3
     assert result.max_error == ROUNDTRIP_MAX_ERROR
     assert result.argmax_rgb == ROUNDTRIP_ARGMAX
+    assert result.per_channel_max == (3, 3, 5)
+    assert result.mean_error == 1.1140663027763367

@@ -6,6 +6,7 @@ import pytest
 from scpsim.colorspace import RGB2YIQ, convert_image
 from scpsim.cycle_model import (
     CALIBRATION_MEASUREMENTS,
+    KERNEL_SHAPES,
     CalibrationProfile,
     MismatchedWorkload,
     Underdetermined,
@@ -98,6 +99,8 @@ def test_invocation_counts(profile):
     assert estimate("yiq", "ei5", 64000, profile).ei_invocations == 12800
     assert estimate("yiq", "ei8", 64000, profile).ei_invocations == 8000
     assert estimate("histeq", "isef", 16384, profile).ei_invocations == 2049
+    # 65536 groups flush the lane counters twice
+    assert estimate("histeq", "isef", 1 << 20, profile).ei_invocations == 131074
 
 
 def test_affine_in_pixels_on_lane_multiples(profile):
@@ -209,6 +212,17 @@ def test_fit_histeq_split():
     assert p.merge_cycles == 100
     assert p.ei_cycles[("histeq", "isef")] == 200
     assert estimate("histeq", "isef", 160, p).cycles_total == 2100
+    # 65536 groups -> 2 * 65536 + 2 steps, one per merge
+    p = fit_profile([("histeq", "isef", 16 * 65536, 3 * 131074)])
+    assert p.merge_cycles == 3
+    assert p.ei_cycles[("histeq", "isef")] == 6
+    assert estimate("histeq", "isef", 16 * 65536, p).cycles_total == 3 * 131074
+
+
+def test_merges_per_run():
+    isef = KERNEL_SHAPES["isef"]
+    assert [isef.merges(g) for g in (0, 1, 65535, 65536, 131070, 131071)] == [1, 1, 1, 2, 2, 3]
+    assert KERNEL_SHAPES["ei5"].merges(1 << 20) == 0
 
 
 def test_mode_lanes():

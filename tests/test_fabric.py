@@ -200,10 +200,6 @@ def test_iram_geometry():
     assert iram.total_bytes == 65536
 
 
-def test_iram_bank_count_is_configurable():
-    assert IramState(banks=8).banks == 8
-
-
 def test_one_access_per_bank_per_invocation():
     iram = IramState()
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scpsim import cycle_model
+from scpsim import cycle_model, histeq
 from scpsim.fabric import (
     BankConflict,
     CounterOverflow,
@@ -232,6 +232,24 @@ def test_histeq_128x128_cycle_totals():
     assert rep_s.cycles_total == 17124334
     assert rep_i.cycles_total == 3154353
     assert rep_i.ei_invocations == 2049
+
+
+def test_histeq_flushes_lane_counters_before_they_overflow():
+    # 65536 groups: lane counters would pass 65535, so the run merges twice
+    img = ImageBuffer.from_array(np.full((1024, 1024), 42, dtype=np.uint8))
+    log = InvocationLog()
+    out, report = histeq_image(img, "isef", profile=cycle_model.builtin_profile(), log=log)
+    assert out == histeq_image(img, "scalar")[0]
+    assert report.ei_invocations == log.total == 2 * 65536 + 2
+    assert log.counts["merge_lut"] == 2
+
+
+def test_histeq_invocation_mismatch_is_typed(monkeypatch):
+    transform = histeq.ei_transform16
+    monkeypatch.setattr(histeq, "ei_transform16", lambda pixels, iram, log=None: transform(pixels, iram))
+    img = gray_image(np.arange(32), width=8)
+    with pytest.raises(cycle_model.InvocationMismatch):
+        histeq_image(img, "isef", profile=cycle_model.builtin_profile())
 
 
 def test_histeq_with_a_reused_log():

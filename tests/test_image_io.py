@@ -13,10 +13,8 @@ from scpsim.image_io import (
     TruncatedData,
     UnsupportedMaxval,
     read_pnm,
-    read_raw,
     to_gray,
     write_pnm,
-    write_raw,
 )
 
 
@@ -88,14 +86,6 @@ def test_pnm_round_trip(width, height, channels, seed):
         samples=rng.integers(0, 256, width * height * channels, dtype=np.uint8),
     )
     assert read_pnm(write_pnm(img)) == img
-
-
-def test_raw_round_trip():
-    rng = np.random.default_rng(2)
-    img = ImageBuffer.from_array(rng.integers(0, 256, (4, 5, 3), dtype=np.uint8))
-    assert read_raw(write_raw(img), 5, 4, 3) == img
-    with pytest.raises(TruncatedData):
-        read_raw(write_raw(img)[:-1], 5, 4, 3)
 
 
 def test_to_gray_extremes():
