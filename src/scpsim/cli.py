@@ -26,24 +26,6 @@ EXIT_IO = 2
 EXIT_CONSTRAINT = 3
 EXIT_REGRESSION = 4
 
-REPORT_COLUMNS = [
-    "kernel",
-    "mode",
-    "pixels",
-    "ei_invocations",
-    "stages",
-    "cycles_total",
-    "cycles_per_pixel",
-    "speedup_vs_scalar",
-    "speedup_rounded",
-    "multipliers_used",
-    "alu_ops_used",
-    "iram_bytes_used",
-    "buffer_location",
-    "profile",
-]
-
-
 class UsageError(Exception):
     pass
 
@@ -141,12 +123,15 @@ def _resolve_matrix(target: str) -> colorspace.ConversionMatrix:
     raise UsageError(f"--to must be yiq, rgb, cmy, or matrix:<file>, got {target!r}")
 
 
-def _write_report(path: str, fmt: str, rows: list[dict], columns=REPORT_COLUMNS):
-    """One object (or a list of them) as JSON, or ``columns`` of each row as CSV."""
+def _write_report(path: str, fmt: str, rows: list[dict], columns=None):
+    """One object (or a list of them) as JSON, or ``columns`` of each row as
+    CSV; by default every key of the first row but the ``*_exact`` strings."""
     if fmt == "json":
         payload = rows[0] if len(rows) == 1 else rows
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        if columns is None:
+            columns = [key for key in rows[0] if not key.endswith("_exact")]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()

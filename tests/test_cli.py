@@ -1,7 +1,11 @@
 """The CLI's documented exit codes, its bench table and its report files."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scpsim import cli, colorspace, histeq
 from scpsim.image_io import ImageBuffer, read_pnm, write_pnm
@@ -153,8 +157,10 @@ def test_out_of_range_coefficient_is_a_constraint_error(ppm, tmp_path):
         "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 = 0 0 256\noutput_offset = 1 2 3 4\n",
         "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 = 0 0 256\noutput_ofset = 100 100 100\n",
         "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 0 0 256\n",
+        "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 = 0 0 256\ninput_offset = 9223372036854775808 0 0\n",
+        "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 = 0 0 256\noutput_offset = 0 256 0\n",
     ],
-    ids=["four-offsets", "misspelt-key", "no-equals"],
+    ids=["four-offsets", "misspelt-key", "no-equals", "offset-2^63", "offset-256"],
 )
 def test_malformed_matrix_file_is_a_constraint_error(ppm, tmp_path, text):
     matrix = tmp_path / "bad.matrix"
@@ -174,6 +180,62 @@ def test_invocation_mismatch_is_a_constraint_error(monkeypatch, tmp_path):
 def test_report_without_a_profile_entry_is_a_constraint_error(ppm, tmp_path):
     report = tmp_path / "r.json"
     assert convert(ppm, tmp_path, "--to", "cmy", "--report", str(report)) == cli.EXIT_CONSTRAINT
+
+
+@pytest.mark.parametrize(
+    "rates", ["yiq.scalar.cycles_per_pixel = 0\nyiq.ei5.ei_cycles = 3\n",
+              "yiq.scalar.cycles_per_pixel = 2\nyiq.ei5.ei_cycles = 0\n"],
+    ids=["scalar", "ei"],
+)
+def test_zero_rate_profile_is_a_constraint_error(ppm, tmp_path, rates):
+    profile = tmp_path / "free.profile"
+    profile.write_text("name = free\n" + rates)
+    args = ("--to", "yiq", "--report", str(tmp_path / "r.json"), "--profile", str(profile))
+    assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT
+
+
+IDENTITY = ((256, 0, 0), (0, 256, 0), (0, 0, 256))
+ZERO_OFFSETS = (0,) * 6
+rates = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=0, max_value=10**6).filter(lambda r: r > 0)
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coeffs=st.tuples(*(st.tuples(*(st.integers(-512, 512),) * 3),) * 3),
+    offsets=st.tuples(*(st.integers(-255, 255) | st.integers(-(2**70), 2**70),) * 6),
+    mode=st.sampled_from(colorspace.CONVERT_MODES),
+    scalar_rate=rates,
+    ei_rate=rates,
+)
+@example(coeffs=IDENTITY, offsets=(-(2**55), 0, 0, 0, 0, 0), mode="ei5", scalar_rate=1, ei_rate=1)
+@example(coeffs=IDENTITY, offsets=(2**63, 0, 0, 0, 0, 0), mode="scalar", scalar_rate=1, ei_rate=1)
+@example(coeffs=IDENTITY, offsets=ZERO_OFFSETS, mode="ei5", scalar_rate=0, ei_rate=1)
+@example(coeffs=IDENTITY, offsets=ZERO_OFFSETS, mode="ei5", scalar_rate=1, ei_rate=0)
+def test_convert_with_a_custom_matrix_and_profile_exits_with_a_code(
+    tmp_path_factory, coeffs, offsets, mode, scalar_rate, ei_rate
+):
+    tmp = tmp_path_factory.getbasetemp()
+    ppm, out = tmp / "prop.ppm", tmp / "prop-out.ppm"
+    pixels = [(7, 7, 7), (0, 255, 128), (255, 0, 1), (3, 200, 90), (128, 128, 128), (1, 2, 3)]
+    ppm.write_bytes(write_pnm(ImageBuffer.from_array(np.array([pixels], dtype=np.uint8))))
+    rows = "".join(f"row{i} = {' '.join(map(str, row))}\n" for i, row in enumerate(coeffs))
+    matrix = tmp / "prop.matrix"
+    matrix.write_text(
+        f"name = m\n{rows}input_offset = {' '.join(map(str, offsets[:3]))}\n"
+        f"output_offset = {' '.join(map(str, offsets[3:]))}\n"
+    )
+    profile = tmp / "prop.profile"
+    profile.write_text(f"m.scalar.cycles_per_pixel = {scalar_rate}\nm.{mode}.ei_cycles = {ei_rate}\n")
+    argv = ["convert", "--in", str(ppm), "--out", str(out), "--to", f"matrix:{matrix}",
+            "--mode", mode, "--report", str(tmp / "prop.json"), "--profile", str(profile)]
+    code = cli.main(argv)
+    assert type(code) is int and 0 <= code <= 4
+    if code == cli.EXIT_OK:
+        m = colorspace.ConversionMatrix("m", coeffs, offsets[:3], offsets[3:])
+        got = read_pnm(out.read_bytes()).samples.reshape(-1, 3).tolist()
+        assert got == [list(colorspace.convert_px(m, p)) for p in pixels]
 
 
 def test_roundtrip_over_the_frozen_bound_is_a_regression(monkeypatch):

@@ -27,7 +27,7 @@ from scpsim.colorspace import (
     yiq_encode_offset128,
     yiq_to_rgb_px,
 )
-from scpsim.fixed_point import COEFF_LIMIT, clamp_u8, div256_trunc, mul_acc3
+from scpsim.fixed_point import COEFF_LIMIT, OFFSET_LIMIT, clamp_u8, div256_trunc, mul_acc3
 from scpsim.image_io import ChannelMismatch, ImageBuffer
 from scpsim.fabric import InvocationLog, ei_execute, ei_validate, wr_pack, wr_unpack
 
@@ -108,11 +108,14 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         ConversionMatrix(name="bad", coeffs=((1, 2), (3, 4), (5, 6)))
     identity = ((256, 0, 0), (0, 256, 0), (0, 0, 256))
-    for offset in ((1, 2, 3, 4), (1, 2), (0, 0.5, 0)):
+    too_far = ((-(2**55), 0, 0), (0, 2**63, 0), (0, 0, OFFSET_LIMIT + 1), (-OFFSET_LIMIT - 1, 0, 0))
+    for offset in ((1, 2, 3, 4), (1, 2), (0, 0.5, 0), *too_far):
         with pytest.raises(ValueError):
             ConversionMatrix(name="bad", coeffs=identity, output_offset=offset)
         with pytest.raises(ValueError):
             ConversionMatrix(name="bad", coeffs=identity, input_offset=offset)
+    edge = (-OFFSET_LIMIT, OFFSET_LIMIT, 0)
+    ConversionMatrix(name="edge", coeffs=identity, input_offset=edge, output_offset=edge)
 
 
 def test_cmy_matrix_matches_direct_complement():

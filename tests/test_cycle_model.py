@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpsim.colorspace import RGB2YIQ, convert_image
 from scpsim.cycle_model import (
@@ -175,6 +177,26 @@ def test_profile_rejects_negative_parameters():
         )
 
 
+@pytest.mark.parametrize(
+    "scalar,ei",
+    [({"yiq": Fraction(0)}, {}), ({"yiq": Fraction(1)}, {("yiq", "ei5"): Fraction(0)})],
+    ids=["scalar", "ei"],
+)
+def test_profile_rejects_zero_rates(scalar, ei):
+    with pytest.raises(ValueError):
+        CalibrationProfile(name="free", scalar_cycles_per_pixel=scalar, ei_cycles=ei)
+
+
+def test_profile_accepts_zero_merge_stall_and_overhead():
+    p = CalibrationProfile(
+        name="zeros",
+        scalar_cycles_per_pixel={"yiq": Fraction(1)},
+        ei_cycles={("yiq", "ei5"): Fraction(1)},
+        fixed_overhead={("yiq", "ei5"): 0},
+    )
+    assert estimate("yiq", "ei5", 10, p, "external").cycles_total == 2
+
+
 # ----------------------------------------------------------------- fitting
 
 
@@ -197,6 +219,20 @@ def test_fit_lane_mode_with_tail_needs_scalar():
 def test_fit_lane_mode_needs_a_full_group():
     with pytest.raises(Underdetermined):
         fit_profile([("k", "ei5", 3, 100)])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [("k", "scalar", 100, 0)],
+        [("k", "ei5", 100, 0)],
+        [("k", "scalar", 10, 20), ("k", "ei5", 11, 2)],
+    ],
+    ids=["scalar", "lane", "lane-after-tail"],
+)
+def test_fit_zero_rate_is_underdetermined(rows):
+    with pytest.raises(Underdetermined):
+        fit_profile(rows)
 
 
 def test_fit_reproduces_measurements_with_tails():
@@ -255,6 +291,28 @@ def test_parse_profile_errors():
         parse_profile("what.ever = 3")
     with pytest.raises(ValueError):
         parse_profile("yiq.ei5.fixed_overhead = 1/2")
+
+
+profile_keys = st.sampled_from(
+    ["name", "merge_cycles", "stall_penalty_external", "yiq.scalar.cycles_per_pixel",
+     "yiq.ei5.ei_cycles", "histeq.isef.fixed_overhead", "yiq.ei5.cycles_per_pixel", "a.b"]
+)
+profile_values = st.one_of(
+    st.text(max_size=8), st.integers(-10, 10**6).map(str), st.fractions().map(str)
+)
+profile_lines = st.one_of(
+    st.text(max_size=24),
+    st.builds(lambda k, v: f"{k} = {v}", profile_keys, profile_values),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(profile_lines, max_size=6).map("\n".join))
+def test_parse_profile_raises_only_value_errors(text):
+    try:
+        parse_profile(text)
+    except ValueError:
+        pass
 
 
 def test_parse_profile_ignores_comments_and_blanks():

@@ -1,3 +1,6 @@
+from dataclasses import FrozenInstanceError
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -291,3 +294,56 @@ def test_clear_zeroes_everything():
         iram.add_counter(4, 4)
     iram.clear()
     assert iram.counters(4) == [0] * 256
+
+
+# ---------------------------------------------------------------- construction
+
+
+def test_instruction_is_frozen():
+    ei = make_ei()
+    with pytest.raises(FrozenInstanceError):
+        ei.n_outputs = 2
+
+
+def test_forbidden_operation_fails_at_construction():
+    with pytest.raises(ForbiddenOperation):
+        ExtensionInstruction(
+            name="bad",
+            body=lambda inputs, iram: inputs[:1],
+            n_inputs=1,
+            n_outputs=1,
+            ledger=ResourceLedger(),
+            ops_used=frozenset({"add", "sqrt"}),
+        )
+
+
+def test_each_instruction_is_validated_once_at_construction(monkeypatch):
+    from scpsim import colorspace, fabric, histeq
+    from scpsim.image_io import ImageBuffer
+
+    calls = []
+    validate = fabric.ei_validate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(fabric, "ei_validate", counting)
+    monkeypatch.setattr(colorspace, "ei_validate", counting)
+    rgb = ImageBuffer(width=10, height=1, channels=3, samples=np.arange(30, dtype=np.uint8))
+    for _ in range(10):
+        colorspace.convert_image(rgb, colorspace.RGB2YIQ, "ei5")
+    assert len(calls) == 10
+    calls.clear()
+    gray = ImageBuffer(width=32, height=1, channels=1, samples=np.arange(32, dtype=np.uint8))
+    histeq.histeq_image(gray, "isef")
+    assert calls == []
+
+
+@pytest.mark.parametrize("entry", [0, 1, 77, 127])
+def test_counter_entry_is_two_little_endian_lut_bytes(entry):
+    iram = IramState()
+    iram.write_counter(5, entry, 0x0201)
+    assert iram.read_lut(5, 2 * entry) == 1
+    assert iram.read_lut(5, 2 * entry + 1) == 2
+    assert type(iram.read_counter(5, entry)) is int and iram.read_counter(5, entry) == 0x0201

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scpsim.colorspace import RGB2YIQ, apply_matrix_np
@@ -10,6 +10,7 @@ from scpsim.image_io import (
     ChannelMismatch,
     ImageBuffer,
     MalformedHeader,
+    PnmError,
     TruncatedData,
     UnsupportedMaxval,
     read_pnm,
@@ -130,3 +131,25 @@ def test_buffer_from_array_shapes():
     rgb = ImageBuffer.from_array(np.zeros((3, 4, 3), np.uint8))
     assert (rgb.width, rgb.height, rgb.channels) == (4, 3, 3)
     assert rgb.as_array().shape == (3, 4, 3)
+
+
+header_tokens = st.one_of(
+    st.sampled_from([b"P5", b"P6", b"P3", b"255", b"0", b"-1", b"#x\n", b"65535"]),
+    st.integers(0, 2**40).map(lambda v: str(v).encode()),
+    st.binary(max_size=4),
+)
+pnm_like = st.builds(
+    lambda tokens, sep, raster: sep.join(tokens) + raster,
+    st.lists(header_tokens, max_size=5),
+    st.sampled_from([b" ", b"\n", b"\t", b"", b"#\n"]),
+    st.binary(max_size=24),
+)
+
+
+@settings(max_examples=200)
+@given(st.binary(max_size=48) | pnm_like)
+def test_read_pnm_raises_only_pnm_errors(data):
+    try:
+        read_pnm(data)
+    except PnmError:
+        pass
