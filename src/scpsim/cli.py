@@ -282,6 +282,7 @@ def main(argv=None) -> int:
         cycle_model.MismatchedWorkload,
         cycle_model.Underdetermined,
         cycle_model.InvocationMismatch,
+        cycle_model.ReportOverflow,
         histeq.EmptyImage,
         ValueError,
     ) as exc:

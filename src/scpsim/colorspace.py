@@ -12,7 +12,9 @@ Three routes compute the same map and are kept bit-identical:
 
 * per-pixel scalar functions (the reference),
 * a numpy batch path (the plain-processor "scalar mode" for images),
-* fabric kernels processing 1, 5, or 8 pixels per invocation.
+* fabric kernels processing 1, 5, or 8 pixels per invocation, issued
+  as one batch per image; the kernel body is the batch path applied to
+  the pixel bytes of every invocation's registers.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ from .fabric import (
     WR_BYTES,
     ExtensionInstruction,
     InvocationLog,
-    WideRegister,
-    ei_execute,
-    ei_validate,  # noqa: F401  (unused here; kept for the benchmark tracer, which patches it)
-    wr_pack,
-    wr_unpack,
+    ei_execute_batch,
 )
+# Unused here; kept for the benchmark tracer, which patches these names.
+from .fabric import ei_execute, ei_validate, wr_pack, wr_unpack  # noqa: F401
 from .fixed_point import (
     OFFSET_LIMIT,
     check_coefficient,
@@ -196,35 +196,13 @@ def apply_matrix_np(flat: np.ndarray, matrix: ConversionMatrix) -> np.ndarray:
 _MATRIX_OPS = frozenset({"add", "sub", "mul", "shift", "compare", "select"})
 
 
-def _convert_lanes(matrix: ConversionMatrix, raw: bytes, lanes: int) -> bytearray:
-    out = bytearray(3 * lanes)
-    i0, i1, i2 = matrix.input_offset
-    o0, o1, o2 = matrix.output_offset
-    r0, r1, r2 = matrix.coeffs
-    for base in range(0, 3 * lanes, 3):
-        s = (raw[base] - i0, raw[base + 1] - i1, raw[base + 2] - i2)
-        out[base] = clamp_u8(div256_trunc(mul_acc3(r0, s)) + o0)
-        out[base + 1] = clamp_u8(div256_trunc(mul_acc3(r1, s)) + o1)
-        out[base + 2] = clamp_u8(div256_trunc(mul_acc3(r2, s)) + o2)
-    return out
-
-
-def _pack_lanes(data: bytes) -> list[WideRegister]:
-    """Interleaved pixel bytes across as many registers as they fill."""
-    return [wr_pack(data[k : k + WR_BYTES]) for k in range(0, len(data), WR_BYTES)]
-
-
-def _unpack_lanes(regs, span: int) -> bytes:
-    """The first ``span`` bytes held by registers filled by _pack_lanes."""
-    return b"".join([wr_unpack(wr, 0, WR_BYTES) for wr in regs])[:span]
-
-
 def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
-    """Build the fabric kernel converting ``lanes`` pixels.
+    """Build the batched fabric kernel converting ``lanes`` pixels per invocation.
 
     Coefficients and offsets are part of the fabric configuration, not
     operands, so the pixels' interleaved bytes are the whole input: one
-    register for up to five pixels, two for eight.  Kernels are not
+    register for up to five pixels, two for eight, with the bytes past
+    the last pixel ignored on input and zero on output.  Kernels are not
     cached: building one costs a few microseconds, far less than the
     smallest image run it serves, and a cache would keep every custom
     matrix's kernel alive.
@@ -237,7 +215,11 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
     registers = -(-span // WR_BYTES)
 
     def body(inputs, iram):
-        return _pack_lanes(_convert_lanes(matrix, _unpack_lanes(inputs, span), lanes))
+        invocations = len(inputs)
+        raw = inputs.reshape(invocations, registers * WR_BYTES)[:, :span]
+        out = np.zeros((invocations, registers * WR_BYTES), dtype=np.uint8)
+        out[:, :span] = apply_matrix_np(raw.reshape(-1, 3), matrix).reshape(invocations, span)
+        return out.reshape(invocations, registers, WR_BYTES)
 
     return ExtensionInstruction(
         name=f"{matrix.name}_x{lanes}",
@@ -246,6 +228,7 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
         n_outputs=registers,
         ledger=ledger,
         ops_used=_MATRIX_OPS,
+        batched=True,
     )
 
 
@@ -283,15 +266,14 @@ def convert_image(
     else:
         lanes = cycle_model.mode_lanes(mode)
         ei = matrix_ei(matrix, lanes)
-        head = lanes * (n // lanes)
+        groups = n // lanes
+        head = lanes * groups
         span = 3 * lanes
-        raw = flat[:head].tobytes()
-        lane_bytes = bytearray()
-        for start in range(0, len(raw), span):
-            outputs = ei_execute(ei, _pack_lanes(raw[start : start + span]), log=log)
-            lane_bytes += _unpack_lanes(outputs, span)
+        registers = np.zeros((groups, ei.n_inputs * WR_BYTES), dtype=np.uint8)
+        registers[:, :span] = flat[:head].reshape(groups, span)
+        outputs = ei_execute_batch(ei, registers.reshape(groups, ei.n_inputs, WR_BYTES), log=log)
         out = np.empty_like(flat)
-        out[:head] = np.frombuffer(lane_bytes, dtype=np.uint8).reshape(-1, 3)
+        out[:head] = outputs.reshape(groups, ei.n_outputs * WR_BYTES)[:, :span].reshape(head, 3)
         if head < n:
             out[head:] = apply_matrix_np(flat[head:], matrix)
 

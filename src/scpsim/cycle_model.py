@@ -26,6 +26,7 @@ exactly one step's worth.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -47,6 +48,10 @@ class MismatchedWorkload(ValueError):
 
 class Underdetermined(ValueError):
     """Not enough measurements to fit a profile parameter."""
+
+
+class ReportOverflow(ValueError):
+    """A report figure is beyond the float range of the report schema."""
 
 
 class InvocationMismatch(Exception):
@@ -206,7 +211,7 @@ class CycleReport:
             "cycles_per_pixel_exact": _ratio_str(self.cycles_per_pixel),
             "speedup_vs_scalar": None if speedup is None else _num(speedup),
             "speedup_vs_scalar_exact": None if speedup is None else _ratio_str(speedup),
-            "speedup_rounded": None if speedup is None else round(float(speedup)),
+            "speedup_rounded": None if speedup is None else round(_num(speedup)),
             "multipliers_used": self.resources.multipliers_used,
             "alu_ops_used": self.resources.alu_ops_used,
             "iram_bytes_used": self.resources.iram_bytes_used,
@@ -217,6 +222,11 @@ class CycleReport:
 
 def _num(x: Rational) -> Union[int, float]:
     frac = Fraction(x)
+    # Every figure must survive float(): readers of the report and the CLI's lines use it.
+    if abs(frac) > sys.float_info.max:
+        raise ReportOverflow(
+            f"a report figure of {len(str(int(abs(frac))))} digits is beyond the float range"
+        )
     return int(frac) if frac.denominator == 1 else float(frac)
 
 

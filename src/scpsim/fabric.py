@@ -4,21 +4,31 @@ The fabric owns three things:
 
 * ``WideRegister`` -- the immutable 16-byte conduit between processor
   and fabric.  Packing and unpacking registers is free in the cost
-  model; capacity violations raise at pack time.
+  model; capacity violations raise at pack time.  A batch of
+  invocations carries its registers as one ``(invocations, registers,
+  16)`` uint8 array instead, row i holding invocation i's registers.
 * ``IramState`` -- fabric-local memory, 16 banks of 4 KB held in one
   byte array.  A bank can be addressed as 256 16-bit counters (histogram
   use) or as 256 8-bit values (table lookup use).  Within one
   extension-instruction invocation each bank may be touched at most
   once; a read-modify-write of a single entry counts as one touch.
-  Violations raise ``BankConflict`` on the spot, in every build of the
-  simulator.
-* ``ExtensionInstruction`` and its executor.  As on the device, an
+  The per-entry accessors check the rule touch by touch inside an
+  invocation window; the bulk accessors (``add_counters``,
+  ``read_luts``) take every touch of a batch at once and check it per
+  invocation row.  Either way a violation raises ``BankConflict``, in
+  every build of the simulator.
+* ``ExtensionInstruction`` and its executors.  As on the device, an
   instruction is compiled into the fabric configuration before the
   program runs: the hardware rules (arity limits, the operation
   whitelist, multiplier/ALU/IRAM capacities) are checked once, when the
   instruction is constructed, against its declared resource ledger, and
   the immutable instruction can then be issued any number of times.
   Kernel bodies are ordinary host functions, not interpreted bytecode.
+  A batched body runs every invocation of a batch in one call, as the
+  fabric runs an instruction's lanes side by side: ``ei_execute_batch``
+  issues a whole image's invocations at once, and ``ei_execute`` issues
+  one invocation as a batch of one.  A per-register body runs one
+  invocation per call, through ``ei_execute`` only.
 
 Capacity defaults mirror the modeled device: 64 multiplier units (8x16
 bit), 4096 arithmetic units per stage, 64 KB of embedded RAM.  Kernels
@@ -134,11 +144,13 @@ class IramState:
     ``2 * HIST_ENTRIES`` bytes, so counter entry e occupies bytes 2e and
     2e + 1 of its bank, and table addressing reads the bank's bytes.
     Entry accessors (``read_counter``/``add_counter``/``read_lut``/...)
-    are the kernel-visible interface and are subject to the
-    one-touch-per-bank-per-invocation rule while an invocation is open.
-    Bulk helpers (``counters``, ``load_lut``) model host-visible fabric
-    plumbing (the composite merge and table upload steps) and are not
-    constrained.
+    are the kernel-visible interface of a per-register body and are
+    subject to the one-touch-per-bank-per-invocation rule while an
+    invocation is open.  ``add_counters``/``read_luts`` are the same
+    accesses for a whole batch of invocations, with the same rule and
+    counter limit checked per invocation row.  Host helpers
+    (``counters``, ``load_lut``) model host-visible fabric plumbing (the
+    composite merge and table upload steps) and are not constrained.
     """
 
     def __init__(self):
@@ -213,6 +225,89 @@ class IramState:
         self._touch(bank, entry)
         return self._mem.item(bank, entry)
 
+    # -- batch access (batched kernel bodies) -------------------------------
+
+    def add_counters(self, banks, entries):
+        """Add one to counter (bank, entry) for every touch of every invocation.
+
+        ``banks`` and ``entries`` broadcast to ``(invocations, touches)``;
+        row i lists invocation i's touches in lane order.  The bank rule
+        and the 16-bit limit are checked for every row before anything is
+        written, so a faulty batch leaves the counters unchanged.  A bank
+        or entry out of range anywhere in the batch raises IndexError
+        first, ahead of any row's fault.
+        """
+        cells = self._cells(banks, entries)
+        before = self._counters.ravel()
+        totals = before + np.bincount(cells.ravel(), minlength=before.size)
+        self._check_rows(cells, before, totals)
+        self._counters[...] = totals.reshape(self._counters.shape)
+
+    def read_luts(self, banks, entries) -> np.ndarray:
+        """The 8-bit values at (bank, entry) for every touch of every
+        invocation, as an ``(invocations, touches)`` uint8 array; the bank
+        rule is checked per row as in ``add_counters``."""
+        cells = self._cells(banks, entries)
+        self._check_rows(cells)
+        return np.take(self._mem[:, :HIST_ENTRIES], cells)
+
+    def _cells(self, banks, entries) -> np.ndarray:
+        """Cell index bank * HIST_ENTRIES + entry of every touch, range-checked."""
+        for what, index, limit in (("bank", banks, self.banks), ("entry", entries, HIST_ENTRIES)):
+            index = np.asarray(index)
+            if index.size and not 0 <= index.min() <= index.max() < limit:
+                bad = index.min() if index.min() < 0 else index.max()
+                raise IndexError(f"{what} {bad} out of range 0..{limit - 1}")
+        # 16 bits hold every cell index (BANK_COUNT * HIST_ENTRIES = 4096).
+        cells = np.asarray(banks, dtype=np.int16) * HIST_ENTRIES + entries
+        if cells.ndim != 2:
+            raise ValueError(f"touches must form an (invocations, touches) array, got {cells.shape}")
+        return cells
+
+    @staticmethod
+    def _check_rows(cells, before=None, totals=None):
+        """Raise the fault of the first invocation row that breaks the bank
+        rule or, given the flat counter values ``before`` the batch and the
+        ``totals`` it would leave, pushes a counter past ``COUNTER_MAX``."""
+        ordered = np.sort(cells, axis=1)
+        # Neighbours in one bank differ in the entry bits only.
+        step = ordered[:, 1:] ^ ordered[:, :-1]
+        faulty = np.flatnonzero(((step > 0) & (step < HIST_ENTRIES)).any(axis=1))[:1].tolist()
+        if totals is not None and totals.max() > COUNTER_MAX:
+            # The touch that overflows a cell is its (headroom + 1)-th in row-major order.
+            flat = cells.ravel()
+            order = np.argsort(flat, kind="stable")
+            seen = np.arange(flat.size) - np.searchsorted(flat[order], flat[order])
+            overflow = order[seen == COUNTER_MAX - before[flat[order]]].min()
+            faulty.append(int(overflow) // cells.shape[1])
+        if faulty:
+            row = min(faulty)
+            if before is not None:
+                before = before + np.bincount(cells[:row].ravel(), minlength=before.size)
+            IramState._replay(row, cells[row].tolist(), before)
+
+    @staticmethod
+    def _replay(row: int, cells: list, counts):
+        """Replay the touches of invocation ``row`` one by one, as the entry
+        accessors would, and raise the first fault; ``counts`` (flat counter
+        values before the row, or None for reads) is consumed."""
+        first: dict[int, int] = {}
+        for lane, cell in enumerate(cells):
+            bank, entry = divmod(cell, HIST_ENTRIES)
+            prev = first.setdefault(bank, entry)
+            if prev != entry:
+                raise BankConflict(
+                    f"invocation {row}, lane {lane}: bank {bank} touched at entries "
+                    f"{prev} and {entry}"
+                )
+            if counts is not None:
+                counts[cell] += 1
+                if counts[cell] > COUNTER_MAX:
+                    raise CounterOverflow(
+                        f"invocation {row}, lane {lane}: bank {bank} entry {entry} "
+                        f"counter value {counts[cell]} outside 16-bit range"
+                    )
+
     # -- host-visible bulk access ------------------------------------------
 
     def counters(self, bank: int) -> list[int]:
@@ -278,9 +373,19 @@ def stage_count(ledger: ResourceLedger, capacity: FabricCapacity = DEFAULT_CAPAC
 class ExtensionInstruction:
     """A custom instruction: a host-level kernel plus its declared needs.
 
-    ``body(inputs, iram)`` receives a tuple of input registers and the
-    optional IRAM handle and returns the output register(s).  ``ops_used``
-    names the operation kinds the body performs.  Construction runs
+    With ``batched=True`` the body runs a whole batch of invocations in
+    one call: ``body(registers, iram)`` receives an ``(invocations,
+    n_inputs, 16)`` uint8 array, row i holding invocation i's input
+    registers, and the optional IRAM handle, and returns the
+    ``(invocations, n_outputs, 16)`` uint8 array of their outputs.  It
+    must treat the rows as independent invocations and reach IRAM only
+    through the batch accessors (``IramState.add_counters``/``read_luts``),
+    which apply the bank rule to each row; it must handle zero rows.
+    Every built-in kernel is batched.  Otherwise ``body(inputs, iram)``
+    receives one invocation's tuple of ``WideRegister`` inputs and
+    returns its output register(s), using the entry accessors inside the
+    invocation window ``ei_execute`` opens.  ``ops_used`` names the
+    operation kinds the body performs.  Construction runs
     ``ei_validate`` at ``DEFAULT_CAPACITY``, so an instruction that breaks
     a fabric rule (arity, an operation outside the whitelist such as
     floating point, general division or trigonometry, a resource
@@ -294,6 +399,7 @@ class ExtensionInstruction:
     n_outputs: int
     ledger: ResourceLedger
     ops_used: frozenset = frozenset()
+    batched: bool = False
 
     def __post_init__(self):
         ei_validate(self)
@@ -309,8 +415,8 @@ class InvocationLog:
     def __init__(self):
         self.counts = Counter()
 
-    def record(self, name: str):
-        self.counts[name] += 1
+    def record(self, name: str, count: int = 1):
+        self.counts[name] += count
 
     @property
     def total(self) -> int:
@@ -357,16 +463,22 @@ def ei_execute(
     """Run one invocation of an already validated instruction.
 
     Deterministic: identical (instruction, inputs, IRAM state) yields
-    identical outputs and identical IRAM end state.  The IRAM access log
-    is cleared at entry and every entry access inside the body is
-    checked against the one-touch-per-bank rule; the input and output
-    registers are checked against the declared arity.
+    identical outputs and identical IRAM end state.  The input and output
+    registers are checked against the declared arity.  A batched
+    instruction runs as a batch of one through ``ei_execute_batch``; for
+    a per-register body the IRAM access log is cleared at entry and every
+    entry access inside the body is checked against the
+    one-touch-per-bank rule.
     """
     if len(inputs) != ei.n_inputs:
         raise ArityViolation(f"{ei.name}: expected {ei.n_inputs} inputs, got {len(inputs)}")
     for wr in inputs:
         if not isinstance(wr, WideRegister):
             raise TypeError(f"{ei.name}: inputs must be WideRegister, got {type(wr).__name__}")
+    if ei.batched:
+        registers = np.frombuffer(b"".join([wr.data for wr in inputs]), dtype=np.uint8)
+        outputs = ei_execute_batch(ei, registers.reshape(1, ei.n_inputs, WR_BYTES), iram, log)
+        return tuple(WideRegister(row.tobytes()) for row in outputs[0])
     if ei.uses_iram and iram is None:
         raise ValueError(f"{ei.name}: kernel accesses IRAM but no IramState was supplied")
 
@@ -391,4 +503,56 @@ def ei_execute(
             raise TypeError(f"{ei.name}: outputs must be WideRegister")
     if log is not None:
         log.record(ei.name)
+    return outputs
+
+
+def ei_execute_batch(
+    ei: ExtensionInstruction,
+    registers: np.ndarray,
+    iram: Optional[IramState] = None,
+    log: Optional[InvocationLog] = None,
+) -> np.ndarray:
+    """Run ``len(registers)`` invocations of a batched instruction in one call.
+
+    ``registers`` is an ``(invocations, n_inputs, 16)`` uint8 array; the
+    result is the ``(invocations, n_outputs, 16)`` uint8 array of every
+    invocation's outputs, and ``log`` records ``invocations`` runs.  The
+    batch gets every check a single invocation gets: arity, register
+    dtype and width, the IRAM handle, and (in the batch accessors) the
+    bank rule and counter limit per invocation.  Identical to issuing the
+    rows one by one through ``ei_execute``, except that a faulty batch
+    raises before it writes IRAM, where one-by-one issue would leave the
+    rows before the fault applied.
+    """
+    if not ei.batched:
+        raise TypeError(f"{ei.name}: a per-register body runs one invocation per ei_execute call")
+    if not isinstance(registers, np.ndarray) or registers.dtype != np.uint8:
+        raise TypeError(f"{ei.name}: registers must be a uint8 array")
+    if registers.ndim != 3 or registers.shape[2] != WR_BYTES:
+        raise ValueError(
+            f"{ei.name}: registers must form an (invocations, inputs, {WR_BYTES}) array, "
+            f"got {registers.shape}"
+        )
+    if registers.shape[1] != ei.n_inputs:
+        raise ArityViolation(f"{ei.name}: expected {ei.n_inputs} inputs, got {registers.shape[1]}")
+    if ei.uses_iram and iram is None:
+        raise ValueError(f"{ei.name}: kernel accesses IRAM but no IramState was supplied")
+
+    outputs = ei.body(registers, iram)
+    if (
+        not isinstance(outputs, np.ndarray)
+        or outputs.dtype != np.uint8
+        or outputs.ndim != 3
+        or outputs.shape[0] != len(registers)
+        or outputs.shape[2] != WR_BYTES
+    ):
+        raise TypeError(
+            f"{ei.name}: outputs must be a uint8 ({len(registers)}, outputs, {WR_BYTES}) array"
+        )
+    if outputs.shape[1] != ei.n_outputs:
+        raise ArityViolation(
+            f"{ei.name}: kernel produced {outputs.shape[1]} outputs, declared {ei.n_outputs}"
+        )
+    if log is not None:
+        log.record(ei.name, len(registers))
     return outputs

@@ -29,12 +29,10 @@ from .fabric import (
     ExtensionInstruction,
     InvocationLog,
     IramState,
-    WideRegister,
-    ei_execute,
-    ei_validate,  # noqa: F401  (unused here; kept for the benchmark tracer, which patches it)
-    wr_pack,
-    wr_unpack,
+    ei_execute_batch,
 )
+# Unused here; kept for the benchmark tracer, which patches these names.
+from .fabric import ei_execute, ei_validate, wr_pack, wr_unpack  # noqa: F401
 from .image_io import ChannelMismatch, ImageBuffer
 
 LANES = cycle_model.mode_lanes("isef")
@@ -45,17 +43,17 @@ class EmptyImage(ValueError):
     """Equalization requested for zero pixels."""
 
 
-def _subhist_body(inputs, iram):
-    (wr,) = inputs
-    pixels = wr_unpack(wr, 0, LANES)
-    for lane in range(LANES):
-        iram.add_counter(lane, pixels[lane])
+#: Lane j of both kernels owns bank j; a register holds one pixel per lane.
+_LANE_BANKS = np.arange(LANES)
 
 
-def _transform_body(inputs, iram):
-    (wr,) = inputs
-    pixels = wr_unpack(wr, 0, LANES)
-    return (wr_pack(bytes(iram.read_lut(lane, pixels[lane]) for lane in range(LANES))),)
+def _subhist_body(registers, iram):
+    iram.add_counters(_LANE_BANKS, registers[:, 0])
+    return registers[:, :0]
+
+
+def _transform_body(registers, iram):
+    return iram.read_luts(_LANE_BANKS, registers[:, 0])[:, None]
 
 
 _SUBHIST_EI = ExtensionInstruction(
@@ -65,6 +63,7 @@ _SUBHIST_EI = ExtensionInstruction(
     n_outputs=0,
     ledger=_SUBHIST_LEDGER,
     ops_used=frozenset({"add", "iram_read", "iram_write"}),
+    batched=True,
 )
 _TRANSFORM_EI = ExtensionInstruction(
     name="lut16",
@@ -73,20 +72,22 @@ _TRANSFORM_EI = ExtensionInstruction(
     n_outputs=1,
     ledger=_TRANSFORM_LEDGER,
     ops_used=frozenset({"add", "iram_read"}),
+    batched=True,
 )
 
 
-def ei_subhist16(pixels: WideRegister, iram: IramState, log: Optional[InvocationLog] = None):
-    """Count 16 gray pixels, lane j incrementing one counter of bank j."""
-    ei_execute(_SUBHIST_EI, (pixels,), iram=iram, log=log)
+def ei_subhist16(pixels: np.ndarray, iram: IramState, log: Optional[InvocationLog] = None):
+    """Count an ``(invocations, 16)`` uint8 array of gray pixels, one
+    invocation per row, lane j incrementing one counter of bank j."""
+    ei_execute_batch(_SUBHIST_EI, pixels[:, None, :], iram=iram, log=log)
 
 
 def ei_transform16(
-    pixels: WideRegister, iram: IramState, log: Optional[InvocationLog] = None
-) -> WideRegister:
-    """Map 16 gray pixels through the replicated table, lane j reading bank j."""
-    (out,) = ei_execute(_TRANSFORM_EI, (pixels,), iram=iram, log=log)
-    return out
+    pixels: np.ndarray, iram: IramState, log: Optional[InvocationLog] = None
+) -> np.ndarray:
+    """Map an ``(invocations, 16)`` uint8 array of gray pixels through the
+    replicated table, one invocation per row, lane j reading bank j."""
+    return ei_execute_batch(_TRANSFORM_EI, pixels[:, None, :], iram=iram, log=log)[:, 0]
 
 
 def merge_cumulative(iram: IramState) -> np.ndarray:
@@ -165,14 +166,13 @@ def histeq_image(
         out = lut[flat]
     else:
         iram = IramState()
-        head = LANES * (n // LANES)
-        raw = flat[:head].tobytes()
-        per_flush = LANES * COUNTER_MAX
+        groups = n // LANES
+        head = LANES * groups
+        pixels = flat[:head].reshape(groups, LANES)
         cum = np.zeros(HIST_ENTRIES, dtype=np.int64)
         # Flush before a lane counter can pass COUNTER_MAX; zero groups still merge once.
-        for first in range(0, max(head, 1), per_flush):
-            for start in range(first, min(first + per_flush, head), LANES):
-                ei_subhist16(wr_pack(raw[start : start + LANES]), iram, log=log)
+        for first in range(0, max(groups, 1), COUNTER_MAX):
+            ei_subhist16(pixels[first : first + COUNTER_MAX], iram, log=log)
             cum += merge_cumulative(iram)
             log.record("merge_lut")
             iram.clear()
@@ -181,11 +181,7 @@ def histeq_image(
             cum += np.cumsum(scalar_histogram(tail))
         lut = build_lut(cum, n)
         lut_replicate(lut, iram)
-        lane_bytes = bytearray()
-        for start in range(0, head, LANES):
-            res = ei_transform16(wr_pack(raw[start : start + LANES]), iram, log=log)
-            lane_bytes += wr_unpack(res, 0, LANES)
-        out = np.concatenate((np.frombuffer(lane_bytes, dtype=np.uint8), lut[tail]))
+        out = np.concatenate((ei_transform16(pixels, iram, log=log).ravel(), lut[tail]))
 
     result = ImageBuffer(width=img.width, height=img.height, channels=1, samples=out)
     report = cycle_model.checked_report(

@@ -115,7 +115,10 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     tok, pos = _next_token(data, pos)
     if not tok.isdigit():
         raise MalformedHeader(f"bad {what}: {tok!r}")
-    return int(tok), pos
+    try:
+        return int(tok), pos
+    except ValueError as exc:  # more digits than int() converts
+        raise MalformedHeader(f"bad {what}: a {len(tok)}-digit number") from exc
 
 
 def read_pnm(data: bytes) -> ImageBuffer:

@@ -194,6 +194,18 @@ def test_zero_rate_profile_is_a_constraint_error(ppm, tmp_path, rates):
     assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT
 
 
+def test_profile_beyond_the_float_range_is_a_constraint_error(ppm, tmp_path):
+    profile = tmp_path / "huge.profile"
+    profile.write_text("yiq.scalar.cycles_per_pixel = 1e400\nyiq.ei5.ei_cycles = 3\n")
+    args = ("--to", "yiq", "--report", str(tmp_path / "r.json"), "--profile", str(profile))
+    assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT
+
+
+def test_header_number_too_long_to_convert_is_an_io_error(ppm, tmp_path):
+    ppm.write_bytes(b"P6 " + b"1" * 5000 + b" 1 255 \x00\x00\x00")
+    assert convert(ppm, tmp_path, "--to", "yiq") == cli.EXIT_IO
+
+
 IDENTITY = ((256, 0, 0), (0, 256, 0), (0, 0, 256))
 ZERO_OFFSETS = (0,) * 6
 rates = st.one_of(

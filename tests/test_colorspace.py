@@ -29,7 +29,15 @@ from scpsim.colorspace import (
 )
 from scpsim.fixed_point import COEFF_LIMIT, OFFSET_LIMIT, clamp_u8, div256_trunc, mul_acc3
 from scpsim.image_io import ChannelMismatch, ImageBuffer
-from scpsim.fabric import InvocationLog, ei_execute, ei_validate, wr_pack, wr_unpack
+from scpsim.fabric import (
+    InvocationLog,
+    WideRegister,
+    ei_execute,
+    ei_execute_batch,
+    ei_validate,
+    wr_pack,
+    wr_unpack,
+)
 
 from util import random_rgb_image
 
@@ -277,6 +285,44 @@ def test_every_mode_matches_the_scalar_oracle(mode, matrix, pixels):
     img = ImageBuffer(width=len(pixels), height=1, channels=3, samples=np.array(pixels))
     out, _ = convert_image(img, matrix, mode)
     assert out.samples.reshape(-1, 3).tolist() == [list(convert_px(matrix, p)) for p in pixels]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrix=st.one_of(st.sampled_from((RGB2YIQ, YIQ2RGB, RGB2CMY, CMY2RGB)), custom_matrices),
+    lanes=st.sampled_from((1, 5, 8)),
+    invocations=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(matrix=AT_THE_LIMITS, lanes=8, invocations=0, seed=0)
+def test_matrix_batch_equals_a_loop_of_batches_of_one(matrix, lanes, invocations, seed):
+    ei = matrix_ei(matrix, lanes)
+    rng = np.random.default_rng(seed)
+    registers = rng.integers(0, 256, (invocations, ei.n_inputs, 16), dtype=np.uint8)
+    batch_log, loop_log = InvocationLog(), InvocationLog()
+    out = ei_execute_batch(ei, registers, log=batch_log)
+    assert out.shape == (invocations, ei.n_outputs, 16)
+    loop = [ei_execute(ei, [WideRegister(r.tobytes()) for r in row], log=loop_log) for row in registers]
+    assert [[wr.data for wr in outs] for outs in loop] == [[r.tobytes() for r in row] for row in out]
+    assert batch_log.counts == loop_log.counts and batch_log.total == invocations
+    span = 3 * lanes
+    width = ei.n_inputs * 16
+    for row_in, row_out in zip(registers.reshape(invocations, width), out.reshape(invocations, width)):
+        pixels = row_in[:span].reshape(lanes, 3).tolist()
+        assert row_out[:span].reshape(lanes, 3).tolist() == [list(convert_px(matrix, p)) for p in pixels]
+        assert not row_out[span:].any()
+
+
+@pytest.mark.parametrize("mode", ["ei1", "ei5", "ei8"])
+def test_images_smaller_than_a_lane_group_take_the_scalar_tail(mode):
+    lanes = cycle_model.mode_lanes(mode)
+    rng = np.random.default_rng(lanes)
+    for n in range(1, lanes + 1):
+        pixels = rng.integers(0, 256, (n, 3), dtype=np.uint8)
+        log = InvocationLog()
+        out, _ = convert_image(ImageBuffer.from_array(pixels[None]), RGB2YIQ, mode, log=log)
+        assert out.samples.reshape(-1, 3).tolist() == [list(convert_px(RGB2YIQ, p)) for p in pixels]
+        assert log.total == n // lanes
 
 
 def test_convert_image_report_fields():

@@ -11,6 +11,7 @@ from scpsim.cycle_model import (
     KERNEL_SHAPES,
     CalibrationProfile,
     MismatchedWorkload,
+    ReportOverflow,
     Underdetermined,
     UnknownKernelConfig,
     builtin_profile,
@@ -333,6 +334,20 @@ def test_load_and_resolve_profile(tmp_path, monkeypatch, profile):
     assert resolve_profile(str(path)) == profile
     with pytest.raises(FileNotFoundError):
         resolve_profile("nope")
+
+
+HUGE_RATES = {
+    "fractional-speedup": "yiq.scalar.cycles_per_pixel = 1e400\nyiq.ei5.ei_cycles = 3\n",
+    "integral-speedup": "yiq.scalar.cycles_per_pixel = 6e400\nyiq.ei5.ei_cycles = 1\n",
+    "total": "yiq.scalar.cycles_per_pixel = 1\nyiq.ei5.ei_cycles = 1e400\n",
+}
+
+
+@pytest.mark.parametrize("rates", HUGE_RATES.values(), ids=HUGE_RATES.keys())
+def test_report_figure_beyond_the_float_range_is_typed(rates):
+    report = estimate("yiq", "ei5", 10, parse_profile(rates))
+    with pytest.raises(ReportOverflow):
+        report.to_dict()
 
 
 def test_report_dict_schema(profile):

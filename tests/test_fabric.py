@@ -1,11 +1,14 @@
-from dataclasses import FrozenInstanceError
+from collections import Counter
+from dataclasses import FrozenInstanceError, replace
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scpsim.fabric import (
+    COUNTER_MAX,
     ArityViolation,
     BankConflict,
     CounterOverflow,
@@ -20,6 +23,7 @@ from scpsim.fabric import (
     ResourceExceeded,
     ResourceLedger,
     ei_execute,
+    ei_execute_batch,
     ei_validate,
     wr_pack,
     wr_unpack,
@@ -347,3 +351,228 @@ def test_counter_entry_is_two_little_endian_lut_bytes(entry):
     assert iram.read_lut(5, 2 * entry) == 1
     assert iram.read_lut(5, 2 * entry + 1) == 2
     assert type(iram.read_counter(5, entry)) is int and iram.read_counter(5, entry) == 0x0201
+
+
+# ---------------------------------------------------------------- batches
+
+
+def batch_ei(name="b", body=None, n_inputs=1, n_outputs=1, ops=()):
+    if body is None:
+        body = lambda registers, iram: registers[:, :n_outputs]
+    return ExtensionInstruction(
+        name=name,
+        body=body,
+        n_inputs=n_inputs,
+        n_outputs=n_outputs,
+        ledger=ResourceLedger(iram_bytes_used=256 if ops else 0),
+        ops_used=frozenset(ops),
+        batched=True,
+    )
+
+
+def test_batch_runs_every_row_and_logs_them():
+    log = InvocationLog()
+    registers = np.arange(3 * 16, dtype=np.uint8).reshape(3, 1, 16)
+    out = ei_execute_batch(batch_ei(name="probe"), registers, log=log)
+    assert np.array_equal(out, registers)
+    assert log.counts["probe"] == 3 and log.total == 3
+
+
+def test_empty_batch_has_no_rows_and_logs_nothing():
+    log = InvocationLog()
+    out = ei_execute_batch(batch_ei(n_inputs=2), np.zeros((0, 2, 16), np.uint8), log=log)
+    assert out.shape == (0, 1, 16)
+    assert log.total == 0
+
+
+def test_batched_instruction_runs_through_ei_execute_as_a_batch_of_one():
+    log = InvocationLog()
+    ei = batch_ei(body=lambda registers, iram: registers ^ np.uint8(0x5A), n_inputs=2, n_outputs=2)
+    a, b = wr_pack(bytes(range(16))), wr_pack(b"\x01")
+    out = ei_execute(ei, (a, b), log=log)
+    assert out == (wr_pack(bytes(v ^ 0x5A for v in a.data)), wr_pack(bytes(v ^ 0x5A for v in b.data)))
+    assert log.total == 1
+
+
+@pytest.mark.parametrize(
+    "registers, error",
+    [
+        (np.zeros((2, 2, 16), np.uint8), ArityViolation),
+        (np.zeros((2, 1, 15), np.uint8), ValueError),
+        (np.zeros((2, 16), np.uint8), ValueError),
+        (np.zeros((2, 1, 16), np.int64), TypeError),
+        ([[bytes(16)]], TypeError),
+    ],
+)
+def test_batch_checks_its_registers(registers, error):
+    log = InvocationLog()
+    with pytest.raises(error):
+        ei_execute_batch(batch_ei(), registers, log=log)
+    assert log.total == 0
+
+
+def test_batch_checks_produced_outputs():
+    liar = batch_ei(body=lambda registers, iram: np.concatenate((registers, registers), axis=1))
+    with pytest.raises(ArityViolation):
+        ei_execute_batch(liar, np.zeros((2, 1, 16), np.uint8))
+    wrong_dtype = batch_ei(body=lambda registers, iram: registers.astype(np.int64))
+    with pytest.raises(TypeError):
+        ei_execute_batch(wrong_dtype, np.zeros((2, 1, 16), np.uint8))
+    dropped_row = batch_ei(body=lambda registers, iram: registers[1:])
+    with pytest.raises(TypeError):
+        ei_execute_batch(dropped_row, np.zeros((2, 1, 16), np.uint8))
+
+
+def test_batch_requires_iram_when_kernel_uses_it():
+    with pytest.raises(ValueError):
+        ei_execute_batch(batch_ei(ops=("iram_read",)), np.zeros((1, 1, 16), np.uint8))
+
+
+def test_batch_rejects_a_per_register_body():
+    with pytest.raises(TypeError):
+        ei_execute_batch(make_ei(), np.zeros((1, 1, 16), np.uint8))
+
+
+def test_bank_conflict_names_invocation_lane_bank_and_entries():
+    iram = IramState()
+    entries = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], dtype=np.uint8)
+    with pytest.raises(BankConflict, match=r"^invocation 1, lane 2: bank 0 touched at entries 5 and 6$"):
+        iram.add_counters([[0, 1, 2], [3, 0, 0], [0, 1, 2]], entries)
+    with pytest.raises(BankConflict, match=r"^invocation 2, lane 1: bank 9 touched at entries 7 and 8$"):
+        iram.read_luts([[0, 1, 2], [3, 4, 5], [9, 9, 9]], entries)
+
+
+def test_counter_overflow_names_invocation_bank_and_entry():
+    iram = IramState()
+    iram.write_counter(4, 200, COUNTER_MAX - 1)
+    entries = np.full((3, 16), 200, dtype=np.uint8)
+    with pytest.raises(
+        CounterOverflow,
+        match=r"^invocation 1, lane 4: bank 4 entry 200 counter value 65536 outside 16-bit range$",
+    ):
+        iram.add_counters(np.arange(16), entries)
+
+
+def test_bulk_accessor_checks_bounds():
+    iram = IramState()
+    with pytest.raises(IndexError):
+        iram.add_counters([16], np.zeros((1, 1), np.uint8))
+    with pytest.raises(IndexError):
+        iram.read_luts([0], [[256]])
+    with pytest.raises(ValueError):
+        iram.read_luts(np.arange(16), np.zeros(16, np.uint8))
+
+
+def per_entry(iram, banks, entries, counting, values, rows_done):
+    """The batch's touches through the entry accessors, one invocation per row."""
+    for row_banks, row_entries in zip(*np.broadcast_arrays(banks, entries)):
+        with iram.invocation():
+            for bank, entry in zip(row_banks.tolist(), row_entries.tolist()):
+                if counting:
+                    iram.add_counter(bank, entry)
+                else:
+                    values.append(iram.read_lut(bank, entry))
+        rows_done.append(1)
+
+
+def error_of(fn):
+    try:
+        fn()
+    except FabricError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("counting", [True, False])
+def test_one_bad_row_raises_before_writing(counting):
+    banks = np.tile(np.arange(16), (5, 1))
+    banks[3, 9] = 2  # lane 9 of invocation 3 reaches into lane 2's bank
+    entries = np.arange(80, dtype=np.uint8).reshape(5, 16)
+    iram = IramState()
+    iram.load_lut(2, bytes(range(255, -1, -1)))
+    before = iram._mem.copy()
+    accessor = iram.add_counters if counting else iram.read_luts
+    with pytest.raises(BankConflict, match="^invocation 3, lane 9: bank 2 touched at entries 50 and 57$"):
+        accessor(banks, entries)
+    assert np.array_equal(iram._mem, before)
+    rows_done = []
+    with pytest.raises(BankConflict):
+        per_entry(iram, banks, entries, counting, [], rows_done)
+    assert len(rows_done) == 3
+
+
+touch_batches = st.tuples(
+    st.integers(0, 6), st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from((2, 4, 16))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=touch_batches, counting=st.booleans(), near_full=st.booleans())
+def test_bulk_accessors_equal_the_entry_accessors(shape, counting, near_full):
+    # Few banks and entries make conflicts likely; counters near 65535 make overflows likely.
+    invocations, touches, seed, spread = shape
+    rng = np.random.default_rng(seed)
+    banks = rng.integers(0, spread, (invocations, touches))
+    entries = rng.integers(0, spread, (invocations, touches)).astype(np.uint8)
+    start = IramState()
+    start._mem[:] = rng.integers(0, 256, start._mem.shape, dtype=np.uint8)
+    if near_full:
+        start._counters[:, :16] = COUNTER_MAX - rng.integers(0, 3, (16, 16))
+    bulk, oracle = IramState(), IramState()
+    bulk._mem[:] = oracle._mem[:] = start._mem
+    accessor = bulk.add_counters if counting else bulk.read_luts
+    got = error_of(lambda: accessor(banks, entries))
+    values, rows_done = [], []
+    want = error_of(lambda: per_entry(oracle, banks, entries, counting, values, rows_done))
+    assert type(got) is type(want)
+    if want is None:
+        assert np.array_equal(bulk._mem, oracle._mem)
+        if not counting:
+            assert bulk.read_luts(banks, entries).ravel().tolist() == values
+    else:
+        # The batch names the row that failed one by one, and writes nothing.
+        assert str(got).startswith(f"invocation {len(rows_done)}, lane ")
+        assert np.array_equal(bulk._mem, start._mem)
+
+
+def test_each_image_runs_each_kernel_body_once_per_batch(monkeypatch):
+    # A kernel that fell back to one body call per invocation would show here, not in a timing.
+    from scpsim import colorspace, cycle_model, histeq
+    from scpsim.image_io import ImageBuffer
+
+    calls = Counter()
+
+    def counted(ei):
+        body = ei.body
+
+        def counting(registers, iram):
+            calls[ei.name] += 1
+            return body(registers, iram)
+
+        return replace(ei, body=counting)
+
+    build = colorspace.matrix_ei
+    monkeypatch.setattr(colorspace, "matrix_ei", lambda matrix, lanes: counted(build(matrix, lanes)))
+    monkeypatch.setattr(histeq, "_SUBHIST_EI", counted(histeq._SUBHIST_EI))
+    monkeypatch.setattr(histeq, "_TRANSFORM_EI", counted(histeq._TRANSFORM_EI))
+    profile = cycle_model.builtin_profile()
+    rng = np.random.default_rng(12)
+    rgb = ImageBuffer.from_array(rng.integers(0, 256, (200, 320, 3), dtype=np.uint8))
+    gray = ImageBuffer.from_array(rng.integers(0, 256, (128, 128), dtype=np.uint8))
+    constant = ImageBuffer.from_array(np.full((1024, 1024), 42, dtype=np.uint8))
+    runs = [
+        (partial(colorspace.convert_image, rgb, colorspace.RGB2YIQ, "ei1"), {"rgb2yiq_x1": 1}),
+        (partial(colorspace.convert_image, rgb, colorspace.RGB2YIQ, "ei5"), {"rgb2yiq_x5": 1}),
+        (partial(colorspace.convert_image, rgb, colorspace.RGB2YIQ, "ei8"), {"rgb2yiq_x8": 1}),
+        (partial(histeq.histeq_image, gray, "isef"), {"subhist16": 1, "lut16": 1}),
+        # two counter-flush windows
+        (partial(histeq.histeq_image, constant, "isef"), {"subhist16": 2, "lut16": 1}),
+    ]
+    for run, bodies in runs:
+        calls.clear()
+        log = InvocationLog()
+        _, report = run(profile=profile, log=log)
+        assert calls == bodies
+        assert log.total == report.ei_invocations == cycle_model.estimate(
+            report.kernel, report.mode, report.pixels, profile
+        ).ei_invocations

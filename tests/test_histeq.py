@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scpsim import cycle_model, histeq
 from scpsim.fabric import (
@@ -7,8 +9,8 @@ from scpsim.fabric import (
     CounterOverflow,
     InvocationLog,
     IramState,
-    wr_pack,
-    wr_unpack,
+    WideRegister,
+    ei_execute,
 )
 from scpsim.histeq import (
     EmptyImage,
@@ -36,7 +38,7 @@ def gray_image(values, width=None):
 
 def test_subhist_equal_pixels():
     iram = IramState()
-    ei_subhist16(wr_pack(bytes([5] * 16)), iram)
+    ei_subhist16(np.full((1, 16), 5, dtype=np.uint8), iram)
     for bank in range(16):
         counters = iram.counters(bank)
         assert counters[5] == 1
@@ -45,7 +47,7 @@ def test_subhist_equal_pixels():
 
 def test_subhist_ramp_pixels():
     iram = IramState()
-    ei_subhist16(wr_pack(bytes(range(16))), iram)
+    ei_subhist16(np.arange(16, dtype=np.uint8)[None], iram)
     for bank in range(16):
         assert iram.counters(bank)[bank] == 1
 
@@ -54,8 +56,7 @@ def test_subhist_conservation_against_scalar_oracle():
     rng = np.random.default_rng(17)
     pixels = rng.integers(0, 256, 16 * 1024, dtype=np.uint8)
     iram = IramState()
-    for g in range(1024):
-        ei_subhist16(wr_pack(pixels[16 * g : 16 * g + 16].tobytes()), iram)
+    ei_subhist16(pixels.reshape(1024, 16), iram)
     total = sum(sum(iram.counters(bank)) for bank in range(16))
     assert total == 16384
     merged = merge_cumulative(iram)
@@ -67,7 +68,7 @@ def test_subhist_counter_overflow():
     with iram.invocation():
         iram.write_counter(0, 7, 0xFFFF)
     with pytest.raises(CounterOverflow):
-        ei_subhist16(wr_pack(bytes([7] * 16)), iram)
+        ei_subhist16(np.full((1, 16), 7, dtype=np.uint8), iram)
 
 
 def test_two_lanes_sharing_a_bank_conflict():
@@ -157,15 +158,15 @@ def test_transform_identity_lut():
     iram = IramState()
     lut_replicate(np.arange(256, dtype=np.uint8), iram)
     pixels = bytes(range(0, 160, 10))
-    out = ei_transform16(wr_pack(pixels), iram)
-    assert wr_unpack(out, 0, 16) == pixels
+    out = ei_transform16(np.frombuffer(pixels, dtype=np.uint8)[None], iram)
+    assert out.tobytes() == pixels
 
 
 def test_transform_constant_lut():
     iram = IramState()
     lut_replicate(np.full(256, 255, dtype=np.uint8), iram)
-    out = ei_transform16(wr_pack(bytes(range(16))), iram)
-    assert wr_unpack(out, 0, 16) == bytes([255] * 16)
+    out = ei_transform16(np.arange(16, dtype=np.uint8)[None], iram)
+    assert out.tobytes() == bytes([255] * 16)
 
 
 def test_transform_matches_scalar_lookup():
@@ -174,8 +175,66 @@ def test_transform_matches_scalar_lookup():
     pixels = rng.integers(0, 256, 16, dtype=np.uint8)
     iram = IramState()
     lut_replicate(lut, iram)
-    out = ei_transform16(wr_pack(pixels.tobytes()), iram)
-    assert list(wr_unpack(out, 0, 16)) == lut[pixels].tolist()
+    out = ei_transform16(pixels[None], iram)
+    assert out[0].tolist() == lut[pixels].tolist()
+
+
+# ------------------------------------------------------------ batches
+
+
+def lane_oracle(iram, pixels, counting):
+    """The kernels' per-lane accesses through the entry accessors, one
+    invocation per row; the looked-up bytes for the transform."""
+    values = []
+    for row in pixels.tolist():
+        with iram.invocation():
+            for lane, pixel in enumerate(row):
+                if counting:
+                    iram.add_counter(lane, pixel)
+                else:
+                    values.append(iram.read_lut(lane, pixel))
+    return None if counting else np.array(values, dtype=np.uint8).reshape(pixels.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    invocations=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.sampled_from((1, 3, 256)),
+)
+@example(invocations=0, seed=0, levels=256)
+def test_kernel_batches_equal_loops_of_batches_of_one(invocations, seed, levels):
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, levels, (invocations, 16), dtype=np.uint8)
+    lut = rng.integers(0, 256, 256, dtype=np.uint8)
+    for ei, run in ((histeq._SUBHIST_EI, ei_subhist16), (histeq._TRANSFORM_EI, ei_transform16)):
+        counting = ei is histeq._SUBHIST_EI
+        batch, loop, oracle = IramState(), IramState(), IramState()
+        if not counting:
+            for iram in (batch, loop, oracle):
+                lut_replicate(lut, iram)
+        batch_log, loop_log = InvocationLog(), InvocationLog()
+        out = run(pixels, batch, log=batch_log)
+        loop_out = [ei_execute(ei, (WideRegister(row.tobytes()),), iram=loop, log=loop_log) for row in pixels]
+        want = lane_oracle(oracle, pixels, counting)
+        assert np.array_equal(batch._mem, loop._mem) and np.array_equal(batch._mem, oracle._mem)
+        assert batch_log.counts == loop_log.counts and batch_log.total == invocations
+        if counting:
+            assert out is None and loop_out == [()] * invocations
+        else:
+            assert out.shape == (invocations, 16)
+            assert [[wr.data] for wr, in loop_out] == [[row.tobytes()] for row in out]
+            assert np.array_equal(out, want)
+
+
+def test_images_smaller_than_a_lane_group_take_the_scalar_tail():
+    rng = np.random.default_rng(16)
+    for n in range(1, 16):
+        img = gray_image(rng.integers(0, 256, n, dtype=np.uint8))
+        log = InvocationLog()
+        out, _ = histeq_image(img, "isef", log=log)
+        assert out == histeq_image(img, "scalar")[0]
+        assert log.total == log.counts["merge_lut"] == 1
 
 
 # ------------------------------------------------------------ whole images

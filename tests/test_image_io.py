@@ -57,6 +57,12 @@ def test_read_rejects_nonnumeric_dimension():
         read_pnm(b"P5 two 2 255 aaaa")
 
 
+def test_read_rejects_a_header_number_too_long_to_convert():
+    # int() refuses strings over 4300 digits with a plain ValueError
+    with pytest.raises(MalformedHeader):
+        read_pnm(b"P5 " + b"1" * 5000 + b" 1 255 \x00")
+
+
 def test_read_truncated_raster():
     with pytest.raises(TruncatedData):
         read_pnm(b"P5 2 2 255 " + bytes(3))
