@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -35,7 +36,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and reused by every later ``main`` call."""
     parser = _Parser(prog="scpsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -142,8 +145,8 @@ def _write_report(path: str, fmt: str, rows: list[dict], columns=None):
         fh.write(text)
 
 
-def _print_report_line(report: cycle_model.CycleReport):
-    d = report.to_dict()
+def _print_report_line(d: dict):
+    """One line summing up a report, from its ``CycleReport.to_dict()``."""
     speed = d["speedup_vs_scalar"]
     speed_txt = "-" if speed is None else f"{float(speed):.2f} (~{d['speedup_rounded']})"
     print(
@@ -176,10 +179,12 @@ def cmd_image(args) -> int:
         if img.channels == 3:
             img = image_io.to_gray(img)
         out, report = histeq.histeq_image(img, args.mode, profile, args.buffers)
+    # A report that cannot be rendered fails the command before any file is written.
+    summary = None if report is None else report.to_dict()
     _write_image(args.outfile, out)
-    if report is not None:
-        _print_report_line(report)
-        _write_report(args.report, args.format, [report.to_dict()])
+    if summary is not None:
+        _print_report_line(summary)
+        _write_report(args.report, args.format, [summary])
     return EXIT_OK
 
 
@@ -201,20 +206,20 @@ def cmd_bench(args) -> int:
         )
     runs = measured[kernel]
     pixels = args.pixels if args.pixels is not None else runs[0][1]
-    rows = []
-    header = (
+    # Every row is estimated before anything is printed, so a failed bench prints nothing.
+    rows = [
+        cycle_model.estimate(kernel, mode, pixels, profile, args.buffers).to_dict()
+        for mode, _ in runs
+    ]
+    print(f"kernel={kernel} pixels={pixels} profile={profile.name} buffers={args.buffers}")
+    print(
         f"{'mode':<8} {'cycles':>12} {'cycles/px':>10} {'speedup':>8} "
         f"{'(~)':>4} {'invocations':>12} {'mults':>6} {'stages':>6}"
     )
-    print(f"kernel={kernel} pixels={pixels} profile={profile.name} buffers={args.buffers}")
-    print(header)
-    for mode, _ in runs:
-        report = cycle_model.estimate(kernel, mode, pixels, profile, args.buffers)
-        d = report.to_dict()
-        rows.append(d)
+    for d in rows:
         speed = d["speedup_vs_scalar"]
         print(
-            f"{mode:<8} {d['cycles_total_exact']:>12} "
+            f"{d['mode']:<8} {d['cycles_total_exact']:>12} "
             f"{float(Fraction(d['cycles_per_pixel_exact'])):>10.2f} "
             f"{'-' if speed is None else f'{float(speed):.2f}':>8} "
             f"{'-' if speed is None else d['speedup_rounded']:>4} "

@@ -16,7 +16,11 @@ The fabric owns three things:
   invocation window; the bulk accessors (``add_counters``,
   ``read_luts``) take every touch of a batch at once and check it per
   invocation row.  Either way a violation raises ``BankConflict``, in
-  every build of the simulator.
+  every build of the simulator.  The bulk accessors skip the per-row
+  check in one case: a 1-D vector of distinct banks, one per touch,
+  broadcast over every row, as in kernels where lane j owns bank j.
+  Every row then touches each of its banks exactly once, so no row can
+  break the rule; the 16-bit counter limit is still checked.
 * ``ExtensionInstruction`` and its executors.  As on the device, an
   instruction is compiled into the fabric configuration before the
   program runs: the hardware rules (arity limits, the operation
@@ -148,9 +152,14 @@ class IramState:
     subject to the one-touch-per-bank-per-invocation rule while an
     invocation is open.  ``add_counters``/``read_luts`` are the same
     accesses for a whole batch of invocations, with the same rule and
-    counter limit checked per invocation row.  Host helpers
-    (``counters``, ``load_lut``) model host-visible fabric plumbing (the
-    composite merge and table upload steps) and are not constrained.
+    counter limit checked per invocation row.  A ``banks`` argument that
+    is a 1-D vector of distinct banks, one per touch, gives every row one
+    touch per bank, which the rule always allows, so the row check
+    (a sort of every row) is skipped for it; any other ``banks``, a 1-D
+    vector with a repeated bank included, gets the full check.  Host
+    helpers (``counters``, ``load_luts``) read and write every bank at
+    once; they model host-visible fabric plumbing (the composite merge
+    and table upload steps) and are not constrained.
     """
 
     def __init__(self):
@@ -237,42 +246,50 @@ class IramState:
         or entry out of range anywhere in the batch raises IndexError
         first, ahead of any row's fault.
         """
-        cells = self._cells(banks, entries)
+        cells, lanes_own_banks = self._cells(banks, entries)
         before = self._counters.ravel()
         totals = before + np.bincount(cells.ravel(), minlength=before.size)
-        self._check_rows(cells, before, totals)
+        self._check_rows(cells, lanes_own_banks, before, totals)
         self._counters[...] = totals.reshape(self._counters.shape)
 
     def read_luts(self, banks, entries) -> np.ndarray:
         """The 8-bit values at (bank, entry) for every touch of every
         invocation, as an ``(invocations, touches)`` uint8 array; the bank
         rule is checked per row as in ``add_counters``."""
-        cells = self._cells(banks, entries)
-        self._check_rows(cells)
+        cells, lanes_own_banks = self._cells(banks, entries)
+        self._check_rows(cells, lanes_own_banks)
         return np.take(self._mem[:, :HIST_ENTRIES], cells)
 
-    def _cells(self, banks, entries) -> np.ndarray:
-        """Cell index bank * HIST_ENTRIES + entry of every touch, range-checked."""
+    def _cells(self, banks, entries) -> tuple[np.ndarray, bool]:
+        """Cell index bank * HIST_ENTRIES + entry of every touch, range-checked,
+        and whether ``banks`` is a vector of distinct banks, one per touch,
+        broadcast over every row."""
+        banks = np.asarray(banks)
         for what, index, limit in (("bank", banks, self.banks), ("entry", entries, HIST_ENTRIES)):
             index = np.asarray(index)
             if index.size and not 0 <= index.min() <= index.max() < limit:
                 bad = index.min() if index.min() < 0 else index.max()
                 raise IndexError(f"{what} {bad} out of range 0..{limit - 1}")
         # 16 bits hold every cell index (BANK_COUNT * HIST_ENTRIES = 4096).
-        cells = np.asarray(banks, dtype=np.int16) * HIST_ENTRIES + entries
+        cells = banks.astype(np.int16, copy=False) * HIST_ENTRIES + entries
         if cells.ndim != 2:
             raise ValueError(f"touches must form an (invocations, touches) array, got {cells.shape}")
-        return cells
+        # A set of 16 Python ints is cheaper than np.unique here.
+        lanes_own_banks = (
+            banks.ndim == 1
+            and banks.size == cells.shape[1]
+            and len(set(banks.tolist())) == banks.size
+        )
+        return cells, lanes_own_banks
 
     @staticmethod
-    def _check_rows(cells, before=None, totals=None):
+    def _check_rows(cells, lanes_own_banks, before=None, totals=None):
         """Raise the fault of the first invocation row that breaks the bank
         rule or, given the flat counter values ``before`` the batch and the
-        ``totals`` it would leave, pushes a counter past ``COUNTER_MAX``."""
-        ordered = np.sort(cells, axis=1)
-        # Neighbours in one bank differ in the entry bits only.
-        step = ordered[:, 1:] ^ ordered[:, :-1]
-        faulty = np.flatnonzero(((step > 0) & (step < HIST_ENTRIES)).any(axis=1))[:1].tolist()
+        ``totals`` it would leave, pushes a counter past ``COUNTER_MAX``.
+        When the lanes own their banks no row can break the bank rule, and
+        only the counter limit is checked."""
+        faulty = [] if lanes_own_banks else IramState._conflict_rows(cells)
         if totals is not None and totals.max() > COUNTER_MAX:
             # The touch that overflows a cell is its (headroom + 1)-th in row-major order.
             flat = cells.ravel()
@@ -285,6 +302,15 @@ class IramState:
             if before is not None:
                 before = before + np.bincount(cells[:row].ravel(), minlength=before.size)
             IramState._replay(row, cells[row].tolist(), before)
+
+    @staticmethod
+    def _conflict_rows(cells) -> list[int]:
+        """The first row that touches one bank at two entries, as a list of
+        at most one row index; sorts every row."""
+        ordered = np.sort(cells, axis=1)
+        # Neighbours in one bank differ in the entry bits only.
+        step = ordered[:, 1:] ^ ordered[:, :-1]
+        return np.flatnonzero(((step > 0) & (step < HIST_ENTRIES)).any(axis=1))[:1].tolist()
 
     @staticmethod
     def _replay(row: int, cells: list, counts):
@@ -310,20 +336,21 @@ class IramState:
 
     # -- host-visible bulk access ------------------------------------------
 
-    def counters(self, bank: int) -> list[int]:
-        """All 256 counters of one bank (host-side bulk read)."""
-        if not 0 <= bank < self.banks:
-            raise IndexError(f"bank {bank} out of range 0..{self.banks - 1}")
-        return self._counters[bank].tolist()
+    def counters(self) -> np.ndarray:
+        """Every counter, as a ``(BANK_COUNT, HIST_ENTRIES)`` uint16 copy
+        (host-side bulk read)."""
+        return self._counters.copy()
 
-    def load_lut(self, bank: int, values: Sequence[int]):
-        """Upload a full 256-entry table into one bank (host-side bulk write)."""
-        if not 0 <= bank < self.banks:
-            raise IndexError(f"bank {bank} out of range 0..{self.banks - 1}")
-        buf = bytes(values)
-        if len(buf) != HIST_ENTRIES:
-            raise ValueError(f"LUT upload needs {HIST_ENTRIES} bytes, got {len(buf)}")
-        self._mem[bank, :HIST_ENTRIES] = np.frombuffer(buf, dtype=np.uint8)
+    def load_luts(self, tables: np.ndarray):
+        """Upload one 256-entry table into each bank (host-side bulk write):
+        ``tables`` is a ``(BANK_COUNT, HIST_ENTRIES)`` uint8 array."""
+        tables = np.asarray(tables)
+        if tables.dtype != np.uint8 or tables.shape != (self.banks, HIST_ENTRIES):
+            raise ValueError(
+                f"LUT upload needs a uint8 ({self.banks}, {HIST_ENTRIES}) array, "
+                f"got {tables.dtype} {tables.shape}"
+            )
+        self._mem[:, :HIST_ENTRIES] = tables
 
 
 # ---------------------------------------------------------------------------

@@ -96,10 +96,7 @@ def merge_cumulative(iram: IramState) -> np.ndarray:
     Host-visible composite step; its cycle cost is the profile's merge
     charge, not a per-bank sequence of invocations.
     """
-    totals = np.zeros(HIST_ENTRIES, dtype=np.int64)
-    for bank in range(iram.banks):
-        totals += np.asarray(iram.counters(bank), dtype=np.int64)
-    return np.cumsum(totals)
+    return np.cumsum(iram.counters().sum(axis=0, dtype=np.int64))
 
 
 def build_lut(cum: np.ndarray, n: int) -> np.ndarray:
@@ -117,9 +114,7 @@ def lut_replicate(lut: np.ndarray, iram: IramState):
     lut = np.asarray(lut, dtype=np.uint8)
     if lut.shape != (HIST_ENTRIES,):
         raise ValueError(f"lookup table must have {HIST_ENTRIES} entries")
-    payload = lut.tobytes()
-    for bank in range(iram.banks):
-        iram.load_lut(bank, payload)
+    iram.load_luts(lut[None].repeat(iram.banks, axis=0))
 
 
 def scalar_histogram(flat: np.ndarray) -> np.ndarray:

@@ -199,6 +199,7 @@ def test_profile_beyond_the_float_range_is_a_constraint_error(ppm, tmp_path):
     profile.write_text("yiq.scalar.cycles_per_pixel = 1e400\nyiq.ei5.ei_cycles = 3\n")
     args = ("--to", "yiq", "--report", str(tmp_path / "r.json"), "--profile", str(profile))
     assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT
+    assert not (tmp_path / "out.ppm").exists() and not (tmp_path / "r.json").exists()
 
 
 def test_header_number_too_long_to_convert_is_an_io_error(ppm, tmp_path):
@@ -261,6 +262,11 @@ def test_bench_table(capsys, kernel, table):
     assert capsys.readouterr().out == table
 
 
+def test_failed_bench_prints_no_table(capsys):
+    assert cli.main(["bench", "--kernel", "yiq", "--pixels", "0"]) == cli.EXIT_CONSTRAINT
+    assert capsys.readouterr().out == ""
+
+
 def test_bench_rejects_a_kernel_without_measurements():
     assert cli.main(["bench", "--kernel", "cmy"]) == cli.EXIT_CONSTRAINT
 
@@ -296,3 +302,29 @@ def test_roundtrip_report_file(tmp_path, fmt, golden):
     argv = ["roundtrip", "--gray-only", "--report", str(report), "--format", fmt]
     assert cli.main(argv) == cli.EXIT_OK
     assert report.read_bytes() == golden.encode()
+
+
+def test_requests_in_one_process_answer_as_with_a_fresh_parser(ppm, tmp_path, capsys):
+    # The parser is built once per process; a usage error must not change the next request.
+    def run(out):
+        out.mkdir()
+        requests = [
+            ["convert", "--in", str(ppm), "--out", str(out / "bad.ppm"), "--to", "yiq", "--mode", "ei9"],
+            ["convert", "--in", str(ppm), "--out", str(out / "c.ppm"), "--to", "yiq",
+             "--report", str(out / "c.json")],
+            ["histeq", "--in", str(ppm), "--out", str(out / "h.pgm"), "--report", str(out / "h.csv"),
+             "--format", "csv"],
+        ]
+        answers = []
+        for argv in requests:
+            if out.name == "fresh":
+                cli._build_parser.cache_clear()
+            code = cli.main(argv)
+            answers.append((code, *capsys.readouterr()))
+        return answers, {path.name: path.read_bytes() for path in out.iterdir()}
+
+    shared = run(tmp_path / "shared")
+    assert shared == run(tmp_path / "fresh")
+    assert [code for code, _, _ in shared[0]] == [cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_OK]
+    assert sorted(shared[1]) == ["c.json", "c.ppm", "h.csv", "h.pgm"]
+    assert cli._build_parser() is cli._build_parser()

@@ -230,7 +230,7 @@ def test_lane_per_bank_pattern_is_accepted():
     ei = make_ei(body=one_each, n_outputs=0, ops=("add", "iram_read", "iram_write"),
                  ledger=ResourceLedger(iram_bytes_used=8192))
     ei_execute(ei, (wr_pack(b""),), iram=iram)
-    assert all(iram.counters(bank)[5] == 1 for bank in range(16))
+    assert all(iram.counters()[bank, 5] == 1 for bank in range(16))
 
 
 def test_rmw_of_one_entry_counts_once():
@@ -239,7 +239,7 @@ def test_rmw_of_one_entry_counts_once():
         iram.read_counter(3, 9)
         iram.write_counter(3, 9, 7)
         iram.add_counter(3, 9)
-    assert iram.counters(3)[9] == 8
+    assert iram.counters()[3, 9] == 8
 
 
 def test_second_entry_in_bank_conflicts_even_for_reads():
@@ -256,8 +256,8 @@ def test_access_log_resets_between_invocations():
         iram.add_counter(0, 1)
     with iram.invocation():
         iram.add_counter(0, 2)
-    assert iram.counters(0)[1] == 1
-    assert iram.counters(0)[2] == 1
+    assert iram.counters()[0, 1] == 1
+    assert iram.counters()[0, 2] == 1
 
 
 def test_invocations_cannot_nest():
@@ -270,9 +270,24 @@ def test_invocations_cannot_nest():
 
 def test_host_bulk_access_is_unconstrained():
     iram = IramState()
-    iram.load_lut(0, bytes(range(256)))
-    assert iram.counters(1) == [0] * 256
+    tables = np.zeros((16, 256), dtype=np.uint8)
+    tables[0] = np.arange(256)
+    iram.load_luts(tables)
+    assert iram.counters()[1].tolist() == [0] * 256
     assert [iram._mem[0][k] for k in range(256)] == list(range(256))
+
+
+def test_host_bulk_access_reads_a_copy_and_checks_the_tables():
+    iram = IramState()
+    iram.add_counters(np.arange(16), np.full((1, 16), 9, dtype=np.uint8))
+    counters = iram.counters()
+    assert counters.shape == (16, 256) and counters.dtype == np.uint16
+    iram.clear()
+    assert counters[:, 9].tolist() == [1] * 16
+    for bad in (np.zeros(256, np.uint8), np.zeros((16, 255), np.uint8), np.zeros((16, 256), np.int64)):
+        with pytest.raises(ValueError):
+            iram.load_luts(bad)
+    assert not iram._mem.any()
 
 
 def test_counter_overflow():
@@ -297,7 +312,7 @@ def test_clear_zeroes_everything():
     with iram.invocation():
         iram.add_counter(4, 4)
     iram.clear()
-    assert iram.counters(4) == [0] * 256
+    assert iram.counters()[4].tolist() == [0] * 256
 
 
 # ---------------------------------------------------------------- construction
@@ -489,7 +504,9 @@ def test_one_bad_row_raises_before_writing(counting):
     banks[3, 9] = 2  # lane 9 of invocation 3 reaches into lane 2's bank
     entries = np.arange(80, dtype=np.uint8).reshape(5, 16)
     iram = IramState()
-    iram.load_lut(2, bytes(range(255, -1, -1)))
+    tables = np.zeros((16, 256), dtype=np.uint8)
+    tables[2] = np.arange(255, -1, -1)
+    iram.load_luts(tables)
     before = iram._mem.copy()
     accessor = iram.add_counters if counting else iram.read_luts
     with pytest.raises(BankConflict, match="^invocation 3, lane 9: bank 2 touched at entries 50 and 57$"):
@@ -504,15 +521,27 @@ def test_one_bad_row_raises_before_writing(counting):
 touch_batches = st.tuples(
     st.integers(0, 6), st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from((2, 4, 16))
 )
+#: How the batch names its banks: one row per invocation, or one vector
+#: broadcast over every row, its banks distinct or not, or a single bank
+#: broadcast over every touch.
+bank_layouts = st.sampled_from(("rows", "distinct", "repeated", "single"))
 
 
-@settings(max_examples=150, deadline=None)
-@given(shape=touch_batches, counting=st.booleans(), near_full=st.booleans())
-def test_bulk_accessors_equal_the_entry_accessors(shape, counting, near_full):
+@settings(max_examples=200, deadline=None)
+@given(shape=touch_batches, layout=bank_layouts, counting=st.booleans(), near_full=st.booleans())
+def test_bulk_accessors_equal_the_entry_accessors(shape, layout, counting, near_full):
     # Few banks and entries make conflicts likely; counters near 65535 make overflows likely.
     invocations, touches, seed, spread = shape
     rng = np.random.default_rng(seed)
-    banks = rng.integers(0, spread, (invocations, touches))
+    if layout == "rows":
+        banks = rng.integers(0, spread, (invocations, touches))
+    elif layout == "distinct":
+        banks = rng.permutation(16)[:touches]
+    elif layout == "repeated":
+        banks = rng.integers(0, spread, touches)
+        banks[-1] = banks[0]
+    else:
+        banks = rng.integers(0, spread, 1)
     entries = rng.integers(0, spread, (invocations, touches)).astype(np.uint8)
     start = IramState()
     start._mem[:] = rng.integers(0, 256, start._mem.shape, dtype=np.uint8)
@@ -533,6 +562,33 @@ def test_bulk_accessors_equal_the_entry_accessors(shape, counting, near_full):
         # The batch names the row that failed one by one, and writes nothing.
         assert str(got).startswith(f"invocation {len(rows_done)}, lane ")
         assert np.array_equal(bulk._mem, start._mem)
+
+
+def test_lanes_that_own_their_banks_skip_the_row_sort(monkeypatch):
+    # The sort is what the per-row bank check costs; lane j owning bank j cannot break the rule.
+    from scpsim import histeq
+    from scpsim.image_io import ImageBuffer
+
+    sorts = []
+    conflict_rows = IramState._conflict_rows
+
+    def counted(cells):
+        sorts.append(cells.shape)
+        return conflict_rows(cells)
+
+    monkeypatch.setattr(IramState, "_conflict_rows", staticmethod(counted))
+    gray = ImageBuffer.from_array(np.random.default_rng(4).integers(0, 256, (128, 128), dtype=np.uint8))
+    equalized = [histeq.histeq_image(gray, mode)[0].samples for mode in ("isef", "scalar")]
+    assert np.array_equal(*equalized)
+    assert sorts == []
+    iram = IramState()
+    entries = np.zeros((4, 16), dtype=np.uint8)
+    iram.add_counters(np.tile(np.arange(16), (4, 1)), entries)
+    iram.read_luts(np.tile(np.arange(16), (4, 1)), entries)
+    assert sorts == [(4, 16), (4, 16)]
+    with pytest.raises(BankConflict, match="^invocation 0, lane 1: bank 3 touched at entries 1 and 2$"):
+        iram.read_luts([3, 3], [[1, 2]])
+    assert len(sorts) == 3
 
 
 def test_each_image_runs_each_kernel_body_once_per_batch(monkeypatch):

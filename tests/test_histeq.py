@@ -40,7 +40,7 @@ def test_subhist_equal_pixels():
     iram = IramState()
     ei_subhist16(np.full((1, 16), 5, dtype=np.uint8), iram)
     for bank in range(16):
-        counters = iram.counters(bank)
+        counters = iram.counters()[bank].tolist()
         assert counters[5] == 1
         assert sum(counters) == 1
 
@@ -49,7 +49,7 @@ def test_subhist_ramp_pixels():
     iram = IramState()
     ei_subhist16(np.arange(16, dtype=np.uint8)[None], iram)
     for bank in range(16):
-        assert iram.counters(bank)[bank] == 1
+        assert iram.counters()[bank, bank] == 1
 
 
 def test_subhist_conservation_against_scalar_oracle():
@@ -57,7 +57,7 @@ def test_subhist_conservation_against_scalar_oracle():
     pixels = rng.integers(0, 256, 16 * 1024, dtype=np.uint8)
     iram = IramState()
     ei_subhist16(pixels.reshape(1024, 16), iram)
-    total = sum(sum(iram.counters(bank)) for bank in range(16))
+    total = sum(sum(iram.counters()[bank].tolist()) for bank in range(16))
     assert total == 16384
     merged = merge_cumulative(iram)
     assert np.array_equal(merged, np.cumsum(scalar_histogram(pixels)))
