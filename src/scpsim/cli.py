@@ -77,7 +77,9 @@ def _build_parser() -> _Parser:
 def _common_cost_flags(cmd):
     cmd.add_argument("--profile", default="s6000_paper",
                      help="builtin name, SCPSIM_PROFILE_DIR entry, or file path")
-    cmd.add_argument("--buffers", default="internal", choices=("internal", "external"))
+    cmd.add_argument("--buffers", default="internal", choices=("internal", "external"),
+                     help="the bundled s6000_paper profile has stall_penalty_external = 0, "
+                          "so external changes a report only under a profile file that sets it")
     cmd.add_argument("--report", default=None)
     cmd.add_argument("--format", default="json", choices=("json", "csv"))
 

@@ -19,7 +19,7 @@ Three routes compute the same map and are kept bit-identical:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Optional
 
@@ -60,15 +60,13 @@ class ConversionMatrix:
 
     ``coeffs`` are scaled by 256.  ``input_offset`` is subtracted from
     each incoming byte before the multiply; ``output_offset`` is added
-    after the truncating divide, before saturation.  ``kernel`` names
-    the cost-model family the conversion belongs to.
+    after the truncating divide, before saturation.
     """
 
     name: str
     coeffs: tuple[tuple[int, int, int], ...]
     input_offset: tuple[int, int, int] = (0, 0, 0)
     output_offset: tuple[int, int, int] = (0, 0, 0)
-    kernel: str = field(default="", compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != 3 or any(len(row) != 3 for row in self.coeffs):
@@ -84,8 +82,6 @@ class ConversionMatrix:
                     f"conversion offsets must be three integers in "
                     f"[-{OFFSET_LIMIT}, {OFFSET_LIMIT}], got {offset!r}"
                 )
-        if not self.kernel:
-            object.__setattr__(self, "kernel", self.name)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.coeffs, dtype=np.int64)
@@ -95,26 +91,22 @@ RGB2YIQ = ConversionMatrix(
     name="rgb2yiq",
     coeffs=((77, 150, 29), (153, -70, -82), (54, -134, 80)),
     output_offset=(0, 128, 128),
-    kernel="yiq",
 )
 YIQ2RGB = ConversionMatrix(
     name="yiq2rgb",
     coeffs=((256, 245, 159), (256, -70, -166), (256, -283, 436)),
     input_offset=(0, 128, 128),
-    kernel="yiq",
 )
 # Complement is affine too: -256/256 * s + 255 == 255 - s, exactly.
 RGB2CMY = ConversionMatrix(
     name="rgb2cmy",
     coeffs=((-256, 0, 0), (0, -256, 0), (0, 0, -256)),
     output_offset=(255, 255, 255),
-    kernel="cmy",
 )
 CMY2RGB = ConversionMatrix(
     name="cmy2rgb",
     coeffs=RGB2CMY.coeffs,
     output_offset=(255, 255, 255),
-    kernel="cmy",
 )
 
 
@@ -250,6 +242,8 @@ def convert_image(
     (the scalar tail).  With a profile the cycle report is filled from
     the cost model, which must agree with the invocations executed
     (``cycle_model.checked_report``); without one the report is None.
+    Every matrix is costed at the calibrated ``yiq`` rates, the family
+    the report's ``kernel`` names: cost depends on shape, not coefficients.
     """
     if img.channels != 3:
         raise ChannelMismatch(f"conversion needs 3 channels, got {img.channels}")
@@ -281,7 +275,7 @@ def convert_image(
         width=img.width, height=img.height, channels=3, samples=out
     )
     report = cycle_model.checked_report(
-        matrix.kernel, mode, n, profile, buffer_location, log.total - logged
+        "yiq", mode, n, profile, buffer_location, log.total - logged
     )
     return converted, report
 

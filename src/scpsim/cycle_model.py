@@ -21,6 +21,10 @@ merge step (the histogram pipeline: accumulate and transform per
 per run) has its fitted measurement split uniformly across the
 instructions of all groups plus the merges, each merge receiving
 exactly one step's worth.
+
+Cost depends on the mode's shape and the workload family, not on
+coefficient values: every 3x3 colour conversion is costed at the
+calibrated ``yiq`` rates, and its report's ``kernel`` names that family.
 """
 
 from __future__ import annotations
@@ -239,11 +243,6 @@ def _exact(x: Fraction) -> Union[int, Fraction]:
     return int(x) if x.denominator == 1 else x
 
 
-def _scalar_total(profile: CalibrationProfile, kernel: str, pixels: int) -> Optional[Fraction]:
-    cpp = profile.scalar_cycles_per_pixel.get(kernel)
-    return None if cpp is None else pixels * cpp
-
-
 def estimate(
     kernel: str,
     mode: str,
@@ -258,7 +257,7 @@ def estimate(
 
     Raises UnknownKernelConfig when the profile has no entry for the
     requested (kernel, mode), including the scalar entry needed to
-    charge a lane tail.
+    charge a tail (on the plain processor, every pixel).
     """
     if pixels < 1:
         raise ValueError("pixel count must be positive")
@@ -266,40 +265,33 @@ def estimate(
         raise ValueError(f"buffer_location must be internal or external, got {buffer_location!r}")
 
     shape = _shape(mode)
-    lanes = shape.lanes
-    overhead = profile.fixed_overhead.get((kernel, mode), 0)
-
-    if lanes == 0:
-        cpp = profile.scalar_cycles_per_pixel.get(kernel)
-        if cpp is None:
-            raise UnknownKernelConfig(f"profile {profile.name!r} has no scalar entry for {kernel!r}")
-        invocations = 0
-        total = pixels * cpp + overhead
-    else:
+    cpp = profile.scalar_cycles_per_pixel.get(kernel)
+    total = Fraction(profile.fixed_overhead.get((kernel, mode), 0))
+    # The plain processor is a shape without lanes: every pixel is tail.
+    groups, tail = 0, pixels
+    if shape.lanes:
         per_group = profile.ei_cycles.get((kernel, mode))
         if per_group is None:
             raise UnknownKernelConfig(
                 f"profile {profile.name!r} has no entry for kernel {kernel!r} mode {mode!r}"
             )
-        groups, tail = divmod(pixels, lanes)
-        total = groups * per_group + overhead
-        merges = shape.merges(groups)
+        groups, tail = divmod(pixels, shape.lanes)
+        total += groups * per_group
+    merges = shape.merges(groups)
+    if merges:
         total += merges * profile.merge_cycles
-        invocations = groups * len(shape.ledgers) + merges
-        if tail:
-            cpp = profile.scalar_cycles_per_pixel.get(kernel)
-            if cpp is None:
-                raise UnknownKernelConfig(
-                    f"profile {profile.name!r} has no scalar entry for {kernel!r} "
-                    f"to charge a {tail}-pixel tail"
-                )
-            total += tail * cpp
-        if buffer_location == "external":
-            total += invocations * profile.stall_penalty_external
+    invocations = groups * len(shape.ledgers) + merges
+    if tail:
+        if cpp is None:
+            raise UnknownKernelConfig(
+                f"profile {profile.name!r} has no scalar entry for {kernel!r} "
+                f"to charge {tail} pixels"
+            )
+        total += tail * cpp
+    if invocations and buffer_location == "external":
+        total += invocations * profile.stall_penalty_external
 
-    total = Fraction(total)
-    scalar_total = _scalar_total(profile, kernel, pixels)
-    speedup_vs_scalar = None if scalar_total is None else scalar_total / total
+    speedup_vs_scalar = None if cpp is None else pixels * cpp / total
     return CycleReport(
         kernel=kernel,
         mode=mode,
@@ -460,9 +452,13 @@ def parse_profile(text: str) -> CalibrationProfile:
             if len(parts) != 3:
                 raise ValueError(f"profile line {lineno}: unrecognized key {key!r}")
             kernel, mode, what = parts
+            # A rate no mode charges would be stored and never read.
+            shape = KERNEL_SHAPES.get(mode)
+            if shape is None:
+                raise ValueError(f"profile line {lineno}: unrecognized mode {mode!r}")
             if what == "cycles_per_pixel" and mode == "scalar":
                 scalar_cpp[kernel] = number
-            elif what == "ei_cycles":
+            elif what == "ei_cycles" and shape.lanes:
                 ei_cycles[(kernel, mode)] = number
             elif what == "fixed_overhead":
                 if number.denominator != 1:

@@ -8,6 +8,8 @@ the numpy batch path, and the fabric kernels bit-identical.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 COEFF_LIMIT = 512
@@ -19,7 +21,11 @@ OFFSET_LIMIT = 255
 
 def check_coefficient(value: int) -> int:
     """Validate a scaled coefficient (interpreted as value / 256)."""
-    value = int(value)
+    try:
+        # Unlike int(), index() rejects 128.5 and '77'; the scalar oracle takes neither.
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"scaled coefficient must be an integer, got {value!r}") from None
     if abs(value) > COEFF_LIMIT:
         raise ValueError(
             f"scaled coefficient {value} outside [-{COEFF_LIMIT}, {COEFF_LIMIT}]"

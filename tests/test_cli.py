@@ -1,5 +1,6 @@
 """The CLI's documented exit codes, its bench table and its report files."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scpsim import cli, colorspace, histeq
+from scpsim import cli, colorspace, cycle_model, histeq
 from scpsim.image_io import ImageBuffer, read_pnm, write_pnm
 
 BENCH_YIQ = """\
@@ -178,8 +179,32 @@ def test_invocation_mismatch_is_a_constraint_error(monkeypatch, tmp_path):
 
 
 def test_report_without_a_profile_entry_is_a_constraint_error(ppm, tmp_path):
+    profile = tmp_path / "histeq-only.profile"
+    profile.write_text("histeq.scalar.cycles_per_pixel = 1000\nhisteq.isef.ei_cycles = 200\n")
     report = tmp_path / "r.json"
-    assert convert(ppm, tmp_path, "--to", "cmy", "--report", str(report)) == cli.EXIT_CONSTRAINT
+    for mode in colorspace.CONVERT_MODES:
+        args = ("--to", "cmy", "--mode", mode, "--report", str(report), "--profile", str(profile))
+        assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT, mode
+        assert not (tmp_path / "out.ppm").exists() and not report.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("mode", colorspace.CONVERT_MODES)
+def test_every_target_is_costed_at_the_yiq_rates(ppm, tmp_path, mode, fmt):
+    matrix = tmp_path / "swap.matrix"
+    matrix.write_text("name = swap\nrow0 = 0 0 256\nrow1 = 0 256 0\nrow2 = 256 0 0\n")
+    report = tmp_path / f"r.{fmt}"
+    reports = set()
+    for target in ("yiq", "rgb", "cmy", f"matrix:{matrix}"):
+        args = ("--to", target, "--mode", mode, "--report", str(report), "--format", fmt)
+        assert convert(ppm, tmp_path, *args) == cli.EXIT_OK, target
+        reports.add(report.read_bytes())
+    (text,) = reports  # all four targets wrote the same bytes
+    if fmt == "json":
+        expected = cycle_model.estimate("yiq", mode, 28, cycle_model.builtin_profile())
+        assert json.loads(text) == expected.to_dict()
+    if mode == "ei5":
+        assert text == {"json": CONVERT_JSON, "csv": CONVERT_CSV}[fmt].encode()
 
 
 @pytest.mark.parametrize(
@@ -240,12 +265,16 @@ def test_convert_with_a_custom_matrix_and_profile_exits_with_a_code(
         f"output_offset = {' '.join(map(str, offsets[3:]))}\n"
     )
     profile = tmp / "prop.profile"
-    profile.write_text(f"m.scalar.cycles_per_pixel = {scalar_rate}\nm.{mode}.ei_cycles = {ei_rate}\n")
+    profile.write_text(
+        f"yiq.scalar.cycles_per_pixel = {scalar_rate}\n"
+        + "".join(f"yiq.ei{lanes}.ei_cycles = {ei_rate}\n" for lanes in (1, 5, 8))
+    )
     argv = ["convert", "--in", str(ppm), "--out", str(out), "--to", f"matrix:{matrix}",
             "--mode", mode, "--report", str(tmp / "prop.json"), "--profile", str(profile)]
     code = cli.main(argv)
-    assert type(code) is int and 0 <= code <= 4
-    if code == cli.EXIT_OK:
+    valid = scalar_rate > 0 and ei_rate > 0 and all(abs(v) <= 255 for v in offsets)
+    assert code == (cli.EXIT_OK if valid else cli.EXIT_CONSTRAINT)
+    if valid:
         m = colorspace.ConversionMatrix("m", coeffs, offsets[:3], offsets[3:])
         got = read_pnm(out.read_bytes()).samples.reshape(-1, 3).tolist()
         assert got == [list(colorspace.convert_px(m, p)) for p in pixels]

@@ -111,8 +111,9 @@ def test_matrix_near_inverse():
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError):
-        ConversionMatrix(name="bad", coeffs=((600, 0, 0), (0, 0, 0), (0, 0, 0)))
+    for coefficient in (600, 128.5, "77"):
+        with pytest.raises(ValueError):
+            ConversionMatrix(name="bad", coeffs=((coefficient, 0, 0), (0, 256, 0), (0, 0, 256)))
     with pytest.raises(ValueError):
         ConversionMatrix(name="bad", coeffs=((1, 2), (3, 4), (5, 6)))
     identity = ((256, 0, 0), (0, 256, 0), (0, 0, 256))

@@ -292,11 +292,17 @@ def test_parse_profile_errors():
         parse_profile("what.ever = 3")
     with pytest.raises(ValueError):
         parse_profile("yiq.ei5.fixed_overhead = 1/2")
+    # rates no mode would charge: an unknown mode, and a per-group cost without lanes
+    with pytest.raises(ValueError):
+        parse_profile("yiq.ei3.ei_cycles = 5")
+    with pytest.raises(ValueError):
+        parse_profile("yiq.scalar.ei_cycles = 7")
 
 
 profile_keys = st.sampled_from(
     ["name", "merge_cycles", "stall_penalty_external", "yiq.scalar.cycles_per_pixel",
-     "yiq.ei5.ei_cycles", "histeq.isef.fixed_overhead", "yiq.ei5.cycles_per_pixel", "a.b"]
+     "yiq.ei5.ei_cycles", "histeq.isef.fixed_overhead", "yiq.ei5.cycles_per_pixel",
+     "yiq.ei3.ei_cycles", "a.b"]
 )
 profile_values = st.one_of(
     st.text(max_size=8), st.integers(-10, 10**6).map(str), st.fractions().map(str)
