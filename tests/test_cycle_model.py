@@ -279,6 +279,23 @@ def test_mode_lanes():
 # ------------------------------------------------------------- persistence
 
 
+BUILTIN_PROFILE_TEXT = """\
+name = s6000_paper
+histeq.scalar.cycles_per_pixel = 8562167/8192
+yiq.scalar.cycles_per_pixel = 176881/16000
+histeq.isef.ei_cycles = 2102902/683
+yiq.ei1.ei_cycles = 4681/1280
+yiq.ei5.ei_cycles = 31759/6400
+yiq.ei8.ei_cycles = 72517/8000
+merge_cycles = 1051451/683
+stall_penalty_external = 0
+"""
+
+
+def test_builtin_profile_text(profile):
+    assert format_profile(profile) == BUILTIN_PROFILE_TEXT
+
+
 def test_profile_text_round_trip(profile):
     assert parse_profile(format_profile(profile)) == profile
 
