@@ -7,7 +7,6 @@ from .cycle_model import (
     CalibrationProfile,
     CycleReport,
     InvocationMismatch,
-    MismatchedWorkload,
     ReportOverflow,
     Underdetermined,
     UnknownKernelConfig,
@@ -19,10 +18,8 @@ from .cycle_model import (
     mode_lanes,
     parse_profile,
     resolve_profile,
-    speedup,
 )
 from .colorspace import (
-    CMY2RGB,
     CONVERT_MODES,
     ConversionMatrix,
     RGB2CMY,
@@ -34,7 +31,6 @@ from .colorspace import (
     convert_image,
     convert_px,
     matrix_ei,
-    rgb_to_cmy_px,
     rgb_to_yiq_px,
     roundtrip_sweep,
     yiq_decode_offset128,

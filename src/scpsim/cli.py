@@ -57,8 +57,9 @@ def _build_parser() -> _Parser:
     _common_cost_flags(heq)
 
     bench = sub.add_parser("bench", help="tabulate the cost model for every mode of a kernel")
-    bench.add_argument("--kernel", required=True)
-    defaults = ", ".join(f"{kernel} {runs[0][1]}" for kernel, runs in _measured().items())
+    bench.add_argument("--kernel", required=True,
+                       help="calibrated workload family: " + " | ".join(cycle_model.FAMILY_MODES))
+    defaults = ", ".join(f"{kernel} {pixels}" for kernel, pixels in _MEASURED_PIXELS.items())
     bench.add_argument("--pixels", type=int, default=None,
                        help=f"workload size (default: {defaults})")
     _common_cost_flags(bench)
@@ -90,8 +91,9 @@ _MATRIX_KEYS = ("name", "row0", "row1", "row2", "input_offset", "output_offset")
 def _load_matrix_file(path: str) -> colorspace.ConversionMatrix:
     """Matrix file: 'name = x', 'row0 = a b c' (thrice), optional offsets."""
     fields = {}
+    first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -100,6 +102,11 @@ def _load_matrix_file(path: str) -> colorspace.ConversionMatrix:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in _MATRIX_KEYS:
                 raise ValueError(f"matrix file {path}: unrecognized key {key!r}")
+            if key in first_line:
+                raise ValueError(
+                    f"matrix file {path}: line {lineno} repeats {key!r} from line {first_line[key]}"
+                )
+            first_line[key] = lineno
             fields[key] = value
     try:
         rows = tuple(
@@ -190,28 +197,23 @@ def cmd_image(args) -> int:
     return EXIT_OK
 
 
-def _measured() -> dict[str, list[tuple[str, int]]]:
-    """kernel -> (mode, pixels) of each of its calibration measurements."""
-    runs: dict[str, list[tuple[str, int]]] = {}
-    for kernel, mode, pixels, _ in cycle_model.CALIBRATION_MEASUREMENTS:
-        runs.setdefault(kernel, []).append((mode, pixels))
-    return runs
+#: bench's default workload size: the pixel count each family was measured at.
+_MEASURED_PIXELS = {kernel: pixels for kernel, _, pixels, _ in cycle_model.CALIBRATION_MEASUREMENTS}
 
 
 def cmd_bench(args) -> int:
     profile = cycle_model.resolve_profile(args.profile)
     kernel = args.kernel
-    measured = _measured()
-    if kernel not in measured:
+    modes = cycle_model.FAMILY_MODES.get(kernel)
+    if modes is None:
         raise cycle_model.UnknownKernelConfig(
-            f"bench supports kernels {sorted(measured)}, got {kernel!r}"
+            f"bench supports kernels {sorted(cycle_model.FAMILY_MODES)}, got {kernel!r}"
         )
-    runs = measured[kernel]
-    pixels = args.pixels if args.pixels is not None else runs[0][1]
+    pixels = args.pixels if args.pixels is not None else _MEASURED_PIXELS[kernel]
     # Every row is estimated before anything is printed, so a failed bench prints nothing.
     rows = [
         cycle_model.estimate(kernel, mode, pixels, profile, args.buffers).to_dict()
-        for mode, _ in runs
+        for mode in modes
     ]
     print(f"kernel={kernel} pixels={pixels} profile={profile.name} buffers={args.buffers}")
     print(
@@ -286,7 +288,6 @@ def main(argv=None) -> int:
         FabricError,
         image_io.ChannelMismatch,
         cycle_model.UnknownKernelConfig,
-        cycle_model.MismatchedWorkload,
         cycle_model.Underdetermined,
         cycle_model.InvocationMismatch,
         cycle_model.ReportOverflow,

@@ -103,11 +103,6 @@ RGB2CMY = ConversionMatrix(
     coeffs=((-256, 0, 0), (0, -256, 0), (0, 0, -256)),
     output_offset=(255, 255, 255),
 )
-CMY2RGB = ConversionMatrix(
-    name="cmy2rgb",
-    coeffs=RGB2CMY.coeffs,
-    output_offset=(255, 255, 255),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +130,6 @@ def yiq_to_rgb_px(p) -> tuple[int, int, int]:
         clamp_u8(div256_trunc(mul_acc3(rows[1], (y, i, q)))),
         clamp_u8(div256_trunc(mul_acc3(rows[2], (y, i, q)))),
     )
-
-
-def rgb_to_cmy_px(p) -> tuple[int, int, int]:
-    """Componentwise complement; involutive."""
-    r, g, b = p
-    return (255 - r, 255 - g, 255 - b)
 
 
 def yiq_encode_offset128(p) -> tuple[int, int, int]:
@@ -224,7 +213,7 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
     )
 
 
-CONVERT_MODES = ("scalar", "ei1", "ei5", "ei8")
+CONVERT_MODES = cycle_model.FAMILY_MODES["yiq"]
 
 
 def convert_image(

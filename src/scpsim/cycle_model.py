@@ -1,10 +1,12 @@
 """Parametric cycle-cost model calibrated to measured workload totals.
 
-The model is throughput-style: a fitted cost per scalar pixel, per
-extension-instruction invocation (keyed by kernel and configuration),
-plus a composite charge for the histogram merge step and an optional
-deterministic stall penalty per invocation when pixel buffers live in
-external memory.  Register pack/unpack traffic is free.
+The model knows exactly the workloads it is calibrated on: the (kernel,
+mode) pairs of ``CALIBRATION_MEASUREMENTS``.  It is throughput-style,
+with one fitted rate per pair (cycles per pixel for a mode without
+lanes, cycles per group of lanes for a lane mode), plus a composite
+charge for the histogram merge step and an optional deterministic stall
+penalty per invocation when pixel buffers live in external memory.
+Register pack/unpack traffic is free.
 
 All parameters are exact rationals so that the calibration points are
 reproduced exactly, not approximately: fitting the bundled
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping, Optional, Union
@@ -40,14 +42,10 @@ from .fabric import BANK_COUNT, COUNTER_MAX, HIST_ENTRIES, ResourceLedger, stage
 
 
 class UnknownKernelConfig(KeyError):
-    """Profile carries no parameters for the requested kernel/mode."""
+    """A kernel/mode that is not calibrated, or that the profile has no rate for."""
 
     def __str__(self):  # KeyError quotes its payload; keep messages readable
         return self.args[0] if self.args else ""
-
-
-class MismatchedWorkload(ValueError):
-    """Speedup requested between reports of different workloads."""
 
 
 class Underdetermined(ValueError):
@@ -65,7 +63,8 @@ class InvocationMismatch(Exception):
 Rational = Union[int, Fraction]
 
 #: Paper-measured totals the bundled profile is fitted to:
-#: (kernel, mode, pixels, cycles).
+#: (kernel, mode, pixels, cycles).  Their (kernel, mode) pairs are the
+#: only workloads the model costs.
 CALIBRATION_MEASUREMENTS = (
     ("yiq", "scalar", 64000, 707524),
     ("yiq", "ei1", 64000, 234050),
@@ -74,6 +73,12 @@ CALIBRATION_MEASUREMENTS = (
     ("histeq", "scalar", 16384, 17124334),
     ("histeq", "isef", 16384, 3154353),
 )
+
+#: The calibrated workload families and each one's modes, in table order.
+FAMILY_MODES = {
+    family: tuple(mode for kernel, mode, _, _ in CALIBRATION_MEASUREMENTS if kernel == family)
+    for family, _, _, _ in CALIBRATION_MEASUREMENTS
+}
 
 
 @dataclass(frozen=True)
@@ -156,28 +161,51 @@ def mode_lanes(mode: str) -> int:
     return _shape(mode).lanes
 
 
+def _calibrated_shape(kernel: str, mode: str) -> KernelShape:
+    """The shape of a calibrated workload; UnknownKernelConfig for any other pair."""
+    if mode not in FAMILY_MODES.get(kernel, ()):
+        raise UnknownKernelConfig(
+            f"no calibrated workload {kernel!r} in mode {mode!r}; calibrated: "
+            + ", ".join(f"{family} {'/'.join(modes)}" for family, modes in FAMILY_MODES.items())
+        )
+    return KERNEL_SHAPES[mode]
+
+
+def _rate_name(mode: str) -> str:
+    """The profile-file name of a mode's rate: per pixel without lanes, per group with them."""
+    return "ei_cycles" if KERNEL_SHAPES[mode].lanes else "cycles_per_pixel"
+
+
 @dataclass(frozen=True)
 class CalibrationProfile:
-    """Fitted cost parameters; immutable and freely shareable."""
+    """Fitted cost parameters; immutable and freely shareable.
+
+    ``rates`` holds at most one rate per calibrated workload, keyed by
+    its (kernel, mode) pair from ``CALIBRATION_MEASUREMENTS``: cycles
+    per pixel for a mode without lanes, cycles per group for a lane mode.
+    A lane mode's tail is charged at its family's ``scalar`` rate.
+    ``merge_cycles`` is the charge per merge step and
+    ``stall_penalty_external`` the charge per invocation when buffers
+    live in external memory.  Raises ValueError for a rate keyed by any
+    other pair, a rate that is not positive or a negative charge.
+    """
 
     name: str
-    scalar_cycles_per_pixel: Mapping[str, Fraction]
-    ei_cycles: Mapping[tuple[str, str], Fraction]
+    rates: Mapping[tuple[str, str], Fraction]
     merge_cycles: Fraction = Fraction(0)
     stall_penalty_external: Fraction = Fraction(0)
-    fixed_overhead: Mapping[tuple[str, str], int] = field(default_factory=dict)
 
     def __post_init__(self):
+        for pair in self.rates:
+            try:
+                _calibrated_shape(*pair)
+            except UnknownKernelConfig as exc:
+                raise ValueError(str(exc)) from None
         # A zero rate would make a run free and its speedup undefined.
-        if any(v <= 0 for v in (*self.scalar_cycles_per_pixel.values(), *self.ei_cycles.values())):
-            raise ValueError("scalar and extension-instruction rates must be positive")
-        for value in (
-            self.merge_cycles,
-            self.stall_penalty_external,
-            *self.fixed_overhead.values(),
-        ):
-            if value < 0:
-                raise ValueError("merge, stall and overhead charges must be nonnegative")
+        if any(v <= 0 for v in self.rates.values()):
+            raise ValueError("rates must be positive")
+        if self.merge_cycles < 0 or self.stall_penalty_external < 0:
+            raise ValueError("merge and stall charges must be nonnegative")
 
 
 @dataclass
@@ -255,22 +283,23 @@ def estimate(
     The report carries the mode's peak per-invocation resources and its
     stage count from ``KERNEL_SHAPES``.
 
-    Raises UnknownKernelConfig when the profile has no entry for the
-    requested (kernel, mode), including the scalar entry needed to
-    charge a tail (on the plain processor, every pixel).
+    Raises UnknownKernelConfig for a (kernel, mode) outside
+    ``CALIBRATION_MEASUREMENTS``, and when the profile has no rate for
+    it, including the scalar rate needed to charge a tail (on the plain
+    processor, every pixel).
     """
     if pixels < 1:
         raise ValueError("pixel count must be positive")
     if buffer_location not in ("internal", "external"):
         raise ValueError(f"buffer_location must be internal or external, got {buffer_location!r}")
 
-    shape = _shape(mode)
-    cpp = profile.scalar_cycles_per_pixel.get(kernel)
-    total = Fraction(profile.fixed_overhead.get((kernel, mode), 0))
+    shape = _calibrated_shape(kernel, mode)
+    cpp = profile.rates.get((kernel, "scalar"))
+    total = Fraction(0)
     # The plain processor is a shape without lanes: every pixel is tail.
     groups, tail = 0, pixels
     if shape.lanes:
-        per_group = profile.ei_cycles.get((kernel, mode))
+        per_group = profile.rates.get((kernel, mode))
         if per_group is None:
             raise UnknownKernelConfig(
                 f"profile {profile.name!r} has no entry for kernel {kernel!r} mode {mode!r}"
@@ -331,41 +360,31 @@ def checked_report(
     return report
 
 
-def speedup(report: CycleReport, baseline: CycleReport) -> Fraction:
-    """baseline cycles / report cycles, for the same workload."""
-    if report.kernel != baseline.kernel or report.pixels != baseline.pixels:
-        raise MismatchedWorkload(
-            f"cannot compare {baseline.kernel}/{baseline.pixels}px "
-            f"against {report.kernel}/{report.pixels}px"
-        )
-    return Fraction(baseline.cycles_total) / Fraction(report.cycles_total)
-
-
 def fit_profile(
     measurements: Iterable[tuple[str, str, int, int]], name: str = "fitted"
 ) -> CalibrationProfile:
     """Solve per-unit costs so each measurement is reproduced exactly.
 
-    One unknown per (kernel, mode): the scalar rate or the per-group
-    cost.  A mode's merge charge is folded into its fit, each merge one
-    uniform step (see the module docstring for the split).  Scalar
-    measurements are fitted first so lane tails can be subtracted.
+    One unknown per calibrated (kernel, mode): its scalar rate or its
+    per-group cost.  A mode's merge charge is folded into its fit, each
+    merge one uniform step (see the module docstring for the split).
+    Scalar measurements are fitted first so lane tails can be subtracted.
+    Raises UnknownKernelConfig for a pair outside ``CALIBRATION_MEASUREMENTS``.
     """
     rows = list(measurements)
     if not rows:
         raise Underdetermined("no measurements supplied")
-    scalar_cpp: dict[str, Fraction] = {}
-    ei_cycles: dict[tuple[str, str], Fraction] = {}
+    rates: dict[tuple[str, str], Fraction] = {}
     merge = Fraction(0)
 
     for kernel, mode, pixels, cycles in rows:
-        if mode_lanes(mode) == 0:
+        if _calibrated_shape(kernel, mode).lanes == 0:
             if pixels < 1 or cycles <= 0:
                 raise Underdetermined(f"scalar fit for {kernel!r} needs pixels >= 1 and cycles > 0")
-            scalar_cpp[kernel] = Fraction(cycles, pixels)
+            rates[(kernel, mode)] = Fraction(cycles, pixels)
 
     for kernel, mode, pixels, cycles in rows:
-        shape = _shape(mode)
+        shape = KERNEL_SHAPES[mode]
         lanes = shape.lanes
         if lanes == 0:
             continue
@@ -374,7 +393,7 @@ def fit_profile(
             raise Underdetermined(f"{kernel}/{mode}: fewer pixels than one {lanes}-lane group")
         pool = Fraction(cycles)
         if tail:
-            cpp = scalar_cpp.get(kernel)
+            cpp = rates.get((kernel, "scalar"))
             if cpp is None:
                 raise Underdetermined(
                     f"{kernel}/{mode}: tail of {tail} pixels but no scalar measurement"
@@ -384,16 +403,11 @@ def fit_profile(
             raise Underdetermined(f"{kernel}/{mode}: no cycles left for the groups after any tail")
         per_group = len(shape.ledgers)
         step = pool / (per_group * groups + shape.merges(groups))
-        ei_cycles[(kernel, mode)] = per_group * step
+        rates[(kernel, mode)] = per_group * step
         if shape.merge:
             merge = step
 
-    return CalibrationProfile(
-        name=name,
-        scalar_cycles_per_pixel=scalar_cpp,
-        ei_cycles=ei_cycles,
-        merge_cycles=merge,
-    )
+    return CalibrationProfile(name=name, rates=rates, merge_cycles=merge)
 
 
 # ---------------------------------------------------------------------------
@@ -402,32 +416,28 @@ def fit_profile(
 
 
 def format_profile(profile: CalibrationProfile) -> str:
-    """Serialize as '<key> = <num>[/<den>]' lines."""
+    """Serialize as '<key> = <num>[/<den>]' lines, per-pixel rates first."""
     lines = [f"name = {profile.name}"]
-    for kernel in sorted(profile.scalar_cycles_per_pixel):
+    for kernel, mode in sorted(profile.rates, key=lambda pair: (mode_lanes(pair[1]) > 0, pair)):
         lines.append(
-            f"{kernel}.scalar.cycles_per_pixel = "
-            f"{_ratio_str(profile.scalar_cycles_per_pixel[kernel])}"
+            f"{kernel}.{mode}.{_rate_name(mode)} = {_ratio_str(profile.rates[(kernel, mode)])}"
         )
-    for kernel, mode in sorted(profile.ei_cycles):
-        lines.append(f"{kernel}.{mode}.ei_cycles = {_ratio_str(profile.ei_cycles[(kernel, mode)])}")
     lines.append(f"merge_cycles = {_ratio_str(profile.merge_cycles)}")
     lines.append(f"stall_penalty_external = {_ratio_str(profile.stall_penalty_external)}")
-    for kernel, mode in sorted(profile.fixed_overhead):
-        lines.append(
-            f"{kernel}.{mode}.fixed_overhead = {profile.fixed_overhead[(kernel, mode)]}"
-        )
     return "\n".join(lines) + "\n"
 
 
 def parse_profile(text: str) -> CalibrationProfile:
-    """Parse the flat key-value profile format."""
+    """Parse the flat key-value profile format.
+
+    Raises ValueError naming the line for a malformed line, a key given
+    twice, or a rate for a pair outside ``CALIBRATION_MEASUREMENTS``.
+    """
     name = "unnamed"
-    scalar_cpp: dict[str, Fraction] = {}
-    ei_cycles: dict[tuple[str, str], Fraction] = {}
+    rates: dict[tuple[str, str], Fraction] = {}
     merge = Fraction(0)
     stall = Fraction(0)
-    overhead: dict[tuple[str, str], int] = {}
+    first_line: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -436,6 +446,9 @@ def parse_profile(text: str) -> CalibrationProfile:
         if "=" not in line:
             raise ValueError(f"profile line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
+        if key in first_line:
+            raise ValueError(f"profile line {lineno}: {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         if key == "name":
             name = value
             continue
@@ -452,30 +465,17 @@ def parse_profile(text: str) -> CalibrationProfile:
             if len(parts) != 3:
                 raise ValueError(f"profile line {lineno}: unrecognized key {key!r}")
             kernel, mode, what = parts
-            # A rate no mode charges would be stored and never read.
-            shape = KERNEL_SHAPES.get(mode)
-            if shape is None:
-                raise ValueError(f"profile line {lineno}: unrecognized mode {mode!r}")
-            if what == "cycles_per_pixel" and mode == "scalar":
-                scalar_cpp[kernel] = number
-            elif what == "ei_cycles" and shape.lanes:
-                ei_cycles[(kernel, mode)] = number
-            elif what == "fixed_overhead":
-                if number.denominator != 1:
-                    raise ValueError(
-                        f"profile line {lineno}: fixed_overhead must be an integer, got {value!r}"
-                    )
-                overhead[(kernel, mode)] = int(number)
-            else:
+            # A rate the model never charges would be stored and never read.
+            try:
+                _calibrated_shape(kernel, mode)
+            except UnknownKernelConfig as exc:
+                raise ValueError(f"profile line {lineno}: {exc}") from None
+            if what != _rate_name(mode):
                 raise ValueError(f"profile line {lineno}: unrecognized key {key!r}")
+            rates[(kernel, mode)] = number
 
     return CalibrationProfile(
-        name=name,
-        scalar_cycles_per_pixel=scalar_cpp,
-        ei_cycles=ei_cycles,
-        merge_cycles=merge,
-        stall_penalty_external=stall,
-        fixed_overhead=overhead,
+        name=name, rates=rates, merge_cycles=merge, stall_penalty_external=stall
     )
 
 

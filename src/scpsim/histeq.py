@@ -122,7 +122,7 @@ def scalar_histogram(flat: np.ndarray) -> np.ndarray:
     return np.bincount(flat, minlength=HIST_ENTRIES).astype(np.int64)
 
 
-HISTEQ_MODES = ("scalar", "isef")
+HISTEQ_MODES = cycle_model.FAMILY_MODES["histeq"]
 
 
 def histeq_image(

@@ -160,8 +160,9 @@ def test_out_of_range_coefficient_is_a_constraint_error(ppm, tmp_path):
         "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 0 0 256\n",
         "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 = 0 0 256\ninput_offset = 9223372036854775808 0 0\n",
         "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 = 0 0 256\noutput_offset = 0 256 0\n",
+        "name = m\nrow0 = 256 0 0\nrow1 = 0 256 0\nrow2 = 0 0 256\nrow0 = 0 0 0\n",
     ],
-    ids=["four-offsets", "misspelt-key", "no-equals", "offset-2^63", "offset-256"],
+    ids=["four-offsets", "misspelt-key", "no-equals", "offset-2^63", "offset-256", "repeated-row0"],
 )
 def test_malformed_matrix_file_is_a_constraint_error(ppm, tmp_path, text):
     matrix = tmp_path / "bad.matrix"
@@ -217,6 +218,20 @@ def test_zero_rate_profile_is_a_constraint_error(ppm, tmp_path, rates):
     profile.write_text("name = free\n" + rates)
     args = ("--to", "yiq", "--report", str(tmp_path / "r.json"), "--profile", str(profile))
     assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["cmy.ei5.ei_cycles = 3", "yiq.isef.ei_cycles = 4", "histeq.ei5.ei_cycles = 4",
+     "yiq.ei5.fixed_overhead = 100", "yiq.ei5.ei_cycles = 4"],
+    ids=["cmy-ei5", "yiq-isef", "histeq-ei5", "fixed-overhead", "repeated-key"],
+)
+def test_uncalibrated_or_repeated_profile_key_is_a_constraint_error(ppm, tmp_path, line):
+    profile = tmp_path / "stray.profile"
+    profile.write_text(f"yiq.scalar.cycles_per_pixel = 2\nyiq.ei5.ei_cycles = 3\n{line}\n")
+    args = ("--to", "yiq", "--report", str(tmp_path / "r.json"), "--profile", str(profile))
+    assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT
+    assert not (tmp_path / "out.ppm").exists()
 
 
 def test_profile_beyond_the_float_range_is_a_constraint_error(ppm, tmp_path):

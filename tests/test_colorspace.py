@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from scpsim import cycle_model
 from scpsim.colorspace import (
-    CMY2RGB,
     CONVERT_MODES,
     ConversionMatrix,
     RGB2CMY,
@@ -20,7 +19,6 @@ from scpsim.colorspace import (
     convert_image,
     convert_px,
     matrix_ei,
-    rgb_to_cmy_px,
     rgb_to_yiq_px,
     roundtrip_sweep,
     yiq_decode_offset128,
@@ -68,7 +66,7 @@ def test_yiq_to_rgb_examples(yiq, rgb):
     [((0, 0, 0), (255, 255, 255)), ((255, 255, 255), (0, 0, 0)), ((100, 50, 25), (155, 205, 230))],
 )
 def test_rgb_to_cmy_examples(rgb, cmy):
-    assert rgb_to_cmy_px(rgb) == cmy
+    assert convert_px(RGB2CMY, rgb) == cmy
 
 
 @pytest.mark.parametrize(
@@ -129,12 +127,12 @@ def test_matrix_validation():
 
 def test_cmy_matrix_matches_direct_complement():
     for rgb in [(0, 0, 0), (255, 255, 255), (100, 50, 25), (1, 128, 254)]:
-        assert convert_px(RGB2CMY, rgb) == rgb_to_cmy_px(rgb)
+        assert convert_px(RGB2CMY, rgb) == tuple(255 - v for v in rgb)
 
 
 @given(rgb_triples)
 def test_cmy_is_involutive(rgb):
-    assert convert_px(CMY2RGB, convert_px(RGB2CMY, rgb)) == rgb
+    assert convert_px(RGB2CMY, convert_px(RGB2CMY, rgb)) == rgb
 
 
 @given(rgb_triples)
@@ -278,7 +276,7 @@ EXTREME_PIXELS = [(0, 0, 0), (255, 255, 255), (255, 0, 255), (0, 255, 0)] * 3 + 
 @pytest.mark.parametrize("mode", CONVERT_MODES)
 @settings(max_examples=60, deadline=None)
 @given(
-    matrix=st.one_of(st.sampled_from((RGB2YIQ, YIQ2RGB, RGB2CMY, CMY2RGB)), custom_matrices),
+    matrix=st.one_of(st.sampled_from((RGB2YIQ, YIQ2RGB, RGB2CMY)), custom_matrices),
     pixels=st.lists(rgb_triples, min_size=1, max_size=40),
 )
 @example(matrix=AT_THE_LIMITS, pixels=EXTREME_PIXELS)
@@ -290,7 +288,7 @@ def test_every_mode_matches_the_scalar_oracle(mode, matrix, pixels):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    matrix=st.one_of(st.sampled_from((RGB2YIQ, YIQ2RGB, RGB2CMY, CMY2RGB)), custom_matrices),
+    matrix=st.one_of(st.sampled_from((RGB2YIQ, YIQ2RGB, RGB2CMY)), custom_matrices),
     lanes=st.sampled_from((1, 5, 8)),
     invocations=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),

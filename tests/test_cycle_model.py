@@ -10,7 +10,6 @@ from scpsim.cycle_model import (
     CALIBRATION_MEASUREMENTS,
     KERNEL_SHAPES,
     CalibrationProfile,
-    MismatchedWorkload,
     ReportOverflow,
     Underdetermined,
     UnknownKernelConfig,
@@ -22,7 +21,6 @@ from scpsim.cycle_model import (
     mode_lanes,
     parse_profile,
     resolve_profile,
-    speedup,
 )
 from scpsim.histeq import histeq_image
 from scpsim.image_io import ImageBuffer, to_gray
@@ -41,41 +39,19 @@ def test_calibration_points_exact(profile, kernel, mode, pixels, cycles):
     assert report.cycles_per_pixel == Fraction(cycles, pixels)
 
 
-def test_speedup_examples(profile):
-    scalar = estimate("yiq", "scalar", 64000, profile)
-    ei5 = estimate("yiq", "ei5", 64000, profile)
-    ratio = speedup(ei5, scalar)
-    assert ratio == Fraction(707524, 63518)
-    assert round(float(ratio), 2) == 11.14
-
-    h_scalar = estimate("histeq", "scalar", 16384, profile)
-    h_isef = estimate("histeq", "isef", 16384, profile)
-    h_ratio = speedup(h_isef, h_scalar)
-    assert round(float(h_ratio), 2) == 5.43
-
-    assert speedup(scalar, scalar) == 1
-
-
-def test_speedup_rejects_mismatched_workloads(profile):
-    a = estimate("yiq", "scalar", 64000, profile)
-    b = estimate("yiq", "ei5", 32000, profile)
-    with pytest.raises(MismatchedWorkload):
-        speedup(b, a)
-    c = estimate("histeq", "scalar", 64000, profile)
-    with pytest.raises(MismatchedWorkload):
-        speedup(c, a)
-
-
 def test_report_speedup_field(profile):
     ei5 = estimate("yiq", "ei5", 64000, profile)
     assert ei5.speedup_vs_scalar == Fraction(707524, 63518)
+    assert round(float(ei5.speedup_vs_scalar), 2) == 11.14
+    isef = estimate("histeq", "isef", 16384, profile)
+    assert round(float(isef.speedup_vs_scalar), 2) == 5.43
     scalar = estimate("yiq", "scalar", 64000, profile)
     assert scalar.speedup_vs_scalar == 1
 
 
 def test_derived_ei5_invocation_cost(profile):
-    assert profile.ei_cycles[("yiq", "ei5")] == Fraction(63518, 12800)
-    assert abs(float(profile.ei_cycles[("yiq", "ei5")]) - 4.96) < 0.01
+    assert profile.rates[("yiq", "ei5")] == Fraction(63518, 12800)
+    assert abs(float(profile.rates[("yiq", "ei5")]) - 4.96) < 0.01
 
 
 def test_unknown_kernel(profile):
@@ -83,14 +59,15 @@ def test_unknown_kernel(profile):
         estimate("sobel", "scalar", 100, profile)
     with pytest.raises(UnknownKernelConfig):
         estimate("yiq", "ei3", 100, profile)
+    # executable modes outside the family's calibrated ones
+    with pytest.raises(UnknownKernelConfig):
+        estimate("yiq", "isef", 32, profile)
+    with pytest.raises(UnknownKernelConfig):
+        estimate("histeq", "ei5", 32, profile)
 
 
 def test_tail_needs_scalar_entry():
-    lonely = CalibrationProfile(
-        name="lonely",
-        scalar_cycles_per_pixel={},
-        ei_cycles={("yiq", "ei5"): Fraction(5)},
-    )
+    lonely = CalibrationProfile(name="lonely", rates={("yiq", "ei5"): Fraction(5)})
     # whole groups are fine without a scalar rate, a tail is not
     assert estimate("yiq", "ei5", 10, lonely).cycles_total == 10
     with pytest.raises(UnknownKernelConfig):
@@ -142,24 +119,13 @@ def test_monotone_in_pixels_on_lane_multiples(profile):
 def test_internal_buffers_never_stall():
     stall_profile = CalibrationProfile(
         name="stall",
-        scalar_cycles_per_pixel={"yiq": Fraction(10)},
-        ei_cycles={("yiq", "ei5"): Fraction(5)},
+        rates={("yiq", "scalar"): Fraction(10), ("yiq", "ei5"): Fraction(5)},
         stall_penalty_external=Fraction(7),
     )
     internal = estimate("yiq", "ei5", 50, stall_profile, "internal")
     external = estimate("yiq", "ei5", 50, stall_profile, "external")
     assert internal.cycles_total == 10 * 5
     assert external.cycles_total == 10 * 5 + 10 * 7
-
-
-def test_fixed_overhead_applies():
-    p = CalibrationProfile(
-        name="oh",
-        scalar_cycles_per_pixel={"yiq": Fraction(2)},
-        ei_cycles={("yiq", "ei5"): Fraction(5)},
-        fixed_overhead={("yiq", "ei5"): 100},
-    )
-    assert estimate("yiq", "ei5", 10, p).cycles_total == 2 * 5 + 100
 
 
 def test_estimate_validates_arguments(profile):
@@ -171,29 +137,34 @@ def test_estimate_validates_arguments(profile):
 
 def test_profile_rejects_negative_parameters():
     with pytest.raises(ValueError):
-        CalibrationProfile(
-            name="bad",
-            scalar_cycles_per_pixel={"yiq": Fraction(-1)},
-            ei_cycles={},
-        )
+        CalibrationProfile(name="bad", rates={("yiq", "scalar"): Fraction(-1)})
+    with pytest.raises(ValueError):
+        CalibrationProfile(name="bad", rates={}, merge_cycles=Fraction(-1))
 
 
 @pytest.mark.parametrize(
-    "scalar,ei",
-    [({"yiq": Fraction(0)}, {}), ({"yiq": Fraction(1)}, {("yiq", "ei5"): Fraction(0)})],
+    "rates",
+    [{("yiq", "scalar"): Fraction(0)},
+     {("yiq", "scalar"): Fraction(1), ("yiq", "ei5"): Fraction(0)}],
     ids=["scalar", "ei"],
 )
-def test_profile_rejects_zero_rates(scalar, ei):
+def test_profile_rejects_zero_rates(rates):
     with pytest.raises(ValueError):
-        CalibrationProfile(name="free", scalar_cycles_per_pixel=scalar, ei_cycles=ei)
+        CalibrationProfile(name="free", rates=rates)
 
 
-def test_profile_accepts_zero_merge_stall_and_overhead():
+@pytest.mark.parametrize("pair", [("cmy", "ei5"), ("yiq", "isef"), ("histeq", "ei5"), ("yiq", "ei3")])
+def test_profile_rejects_uncalibrated_pairs(pair):
+    with pytest.raises(ValueError):
+        CalibrationProfile(name="stray", rates={pair: Fraction(1)})
+
+
+def test_profile_accepts_zero_merge_and_stall():
     p = CalibrationProfile(
         name="zeros",
-        scalar_cycles_per_pixel={"yiq": Fraction(1)},
-        ei_cycles={("yiq", "ei5"): Fraction(1)},
-        fixed_overhead={("yiq", "ei5"): 0},
+        rates={("yiq", "scalar"): Fraction(1), ("yiq", "ei5"): Fraction(1)},
+        merge_cycles=Fraction(0),
+        stall_penalty_external=Fraction(0),
     )
     assert estimate("yiq", "ei5", 10, p, "external").cycles_total == 2
 
@@ -202,9 +173,9 @@ def test_profile_accepts_zero_merge_stall_and_overhead():
 
 
 def test_fit_single_point_scalar():
-    p = fit_profile([("k", "scalar", 1000, 5000)])
-    assert p.scalar_cycles_per_pixel["k"] == 5
-    assert estimate("k", "scalar", 1000, p).cycles_total == 5000
+    p = fit_profile([("yiq", "scalar", 1000, 5000)])
+    assert p.rates[("yiq", "scalar")] == 5
+    assert estimate("yiq", "scalar", 1000, p).cycles_total == 5000
 
 
 def test_fit_empty_is_underdetermined():
@@ -214,20 +185,20 @@ def test_fit_empty_is_underdetermined():
 
 def test_fit_lane_mode_with_tail_needs_scalar():
     with pytest.raises(Underdetermined):
-        fit_profile([("k", "ei5", 11, 100)])
+        fit_profile([("yiq", "ei5", 11, 100)])
 
 
 def test_fit_lane_mode_needs_a_full_group():
     with pytest.raises(Underdetermined):
-        fit_profile([("k", "ei5", 3, 100)])
+        fit_profile([("yiq", "ei5", 3, 100)])
 
 
 @pytest.mark.parametrize(
     "rows",
     [
-        [("k", "scalar", 100, 0)],
-        [("k", "ei5", 100, 0)],
-        [("k", "scalar", 10, 20), ("k", "ei5", 11, 2)],
+        [("yiq", "scalar", 100, 0)],
+        [("yiq", "ei5", 100, 0)],
+        [("yiq", "scalar", 10, 20), ("yiq", "ei5", 11, 2)],
     ],
     ids=["scalar", "lane", "lane-after-tail"],
 )
@@ -237,7 +208,7 @@ def test_fit_zero_rate_is_underdetermined(rows):
 
 
 def test_fit_reproduces_measurements_with_tails():
-    rows = [("k", "scalar", 100, 700), ("k", "ei5", 23, 161)]
+    rows = [("yiq", "scalar", 100, 700), ("yiq", "ei5", 23, 161)]
     p = fit_profile(rows)
     for kernel, mode, pixels, cycles in rows:
         assert estimate(kernel, mode, pixels, p).cycles_total == cycles
@@ -247,12 +218,12 @@ def test_fit_histeq_split():
     p = fit_profile([("histeq", "isef", 160, 2100)])
     # 10 groups -> 21 uniform steps; merge gets one, each group two
     assert p.merge_cycles == 100
-    assert p.ei_cycles[("histeq", "isef")] == 200
+    assert p.rates[("histeq", "isef")] == 200
     assert estimate("histeq", "isef", 160, p).cycles_total == 2100
     # 65536 groups -> 2 * 65536 + 2 steps, one per merge
     p = fit_profile([("histeq", "isef", 16 * 65536, 3 * 131074)])
     assert p.merge_cycles == 3
-    assert p.ei_cycles[("histeq", "isef")] == 6
+    assert p.rates[("histeq", "isef")] == 6
     assert estimate("histeq", "isef", 16 * 65536, p).cycles_total == 3 * 131074
 
 
@@ -273,7 +244,7 @@ def test_mode_lanes():
     with pytest.raises(UnknownKernelConfig):
         mode_lanes("ei3")
     with pytest.raises(UnknownKernelConfig):
-        fit_profile([("k", "ei3", 30, 100)])
+        fit_profile([("yiq", "ei3", 30, 100)])
 
 
 # ------------------------------------------------------------- persistence
@@ -307,13 +278,23 @@ def test_parse_profile_errors():
         parse_profile("yiq.ei5.ei_cycles = a/b")
     with pytest.raises(ValueError):
         parse_profile("what.ever = 3")
-    with pytest.raises(ValueError):
-        parse_profile("yiq.ei5.fixed_overhead = 1/2")
     # rates no mode would charge: an unknown mode, and a per-group cost without lanes
     with pytest.raises(ValueError):
         parse_profile("yiq.ei3.ei_cycles = 5")
     with pytest.raises(ValueError):
         parse_profile("yiq.scalar.ei_cycles = 7")
+    # rates for pairs outside the calibrated workloads, and the removed overhead key
+    for key in ("cmy.ei5.ei_cycles", "yiq.isef.ei_cycles", "histeq.ei5.ei_cycles",
+                "yiq.ei5.fixed_overhead"):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_profile(f"yiq.scalar.cycles_per_pixel = 2\n{key} = 4\n")
+
+
+def test_parse_profile_rejects_a_repeated_key():
+    for text in ("yiq.ei5.ei_cycles = 3\n# again\nyiq.ei5.ei_cycles = 4\n",
+                 "name = a\nmerge_cycles = 1\nname = b\n"):
+        with pytest.raises(ValueError, match=r"line 3: .* repeats line 1"):
+            parse_profile(text)
 
 
 profile_keys = st.sampled_from(
@@ -340,10 +321,10 @@ def test_parse_profile_raises_only_value_errors(text):
 
 
 def test_parse_profile_ignores_comments_and_blanks():
-    text = "# fitted by hand\n\nname = tiny\nk.scalar.cycles_per_pixel = 3/2\n"
+    text = "# fitted by hand\n\nname = tiny\nyiq.scalar.cycles_per_pixel = 3/2\n"
     p = parse_profile(text)
     assert p.name == "tiny"
-    assert p.scalar_cycles_per_pixel["k"] == Fraction(3, 2)
+    assert p.rates[("yiq", "scalar")] == Fraction(3, 2)
 
 
 def test_load_and_resolve_profile(tmp_path, monkeypatch, profile):
