@@ -39,6 +39,19 @@ def test_calibration_points_exact(profile, kernel, mode, pixels, cycles):
     assert report.cycles_per_pixel == Fraction(cycles, pixels)
 
 
+def test_speedup_examples(profile):
+    scalar = estimate("yiq", "scalar", 64000, profile)
+    ei5 = estimate("yiq", "ei5", 64000, profile)
+    ratio = Fraction(scalar.cycles_total, ei5.cycles_total)
+    assert ratio == Fraction(707524, 63518)
+    assert round(float(ratio), 2) == 11.14
+
+    h_scalar = estimate("histeq", "scalar", 16384, profile)
+    h_isef = estimate("histeq", "isef", 16384, profile)
+    h_ratio = Fraction(h_scalar.cycles_total, h_isef.cycles_total)
+    assert round(float(h_ratio), 2) == 5.43
+
+
 def test_report_speedup_field(profile):
     ei5 = estimate("yiq", "ei5", 64000, profile)
     assert ei5.speedup_vs_scalar == Fraction(707524, 63518)
