@@ -90,24 +90,13 @@ _MATRIX_KEYS = ("name", "row0", "row1", "row2", "input_offset", "output_offset")
 
 def _load_matrix_file(path: str) -> colorspace.ConversionMatrix:
     """Matrix file: 'name = x', 'row0 = a b c' (thrice), optional offsets."""
-    fields = {}
-    first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"matrix file {path}: expected 'key = value', got {line!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in _MATRIX_KEYS:
-                raise ValueError(f"matrix file {path}: unrecognized key {key!r}")
-            if key in first_line:
-                raise ValueError(
-                    f"matrix file {path}: line {lineno} repeats {key!r} from line {first_line[key]}"
-                )
-            first_line[key] = lineno
-            fields[key] = value
+        entries = cycle_model.read_key_values(fh.read(), f"matrix file {path}")
+    fields = {}
+    for key, (lineno, value) in entries.items():
+        if key not in _MATRIX_KEYS:
+            raise ValueError(f"matrix file {path} line {lineno}: unrecognized key {key!r}")
+        fields[key] = value
     try:
         rows = tuple(
             tuple(int(v) for v in fields[f"row{i}"].split()) for i in range(3)
@@ -286,12 +275,8 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (
         FabricError,
-        image_io.ChannelMismatch,
         cycle_model.UnknownKernelConfig,
-        cycle_model.Underdetermined,
         cycle_model.InvocationMismatch,
-        cycle_model.ReportOverflow,
-        histeq.EmptyImage,
         ValueError,
     ) as exc:
         print(f"constraint error: {exc}", file=sys.stderr)

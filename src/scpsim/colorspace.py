@@ -8,13 +8,13 @@ unsigned bytes: luma/chroma images and wide registers store i and q
 offset by 128, while the scalar conversion functions keep them at full
 signed precision.
 
-Three routes compute the same map and are kept bit-identical:
-
-* per-pixel scalar functions (the reference),
-* a numpy batch path (the plain-processor "scalar mode" for images),
-* fabric kernels processing 1, 5, or 8 pixels per invocation, issued
-  as one batch per image; the kernel body is the batch path applied to
-  the pixel bytes of every invocation's registers.
+Two cores compute the multiply and truncating divide, row by row with
+the same primitives, so they are bit-identical: ``_affine_px`` on one
+pixel, under the scalar functions (``convert_px`` is the reference), and
+``_affine_np`` on three int64 columns, under ``apply_matrix_np`` and the
+round-trip sweep.  ``apply_matrix_np`` is the plain-processor "scalar
+mode" for images and the body of every fabric kernel, which processes
+1, 5, or 8 pixels per invocation, issued as one batch per image.
 """
 
 from __future__ import annotations
@@ -83,9 +83,6 @@ class ConversionMatrix:
                     f"[-{OFFSET_LIMIT}, {OFFSET_LIMIT}], got {offset!r}"
                 )
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=np.int64)
-
 
 RGB2YIQ = ConversionMatrix(
     name="rgb2yiq",
@@ -110,26 +107,21 @@ RGB2CMY = ConversionMatrix(
 # ---------------------------------------------------------------------------
 
 
+def _affine_px(coeffs, s) -> tuple[int, int, int]:
+    """Each row's product with the three samples ``s``, /256 truncated."""
+    return tuple(div256_trunc(mul_acc3(row, s)) for row in coeffs)
+
+
 def rgb_to_yiq_px(p) -> tuple[int, int, int]:
     """Forward conversion of one pixel: luma in [0, 255], chroma at full
     signed precision (|i| <= 152, |q| <= 134)."""
-    r, g, b = p
-    rows = RGB2YIQ.coeffs
-    y = clamp_u8(div256_trunc(mul_acc3(rows[0], (r, g, b))))
-    i = div256_trunc(mul_acc3(rows[1], (r, g, b)))
-    q = div256_trunc(mul_acc3(rows[2], (r, g, b)))
-    return (y, i, q)
+    y, i, q = _affine_px(RGB2YIQ.coeffs, p)
+    return (clamp_u8(y), i, q)
 
 
 def yiq_to_rgb_px(p) -> tuple[int, int, int]:
     """Reverse conversion of one pixel from signed chroma."""
-    y, i, q = p
-    rows = YIQ2RGB.coeffs
-    return (
-        clamp_u8(div256_trunc(mul_acc3(rows[0], (y, i, q)))),
-        clamp_u8(div256_trunc(mul_acc3(rows[1], (y, i, q)))),
-        clamp_u8(div256_trunc(mul_acc3(rows[2], (y, i, q)))),
-    )
+    return tuple(clamp_u8(v) for v in _affine_px(YIQ2RGB.coeffs, p))
 
 
 def yiq_encode_offset128(p) -> tuple[int, int, int]:
@@ -152,8 +144,7 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
     """
     s = tuple(int(v) - off for v, off in zip(p, matrix.input_offset))
     return tuple(
-        clamp_u8(div256_trunc(mul_acc3(row, s)) + off)
-        for row, off in zip(matrix.coeffs, matrix.output_offset)
+        clamp_u8(v + off) for v, off in zip(_affine_px(matrix.coeffs, s), matrix.output_offset)
     )
 
 
@@ -162,12 +153,17 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _affine_np(coeffs, cols) -> list[np.ndarray]:
+    """_affine_px over a tuple of three int64 sample columns."""
+    return [div256_trunc_np(mul_acc3(row, cols)) for row in coeffs]
+
+
 def apply_matrix_np(flat: np.ndarray, matrix: ConversionMatrix) -> np.ndarray:
     """Convert an (n, 3) uint8 sample block; bit-exact to convert_px."""
-    s = flat.astype(np.int64) - np.array(matrix.input_offset, dtype=np.int64)
-    acc = s @ matrix.as_array().T
-    out = div256_trunc_np(acc) + np.array(matrix.output_offset, dtype=np.int64)
-    return clamp_u8_np(out).astype(np.uint8)
+    cols = flat.T.astype(np.int64, order="C") - np.array(matrix.input_offset)[:, None]
+    out = np.array(_affine_np(matrix.coeffs, tuple(cols)))
+    out += np.array(matrix.output_offset)[:, None]
+    return clamp_u8_np(out).T.astype(np.uint8, order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +280,9 @@ class SweepResult:
 
 
 def _roundtrip_errors(r, g, b):
-    fwd = RGB2YIQ.coeffs
-    rev = YIQ2RGB.coeffs
-    y = clamp_u8_np(div256_trunc_np(mul_acc3(fwd[0], (r, g, b))))
-    i = div256_trunc_np(mul_acc3(fwd[1], (r, g, b)))
-    q = div256_trunc_np(mul_acc3(fwd[2], (r, g, b)))
-    rr = clamp_u8_np(div256_trunc_np(mul_acc3(rev[0], (y, i, q))))
-    gg = clamp_u8_np(div256_trunc_np(mul_acc3(rev[1], (y, i, q))))
-    bb = clamp_u8_np(div256_trunc_np(mul_acc3(rev[2], (y, i, q))))
-    return np.abs(r - rr), np.abs(g - gg), np.abs(b - bb)
+    y, i, q = _affine_np(RGB2YIQ.coeffs, (r, g, b))
+    back = _affine_np(YIQ2RGB.coeffs, (clamp_u8_np(y), i, q))
+    return [np.abs(v - clamp_u8_np(w)) for v, w in zip((r, g, b), back)]
 
 
 def roundtrip_sweep(

@@ -32,6 +32,7 @@ calibrated ``yiq`` rates, and its report's ``kernel`` names that family.
 from __future__ import annotations
 
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,9 +257,9 @@ def _num(x: Rational) -> Union[int, float]:
     frac = Fraction(x)
     # Every figure must survive float(): readers of the report and the CLI's lines use it.
     if abs(frac) > sys.float_info.max:
-        raise ReportOverflow(
-            f"a report figure of {len(str(int(abs(frac))))} digits is beyond the float range"
-        )
+        # Sized by bit length: str() of a figure past 4300 digits raises a plain ValueError.
+        bits = abs(frac.numerator).bit_length() - frac.denominator.bit_length()
+        raise ReportOverflow(f"a report figure of about 2^{bits} is beyond the float range")
     return int(frac) if frac.denominator == 1 else float(frac)
 
 
@@ -427,31 +428,53 @@ def format_profile(profile: CalibrationProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_profile(text: str) -> CalibrationProfile:
-    """Parse the flat key-value profile format.
+def read_key_values(text: str, source: str) -> dict[str, tuple[int, str]]:
+    """Read the flat ``key = value`` format of profile and matrix files.
 
-    Raises ValueError naming the line for a malformed line, a key given
-    twice, or a rate for a pair outside ``CALIBRATION_MEASUREMENTS``.
+    Blank lines and ``#`` comments are skipped.  Returns each key's line
+    number and value, in file order.  Raises ValueError naming ``source``
+    and the line for a line without ``=`` or a key given twice.
     """
-    name = "unnamed"
-    rates: dict[tuple[str, str], Fraction] = {}
-    merge = Fraction(0)
-    stall = Fraction(0)
-    first_line: dict[str, int] = {}
-
+    entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"profile line {lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"{source} line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key in first_line:
-            raise ValueError(f"profile line {lineno}: {key!r} repeats line {first_line[key]}")
-        first_line[key] = lineno
+        if key in entries:
+            raise ValueError(f"{source} line {lineno}: {key!r} repeats line {entries[key][0]}")
+        entries[key] = (lineno, value)
+    return entries
+
+
+# Python's int-string limit: no figure past it can be printed, and Fraction()
+# expands a decimal exponent in full, in time growing faster than linearly.
+_EXPONENT_LIMIT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?[0_]*([1-9][\d_]*)$")
+
+
+def parse_profile(text: str) -> CalibrationProfile:
+    """Parse the flat key-value profile format.
+
+    Raises ValueError naming the line for a malformed line, a key given
+    twice, a decimal exponent beyond +-4300 or a rate for a pair outside
+    ``CALIBRATION_MEASUREMENTS``.
+    """
+    name = "unnamed"
+    rates: dict[tuple[str, str], Fraction] = {}
+    merge = Fraction(0)
+    stall = Fraction(0)
+
+    for key, (lineno, value) in read_key_values(text, "profile").items():
         if key == "name":
             name = value
             continue
+        exponent = _EXPONENT.search(value)
+        # From its nonzero first digit, five digits decide; int() never reads a long string.
+        if exponent and int(exponent.group(1).replace("_", "")[:5]) > _EXPONENT_LIMIT:
+            raise ValueError(f"profile line {lineno}: |exponent| > {_EXPONENT_LIMIT} in {value!r}")
         try:
             number = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -104,7 +104,7 @@ def test_builtin_matrix_rows():
 
 
 def test_matrix_near_inverse():
-    product = YIQ2RGB.as_array() @ RGB2YIQ.as_array() / 256.0**2
+    product = np.array(YIQ2RGB.coeffs) @ np.array(RGB2YIQ.coeffs) / 256.0**2
     assert np.abs(product - np.eye(3)).max() <= 2 / 256
 
 
@@ -256,7 +256,7 @@ def test_mode_equivalence_other_matrices():
 
 
 coefficients = st.integers(-COEFF_LIMIT, COEFF_LIMIT)
-offsets = st.tuples(*(st.integers(0, 255),) * 3)
+offsets = st.tuples(*(st.integers(-OFFSET_LIMIT, OFFSET_LIMIT),) * 3)
 custom_matrices = st.builds(
     ConversionMatrix,
     name=st.just("custom"),
@@ -270,6 +270,14 @@ AT_THE_LIMITS = ConversionMatrix(
     input_offset=(0, 255, 128),
     output_offset=(255, 0, 128),
 )
+# Byte 255 less input offset -255 is s = 510, so |acc| reaches 3 * 512 * 510,
+# the widest accumulator OFFSET_LIMIT allows.
+WIDEST_ACCUMULATOR = ConversionMatrix(
+    name="widest",
+    coeffs=((512, 512, 512), (-512, -512, -512), (512, -512, 512)),
+    input_offset=(-OFFSET_LIMIT,) * 3,
+    output_offset=(-OFFSET_LIMIT, OFFSET_LIMIT, 0),
+)
 EXTREME_PIXELS = [(0, 0, 0), (255, 255, 255), (255, 0, 255), (0, 255, 0)] * 3 + [(1, 128, 254)]
 
 
@@ -280,6 +288,7 @@ EXTREME_PIXELS = [(0, 0, 0), (255, 255, 255), (255, 0, 255), (0, 255, 0)] * 3 + 
     pixels=st.lists(rgb_triples, min_size=1, max_size=40),
 )
 @example(matrix=AT_THE_LIMITS, pixels=EXTREME_PIXELS)
+@example(matrix=WIDEST_ACCUMULATOR, pixels=EXTREME_PIXELS)
 def test_every_mode_matches_the_scalar_oracle(mode, matrix, pixels):
     img = ImageBuffer(width=len(pixels), height=1, channels=3, samples=np.array(pixels))
     out, _ = convert_image(img, matrix, mode)

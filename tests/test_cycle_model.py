@@ -291,6 +291,10 @@ def test_parse_profile_errors():
         parse_profile("yiq.ei5.ei_cycles = a/b")
     with pytest.raises(ValueError):
         parse_profile("what.ever = 3")
+    # exponents past the int-string limit, rejected before Fraction() expands them
+    for value in ("1e1000000", "1e-1000000"):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_profile(f"name = big\nyiq.scalar.cycles_per_pixel = {value}\n")
     # rates no mode would charge: an unknown mode, and a per-group cost without lanes
     with pytest.raises(ValueError):
         parse_profile("yiq.ei3.ei_cycles = 5")
@@ -354,15 +358,19 @@ def test_load_and_resolve_profile(tmp_path, monkeypatch, profile):
 
 
 HUGE_RATES = {
-    "fractional-speedup": "yiq.scalar.cycles_per_pixel = 1e400\nyiq.ei5.ei_cycles = 3\n",
-    "integral-speedup": "yiq.scalar.cycles_per_pixel = 6e400\nyiq.ei5.ei_cycles = 1\n",
-    "total": "yiq.scalar.cycles_per_pixel = 1\nyiq.ei5.ei_cycles = 1e400\n",
+    "fractional-speedup": parse_profile("yiq.scalar.cycles_per_pixel = 1e400\nyiq.ei5.ei_cycles = 3\n"),
+    "integral-speedup": parse_profile("yiq.scalar.cycles_per_pixel = 6e400\nyiq.ei5.ei_cycles = 1\n"),
+    "total": parse_profile("yiq.scalar.cycles_per_pixel = 1\nyiq.ei5.ei_cycles = 1e400\n"),
+    # more digits than str() of an int allows; the parser rejects such a literal
+    "over-4300-digits": CalibrationProfile(
+        "huge", {("yiq", "scalar"): Fraction(10**5000), ("yiq", "ei5"): Fraction(3)}
+    ),
 }
 
 
-@pytest.mark.parametrize("rates", HUGE_RATES.values(), ids=HUGE_RATES.keys())
-def test_report_figure_beyond_the_float_range_is_typed(rates):
-    report = estimate("yiq", "ei5", 10, parse_profile(rates))
+@pytest.mark.parametrize("huge", HUGE_RATES.values(), ids=HUGE_RATES.keys())
+def test_report_figure_beyond_the_float_range_is_typed(huge):
+    report = estimate("yiq", "ei5", 10, huge)
     with pytest.raises(ReportOverflow):
         report.to_dict()
 
