@@ -78,9 +78,6 @@ def _build_parser() -> _Parser:
 def _common_cost_flags(cmd):
     cmd.add_argument("--profile", default="s6000_paper",
                      help="builtin name, SCPSIM_PROFILE_DIR entry, or file path")
-    cmd.add_argument("--buffers", default="internal", choices=("internal", "external"),
-                     help="the bundled s6000_paper profile has stall_penalty_external = 0, "
-                          "so external changes a report only under a profile file that sets it")
     cmd.add_argument("--report", default=None)
     cmd.add_argument("--format", default="json", choices=("json", "csv"))
 
@@ -145,12 +142,11 @@ def _write_report(path: str, fmt: str, rows: list[dict], columns=None):
 
 def _print_report_line(d: dict):
     """One line summing up a report, from its ``CycleReport.to_dict()``."""
-    speed = d["speedup_vs_scalar"]
-    speed_txt = "-" if speed is None else f"{float(speed):.2f} (~{d['speedup_rounded']})"
     print(
         f"{d['kernel']}/{d['mode']}: pixels={d['pixels']} cycles={d['cycles_total_exact']} "
         f"cycles/px={float(Fraction(d['cycles_per_pixel_exact'])):.2f} "
-        f"speedup={speed_txt} invocations={d['ei_invocations']}"
+        f"speedup={float(d['speedup_vs_scalar']):.2f} (~{d['speedup_rounded']}) "
+        f"invocations={d['ei_invocations']}"
     )
 
 
@@ -172,11 +168,11 @@ def cmd_image(args) -> int:
     profile = cycle_model.resolve_profile(args.profile) if args.report else None
     img = _read_image(args.infile)
     if args.command == "convert":
-        out, report = colorspace.convert_image(img, matrix, args.mode, profile, args.buffers)
+        out, report = colorspace.convert_image(img, matrix, args.mode, profile)
     else:
         if img.channels == 3:
             img = image_io.to_gray(img)
-        out, report = histeq.histeq_image(img, args.mode, profile, args.buffers)
+        out, report = histeq.histeq_image(img, args.mode, profile)
     # A report that cannot be rendered fails the command before any file is written.
     summary = None if report is None else report.to_dict()
     _write_image(args.outfile, out)
@@ -200,22 +196,18 @@ def cmd_bench(args) -> int:
         )
     pixels = args.pixels if args.pixels is not None else _MEASURED_PIXELS[kernel]
     # Every row is estimated before anything is printed, so a failed bench prints nothing.
-    rows = [
-        cycle_model.estimate(kernel, mode, pixels, profile, args.buffers).to_dict()
-        for mode in modes
-    ]
-    print(f"kernel={kernel} pixels={pixels} profile={profile.name} buffers={args.buffers}")
+    rows = [cycle_model.estimate(kernel, mode, pixels, profile).to_dict() for mode in modes]
+    print(f"kernel={kernel} pixels={pixels} profile={profile.name}")
     print(
         f"{'mode':<8} {'cycles':>12} {'cycles/px':>10} {'speedup':>8} "
         f"{'(~)':>4} {'invocations':>12} {'mults':>6} {'stages':>6}"
     )
     for d in rows:
-        speed = d["speedup_vs_scalar"]
         print(
             f"{d['mode']:<8} {d['cycles_total_exact']:>12} "
             f"{float(Fraction(d['cycles_per_pixel_exact'])):>10.2f} "
-            f"{'-' if speed is None else f'{float(speed):.2f}':>8} "
-            f"{'-' if speed is None else d['speedup_rounded']:>4} "
+            f"{float(d['speedup_vs_scalar']):>8.2f} "
+            f"{d['speedup_rounded']:>4} "
             f"{d['ei_invocations']:>12} {d['multipliers_used']:>6} {d['stages']:>6}"
         )
     if args.report:

@@ -107,8 +107,11 @@ RGB2CMY = ConversionMatrix(
 # ---------------------------------------------------------------------------
 
 
-def _affine_px(coeffs, s) -> tuple[int, int, int]:
-    """Each row's product with the three samples ``s``, /256 truncated."""
+def _affine_px(coeffs, p, input_offset=(0, 0, 0)) -> tuple[int, int, int]:
+    """Each row's product with the pixel ``p`` less ``input_offset``, /256
+    truncated.  Samples are taken as Python ints first, so a numpy uint8
+    pixel cannot wrap."""
+    s = tuple(int(v) - off for v, off in zip(p, input_offset))
     return tuple(div256_trunc(mul_acc3(row, s)) for row in coeffs)
 
 
@@ -142,10 +145,8 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
     This is the per-lane oracle: every fabric kernel lane and every
     batch-converted pixel must equal it exactly.
     """
-    s = tuple(int(v) - off for v, off in zip(p, matrix.input_offset))
-    return tuple(
-        clamp_u8(v + off) for v, off in zip(_affine_px(matrix.coeffs, s), matrix.output_offset)
-    )
+    acc = _affine_px(matrix.coeffs, p, matrix.input_offset)
+    return tuple(clamp_u8(v + off) for v, off in zip(acc, matrix.output_offset))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
 
 
 def _affine_np(coeffs, cols) -> list[np.ndarray]:
-    """_affine_px over a tuple of three int64 sample columns."""
+    """_affine_px's rows over a tuple of three int64 sample columns, offset already taken."""
     return [div256_trunc_np(mul_acc3(row, cols)) for row in coeffs]
 
 
@@ -217,7 +218,6 @@ def convert_image(
     matrix: ConversionMatrix,
     mode: str,
     profile: Optional[cycle_model.CalibrationProfile] = None,
-    buffer_location: str = "internal",
     log: Optional[InvocationLog] = None,
 ) -> tuple[ImageBuffer, Optional[cycle_model.CycleReport]]:
     """Convert a 3-channel image; optionally cost the run.
@@ -259,9 +259,7 @@ def convert_image(
     converted = ImageBuffer(
         width=img.width, height=img.height, channels=3, samples=out
     )
-    report = cycle_model.checked_report(
-        "yiq", mode, n, profile, buffer_location, log.total - logged
-    )
+    report = cycle_model.checked_report("yiq", mode, n, profile, log.total - logged)
     return converted, report
 
 

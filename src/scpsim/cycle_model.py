@@ -4,9 +4,11 @@ The model knows exactly the workloads it is calibrated on: the (kernel,
 mode) pairs of ``CALIBRATION_MEASUREMENTS``.  It is throughput-style,
 with one fitted rate per pair (cycles per pixel for a mode without
 lanes, cycles per group of lanes for a lane mode), plus a composite
-charge for the histogram merge step and an optional deterministic stall
-penalty per invocation when pixel buffers live in external memory.
-Register pack/unpack traffic is free.
+charge for the histogram merge step.  A profile holds exactly what
+``fit_profile`` produces: each family's ``scalar`` rate, any of its lane
+rates, and ``merge_cycles``.  Every lane rate comes with its family's
+scalar rate, so every report has a speedup over the plain processor.
+Register pack/unpack traffic and buffer placement are free.
 
 All parameters are exact rationals so that the calibration points are
 reproduced exactly, not approximately: fitting the bundled
@@ -184,29 +186,33 @@ class CalibrationProfile:
     ``rates`` holds at most one rate per calibrated workload, keyed by
     its (kernel, mode) pair from ``CALIBRATION_MEASUREMENTS``: cycles
     per pixel for a mode without lanes, cycles per group for a lane mode.
-    A lane mode's tail is charged at its family's ``scalar`` rate.
-    ``merge_cycles`` is the charge per merge step and
-    ``stall_penalty_external`` the charge per invocation when buffers
-    live in external memory.  Raises ValueError for a rate keyed by any
-    other pair, a rate that is not positive or a negative charge.
+    A lane rate needs its family's ``scalar`` rate, which charges the
+    lane mode's tail and is the baseline of its speedup.
+    ``merge_cycles`` is the charge per merge step.  Raises ValueError for
+    a rate keyed by any other pair, a lane rate without its family's
+    scalar rate, a rate that is not positive or a negative merge charge.
     """
 
     name: str
     rates: Mapping[tuple[str, str], Fraction]
     merge_cycles: Fraction = Fraction(0)
-    stall_penalty_external: Fraction = Fraction(0)
 
     def __post_init__(self):
-        for pair in self.rates:
+        for kernel, mode in self.rates:
             try:
-                _calibrated_shape(*pair)
+                _calibrated_shape(kernel, mode)
             except UnknownKernelConfig as exc:
                 raise ValueError(str(exc)) from None
+            if (kernel, "scalar") not in self.rates:
+                raise ValueError(
+                    f"profile {self.name!r} rates {kernel!r} mode {mode!r} "
+                    f"without its scalar rate {kernel}.scalar.cycles_per_pixel"
+                )
         # A zero rate would make a run free and its speedup undefined.
         if any(v <= 0 for v in self.rates.values()):
             raise ValueError("rates must be positive")
-        if self.merge_cycles < 0 or self.stall_penalty_external < 0:
-            raise ValueError("merge and stall charges must be nonnegative")
+        if self.merge_cycles < 0:
+            raise ValueError("the merge charge must be nonnegative")
 
 
 @dataclass
@@ -223,10 +229,9 @@ class CycleReport:
     ei_invocations: int
     cycles_total: Union[int, Fraction]
     cycles_per_pixel: Fraction
-    speedup_vs_scalar: Optional[Fraction]
+    speedup_vs_scalar: Fraction
     resources: ResourceLedger
     stages: int
-    buffer_location: str = "internal"
     profile_name: str = ""
 
     def to_dict(self) -> dict:
@@ -242,13 +247,12 @@ class CycleReport:
             "cycles_total_exact": _ratio_str(self.cycles_total),
             "cycles_per_pixel": _num(self.cycles_per_pixel),
             "cycles_per_pixel_exact": _ratio_str(self.cycles_per_pixel),
-            "speedup_vs_scalar": None if speedup is None else _num(speedup),
-            "speedup_vs_scalar_exact": None if speedup is None else _ratio_str(speedup),
-            "speedup_rounded": None if speedup is None else round(_num(speedup)),
+            "speedup_vs_scalar": _num(speedup),
+            "speedup_vs_scalar_exact": _ratio_str(speedup),
+            "speedup_rounded": round(_num(speedup)),
             "multipliers_used": self.resources.multipliers_used,
             "alu_ops_used": self.resources.alu_ops_used,
             "iram_bytes_used": self.resources.iram_bytes_used,
-            "buffer_location": self.buffer_location,
             "profile": self.profile_name,
         }
 
@@ -277,7 +281,6 @@ def estimate(
     mode: str,
     pixels: int,
     profile: CalibrationProfile,
-    buffer_location: str = "internal",
 ) -> CycleReport:
     """Predict the cycle total for a workload under a profile.
 
@@ -286,42 +289,33 @@ def estimate(
 
     Raises UnknownKernelConfig for a (kernel, mode) outside
     ``CALIBRATION_MEASUREMENTS``, and when the profile has no rate for
-    it, including the scalar rate needed to charge a tail (on the plain
-    processor, every pixel).
+    it.  A profile that rates the mode also rates its family's plain
+    processor, which charges a lane mode's tail (on the plain processor,
+    every pixel).
     """
     if pixels < 1:
         raise ValueError("pixel count must be positive")
-    if buffer_location not in ("internal", "external"):
-        raise ValueError(f"buffer_location must be internal or external, got {buffer_location!r}")
 
     shape = _calibrated_shape(kernel, mode)
-    cpp = profile.rates.get((kernel, "scalar"))
-    total = Fraction(0)
+    per_unit = profile.rates.get((kernel, mode))
+    if per_unit is None:
+        raise UnknownKernelConfig(
+            f"profile {profile.name!r} has no entry for kernel {kernel!r} mode {mode!r}"
+        )
+    cpp = profile.rates[(kernel, "scalar")]
     # The plain processor is a shape without lanes: every pixel is tail.
-    groups, tail = 0, pixels
-    if shape.lanes:
-        per_group = profile.rates.get((kernel, mode))
-        if per_group is None:
-            raise UnknownKernelConfig(
-                f"profile {profile.name!r} has no entry for kernel {kernel!r} mode {mode!r}"
-            )
-        groups, tail = divmod(pixels, shape.lanes)
-        total += groups * per_group
+    groups, tail = divmod(pixels, shape.lanes) if shape.lanes else (0, pixels)
     merges = shape.merges(groups)
+    # Terms are added only when non-zero: Fraction arithmetic dominates the call.
+    total = Fraction(0)
+    if groups:
+        total += groups * per_unit
     if merges:
         total += merges * profile.merge_cycles
-    invocations = groups * len(shape.ledgers) + merges
     if tail:
-        if cpp is None:
-            raise UnknownKernelConfig(
-                f"profile {profile.name!r} has no scalar entry for {kernel!r} "
-                f"to charge {tail} pixels"
-            )
         total += tail * cpp
-    if invocations and buffer_location == "external":
-        total += invocations * profile.stall_penalty_external
+    invocations = groups * len(shape.ledgers) + merges
 
-    speedup_vs_scalar = None if cpp is None else pixels * cpp / total
     return CycleReport(
         kernel=kernel,
         mode=mode,
@@ -329,10 +323,9 @@ def estimate(
         ei_invocations=invocations,
         cycles_total=_exact(total),
         cycles_per_pixel=total / pixels,
-        speedup_vs_scalar=speedup_vs_scalar,
+        speedup_vs_scalar=pixels * cpp / total,
         resources=shape.peak,
         stages=shape.stages,
-        buffer_location=buffer_location,
         profile_name=profile.name,
     )
 
@@ -342,7 +335,6 @@ def checked_report(
     mode: str,
     pixels: int,
     profile: Optional[CalibrationProfile],
-    buffer_location: str,
     executed: int,
 ) -> Optional[CycleReport]:
     """The cost of a run that executed ``executed`` invocations; None
@@ -353,7 +345,7 @@ def checked_report(
     """
     if profile is None:
         return None
-    report = estimate(kernel, mode, pixels, profile, buffer_location)
+    report = estimate(kernel, mode, pixels, profile)
     if report.ei_invocations != executed:
         raise InvocationMismatch(
             f"cost model predicted {report.ei_invocations} invocations, executed {executed}"
@@ -369,8 +361,10 @@ def fit_profile(
     One unknown per calibrated (kernel, mode): its scalar rate or its
     per-group cost.  A mode's merge charge is folded into its fit, each
     merge one uniform step (see the module docstring for the split).
-    Scalar measurements are fitted first so lane tails can be subtracted.
-    Raises UnknownKernelConfig for a pair outside ``CALIBRATION_MEASUREMENTS``.
+    Scalar measurements are fitted first so lane tails can be subtracted;
+    a lane measurement without its family's scalar measurement raises
+    Underdetermined.  Raises UnknownKernelConfig for a pair outside
+    ``CALIBRATION_MEASUREMENTS``.
     """
     rows = list(measurements)
     if not rows:
@@ -389,17 +383,13 @@ def fit_profile(
         lanes = shape.lanes
         if lanes == 0:
             continue
+        cpp = rates.get((kernel, "scalar"))
+        if cpp is None:
+            raise Underdetermined(f"{kernel}/{mode}: no scalar measurement for {kernel!r}")
         groups, tail = divmod(pixels, lanes)
         if groups < 1:
             raise Underdetermined(f"{kernel}/{mode}: fewer pixels than one {lanes}-lane group")
-        pool = Fraction(cycles)
-        if tail:
-            cpp = rates.get((kernel, "scalar"))
-            if cpp is None:
-                raise Underdetermined(
-                    f"{kernel}/{mode}: tail of {tail} pixels but no scalar measurement"
-                )
-            pool -= tail * cpp
+        pool = cycles - tail * cpp
         if pool <= 0:
             raise Underdetermined(f"{kernel}/{mode}: no cycles left for the groups after any tail")
         per_group = len(shape.ledgers)
@@ -424,7 +414,6 @@ def format_profile(profile: CalibrationProfile) -> str:
             f"{kernel}.{mode}.{_rate_name(mode)} = {_ratio_str(profile.rates[(kernel, mode)])}"
         )
     lines.append(f"merge_cycles = {_ratio_str(profile.merge_cycles)}")
-    lines.append(f"stall_penalty_external = {_ratio_str(profile.stall_penalty_external)}")
     return "\n".join(lines) + "\n"
 
 
@@ -465,7 +454,6 @@ def parse_profile(text: str) -> CalibrationProfile:
     name = "unnamed"
     rates: dict[tuple[str, str], Fraction] = {}
     merge = Fraction(0)
-    stall = Fraction(0)
 
     for key, (lineno, value) in read_key_values(text, "profile").items():
         if key == "name":
@@ -481,8 +469,6 @@ def parse_profile(text: str) -> CalibrationProfile:
             raise ValueError(f"profile line {lineno}: bad rational {value!r}") from exc
         if key == "merge_cycles":
             merge = number
-        elif key == "stall_penalty_external":
-            stall = number
         else:
             parts = key.split(".")
             if len(parts) != 3:
@@ -497,9 +483,7 @@ def parse_profile(text: str) -> CalibrationProfile:
                 raise ValueError(f"profile line {lineno}: unrecognized key {key!r}")
             rates[(kernel, mode)] = number
 
-    return CalibrationProfile(
-        name=name, rates=rates, merge_cycles=merge, stall_penalty_external=stall
-    )
+    return CalibrationProfile(name=name, rates=rates, merge_cycles=merge)
 
 
 def load_profile(path: Union[str, os.PathLike]) -> CalibrationProfile:

@@ -129,7 +129,6 @@ def histeq_image(
     img: ImageBuffer,
     mode: str,
     profile: Optional[cycle_model.CalibrationProfile] = None,
-    buffer_location: str = "internal",
     log: Optional[InvocationLog] = None,
 ) -> tuple[ImageBuffer, Optional[cycle_model.CycleReport]]:
     """Equalize a single-channel image.
@@ -179,7 +178,5 @@ def histeq_image(
         out = np.concatenate((ei_transform16(pixels, iram, log=log).ravel(), lut[tail]))
 
     result = ImageBuffer(width=img.width, height=img.height, channels=1, samples=out)
-    report = cycle_model.checked_report(
-        "histeq", mode, n, profile, buffer_location, log.total - logged
-    )
+    report = cycle_model.checked_report("histeq", mode, n, profile, log.total - logged)
     return result, report

@@ -37,7 +37,11 @@ class TruncatedData(PnmError):
 
 @dataclass(eq=False)
 class ImageBuffer:
-    """Row-major, interleaved, unsigned 8-bit image samples."""
+    """Row-major, interleaved, unsigned 8-bit image samples.
+
+    ``samples`` may be any integer array with values in 0..255; raises
+    ValueError for any other dtype or value.
+    """
 
     width: int
     height: int
@@ -49,7 +53,14 @@ class ImageBuffer:
             raise ValueError("image dimensions must be positive")
         if self.channels not in (1, 3):
             raise ValueError("channels must be 1 or 3")
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.uint8).ravel()
+        samples = np.asarray(self.samples)
+        # Casting would wrap 300 to 44 and truncate 1.7 to 1; only bytes are kept as they are.
+        if samples.dtype != np.uint8:
+            if not np.issubdtype(samples.dtype, np.integer):
+                raise ValueError(f"samples must be integers, got dtype {samples.dtype}")
+            if samples.size and (samples.min() < 0 or samples.max() > 255):
+                raise ValueError("samples must lie in 0..255")
+        self.samples = np.ascontiguousarray(samples, dtype=np.uint8).ravel()
         expected = self.width * self.height * self.channels
         if self.samples.size != expected:
             raise ValueError(

@@ -12,7 +12,7 @@ from scpsim import cli, colorspace, cycle_model, histeq
 from scpsim.image_io import ImageBuffer, read_pnm, write_pnm
 
 BENCH_YIQ = """\
-kernel=yiq pixels=64000 profile=s6000_paper buffers=internal
+kernel=yiq pixels=64000 profile=s6000_paper
 mode           cycles  cycles/px  speedup  (~)  invocations  mults stages
 scalar         707524      11.06     1.00    1            0      0      0
 ei1            234050       3.66     3.02    3        64000      9      1
@@ -21,7 +21,7 @@ ei8             72517       1.13     9.76   10         8000     72      2
 """
 
 BENCH_HISTEQ = """\
-kernel=histeq pixels=16384 profile=s6000_paper buffers=internal
+kernel=histeq pixels=16384 profile=s6000_paper
 mode           cycles  cycles/px  speedup  (~)  invocations  mults stages
 scalar       17124334    1045.19     1.00    1            0      0      0
 isef          3154353     192.53     5.43    5         2049      0      1
@@ -44,7 +44,6 @@ CONVERT_JSON = """\
   "multipliers_used": 45,
   "alu_ops_used": 165,
   "iram_bytes_used": 0,
-  "buffer_location": "internal",
   "profile": "s6000_paper"
 }
 """
@@ -52,12 +51,12 @@ CONVERT_JSON = """\
 REPORT_HEADER = (
     "kernel,mode,pixels,ei_invocations,stages,cycles_total,cycles_per_pixel,"
     "speedup_vs_scalar,speedup_rounded,multipliers_used,alu_ops_used,"
-    "iram_bytes_used,buffer_location,profile\r\n"
+    "iram_bytes_used,profile\r\n"
 )
 
 CONVERT_CSV = REPORT_HEADER + (
     "yiq,ei5,28,5,1,57.97690625,2.070603794642857,5.3390525645717775,5,45,165,0,"
-    "internal,s6000_paper\r\n"
+    "s6000_paper\r\n"
 )
 
 HISTEQ_JSON = """\
@@ -77,15 +76,14 @@ HISTEQ_JSON = """\
   "multipliers_used": 0,
   "alu_ops_used": 32,
   "iram_bytes_used": 8192,
-  "buffer_location": "internal",
   "profile": "s6000_paper"
 }
 """
 
 BENCH_HISTEQ_CSV = REPORT_HEADER + (
-    "histeq,scalar,16384,0,0,17124334,1045.1864013671875,1,1,0,0,0,internal,s6000_paper\r\n"
+    "histeq,scalar,16384,0,0,17124334,1045.1864013671875,1,1,0,0,0,s6000_paper\r\n"
     "histeq,isef,16384,2049,1,3154353,192.52642822265625,5.4287944310608225,5,0,32,8192,"
-    "internal,s6000_paper\r\n"
+    "s6000_paper\r\n"
 )
 
 ROUNDTRIP_GRAY_JSON = """\
@@ -234,6 +232,57 @@ def test_uncalibrated_or_repeated_profile_key_is_a_constraint_error(ppm, tmp_pat
     assert not (tmp_path / "out.ppm").exists()
 
 
+def test_profile_text_with_the_old_stall_line_is_a_constraint_error(ppm, tmp_path, capsys):
+    profile = tmp_path / "old.profile"
+    profile.write_text(
+        "name = old\nyiq.scalar.cycles_per_pixel = 2\nyiq.ei5.ei_cycles = 3\n"
+        "merge_cycles = 0\nstall_penalty_external = 0\n"
+    )
+    args = ("--to", "yiq", "--report", str(tmp_path / "r.json"), "--profile", str(profile))
+    assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT
+    assert "profile line 5: unrecognized key 'stall_penalty_external'" in capsys.readouterr().err
+    assert not (tmp_path / "out.ppm").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 3), (4, 7, 3)], ids=["25px", "28px"])
+def test_lane_rate_without_a_scalar_rate_is_a_constraint_error(tmp_path, shape):
+    # 25 px is five whole ei5 groups, 28 px leaves a tail: the profile is rejected either way
+    ppm = tmp_path / "in.ppm"
+    ppm.write_bytes(write_pnm(ImageBuffer.from_array(np.full(shape, 9, dtype=np.uint8))))
+    profile = tmp_path / "lonely.profile"
+    profile.write_text("yiq.ei5.ei_cycles = 5\n")
+    args = ("--to", "yiq", "--mode", "ei5", "--report", str(tmp_path / "r.json"),
+            "--profile", str(profile))
+    assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT
+    assert not (tmp_path / "out.ppm").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["convert", "histeq", "bench"])
+def test_buffers_flag_is_a_usage_error(ppm, tmp_path, command):
+    if command == "bench":
+        argv = ["bench", "--kernel", "yiq"]
+    else:
+        argv = [command, "--in", str(ppm), "--out", str(tmp_path / "out.ppm")]
+        if command == "convert":
+            argv += ["--to", "yiq"]
+    assert cli.main(argv) == cli.EXIT_OK
+    (tmp_path / "out.ppm").unlink(missing_ok=True)
+    for value in ("internal", "external"):
+        assert cli.main([*argv, "--buffers", value]) == cli.EXIT_USAGE
+        assert not (tmp_path / "out.ppm").exists()
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_exits_0_and_names_no_removed_flag(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: scpsim")
+    assert "--buffers" not in text and "stall" not in text
+
+
 def test_profile_beyond_the_float_range_is_a_constraint_error(ppm, tmp_path):
     profile = tmp_path / "huge.profile"
     profile.write_text("yiq.scalar.cycles_per_pixel = 1e400\nyiq.ei5.ei_cycles = 3\n")
@@ -300,7 +349,9 @@ def test_roundtrip_over_the_frozen_bound_is_a_regression(monkeypatch):
     assert cli.main(["roundtrip", "--gray-only"]) == cli.EXIT_REGRESSION
 
 
-@pytest.mark.parametrize("kernel,table", [("yiq", BENCH_YIQ), ("histeq", BENCH_HISTEQ)])
+@pytest.mark.parametrize(
+    "kernel,table", [("yiq", BENCH_YIQ), ("histeq", BENCH_HISTEQ)], ids=["yiq", "histeq"]
+)
 def test_bench_table(capsys, kernel, table):
     assert cli.main(["bench", "--kernel", kernel]) == cli.EXIT_OK
     assert capsys.readouterr().out == table

@@ -95,6 +95,17 @@ def test_chroma_extrema(rgb):
     assert abs(q) <= 134
 
 
+def test_scalar_functions_take_a_uint8_row_of_samples():
+    pixels = [(200, 200, 200), (255, 0, 255), (10, 250, 3), (0, 0, 0)]
+    img = ImageBuffer(width=4, height=1, channels=3, samples=np.array(pixels, dtype=np.uint8))
+    for row, p in zip(img.samples.reshape(-1, 3), pixels):
+        assert row.dtype == np.uint8
+        assert rgb_to_yiq_px(row) == rgb_to_yiq_px(p)
+        assert yiq_to_rgb_px(row) == yiq_to_rgb_px(p)
+        for matrix in (RGB2YIQ, YIQ2RGB, RGB2CMY):
+            assert convert_px(matrix, row) == convert_px(matrix, p), matrix.name
+
+
 # ------------------------------------------------------------ matrices
 
 

@@ -80,11 +80,9 @@ def test_unknown_kernel(profile):
 
 
 def test_tail_needs_scalar_entry():
-    lonely = CalibrationProfile(name="lonely", rates={("yiq", "ei5"): Fraction(5)})
-    # whole groups are fine without a scalar rate, a tail is not
-    assert estimate("yiq", "ei5", 10, lonely).cycles_total == 10
-    with pytest.raises(UnknownKernelConfig):
-        estimate("yiq", "ei5", 11, lonely)
+    # a lane rate without its family's scalar rate has no tail charge and no speedup
+    with pytest.raises(ValueError, match="without its scalar rate"):
+        CalibrationProfile(name="lonely", rates={("yiq", "ei5"): Fraction(5)})
 
 
 def test_invocation_counts(profile):
@@ -129,23 +127,9 @@ def test_monotone_in_pixels_on_lane_multiples(profile):
         previous = total
 
 
-def test_internal_buffers_never_stall():
-    stall_profile = CalibrationProfile(
-        name="stall",
-        rates={("yiq", "scalar"): Fraction(10), ("yiq", "ei5"): Fraction(5)},
-        stall_penalty_external=Fraction(7),
-    )
-    internal = estimate("yiq", "ei5", 50, stall_profile, "internal")
-    external = estimate("yiq", "ei5", 50, stall_profile, "external")
-    assert internal.cycles_total == 10 * 5
-    assert external.cycles_total == 10 * 5 + 10 * 7
-
-
 def test_estimate_validates_arguments(profile):
     with pytest.raises(ValueError):
         estimate("yiq", "scalar", 0, profile)
-    with pytest.raises(ValueError):
-        estimate("yiq", "scalar", 100, profile, "sideways")
 
 
 def test_profile_rejects_negative_parameters():
@@ -172,14 +156,13 @@ def test_profile_rejects_uncalibrated_pairs(pair):
         CalibrationProfile(name="stray", rates={pair: Fraction(1)})
 
 
-def test_profile_accepts_zero_merge_and_stall():
+def test_profile_accepts_zero_merge():
     p = CalibrationProfile(
         name="zeros",
-        rates={("yiq", "scalar"): Fraction(1), ("yiq", "ei5"): Fraction(1)},
+        rates={("histeq", "scalar"): Fraction(1), ("histeq", "isef"): Fraction(1)},
         merge_cycles=Fraction(0),
-        stall_penalty_external=Fraction(0),
     )
-    assert estimate("yiq", "ei5", 10, p, "external").cycles_total == 2
+    assert estimate("histeq", "isef", 32, p).cycles_total == 2
 
 
 # ----------------------------------------------------------------- fitting
@@ -206,6 +189,25 @@ def test_fit_lane_mode_needs_a_full_group():
         fit_profile([("yiq", "ei5", 3, 100)])
 
 
+@pytest.mark.parametrize("pixels", [10, 11], ids=["whole-groups", "tail"])
+def test_fit_lane_mode_needs_its_scalar_measurement(pixels):
+    with pytest.raises(Underdetermined, match="no scalar measurement"):
+        fit_profile([("yiq", "ei5", pixels, 100)])
+    with pytest.raises(Underdetermined, match="no scalar measurement"):
+        fit_profile([("yiq", "scalar", 10, 100), ("histeq", "isef", 16 * pixels, 100)])
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [(("yiq", "ei5", 3, 100), "fewer pixels than one 5-lane group"),
+     (("yiq", "ei5", 100, 0), "no cycles left")],
+    ids=["part-group", "zero-cycles"],
+)
+def test_fit_lane_mode_checks_with_a_scalar_measurement(row, message):
+    with pytest.raises(Underdetermined, match=message):
+        fit_profile([("yiq", "scalar", 10, 100), row])
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -228,13 +230,13 @@ def test_fit_reproduces_measurements_with_tails():
 
 
 def test_fit_histeq_split():
-    p = fit_profile([("histeq", "isef", 160, 2100)])
+    p = fit_profile([("histeq", "scalar", 16, 1600), ("histeq", "isef", 160, 2100)])
     # 10 groups -> 21 uniform steps; merge gets one, each group two
     assert p.merge_cycles == 100
     assert p.rates[("histeq", "isef")] == 200
     assert estimate("histeq", "isef", 160, p).cycles_total == 2100
     # 65536 groups -> 2 * 65536 + 2 steps, one per merge
-    p = fit_profile([("histeq", "isef", 16 * 65536, 3 * 131074)])
+    p = fit_profile([("histeq", "scalar", 16, 1600), ("histeq", "isef", 16 * 65536, 3 * 131074)])
     assert p.merge_cycles == 3
     assert p.rates[("histeq", "isef")] == 6
     assert estimate("histeq", "isef", 16 * 65536, p).cycles_total == 3 * 131074
@@ -272,12 +274,17 @@ yiq.ei1.ei_cycles = 4681/1280
 yiq.ei5.ei_cycles = 31759/6400
 yiq.ei8.ei_cycles = 72517/8000
 merge_cycles = 1051451/683
-stall_penalty_external = 0
 """
 
 
 def test_builtin_profile_text(profile):
     assert format_profile(profile) == BUILTIN_PROFILE_TEXT
+
+
+def test_profile_text_with_the_old_stall_line_is_rejected():
+    # a profile file that still carries the external-buffer stall line
+    with pytest.raises(ValueError, match="line 9: unrecognized key 'stall_penalty_external'"):
+        parse_profile(BUILTIN_PROFILE_TEXT + "stall_penalty_external = 0\n")
 
 
 def test_profile_text_round_trip(profile):
@@ -386,6 +393,6 @@ def test_report_dict_schema(profile):
         "cycles_total", "cycles_total_exact", "cycles_per_pixel",
         "cycles_per_pixel_exact", "speedup_vs_scalar", "speedup_vs_scalar_exact",
         "speedup_rounded", "multipliers_used", "alu_ops_used", "iram_bytes_used",
-        "buffer_location", "profile",
+        "profile",
     }
     assert set(d) == expected_keys

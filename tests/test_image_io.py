@@ -131,6 +131,25 @@ def test_buffer_validation():
         ImageBuffer(width=2, height=2, channels=1, samples=np.zeros(5, np.uint8))
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [np.array([[300, -1, 7]]), np.array([[-1, 0, 7]]), np.array([[256, 0, 7]]),
+     np.array([[1.7, 0.0, 7.0]]), np.array([[1.0, 0.0, 7.0]]), np.array([[True, False, True]])],
+    ids=["300-and-minus-1", "minus-1", "256", "float", "integral-float", "bool"],
+)
+def test_buffer_rejects_samples_that_are_not_bytes(samples):
+    with pytest.raises(ValueError):
+        ImageBuffer.from_array(samples)
+
+
+def test_buffer_keeps_integer_samples_in_byte_range():
+    for dtype in (np.uint8, np.int64, np.uint16, np.int8):
+        img = ImageBuffer.from_array(np.array([[0, 100, 127]], dtype=dtype))
+        assert img.samples.dtype == np.uint8
+        assert img.samples.tolist() == [0, 100, 127]
+    assert ImageBuffer.from_array(np.array([[0, 255]])).samples.tolist() == [0, 255]
+
+
 def test_buffer_from_array_shapes():
     gray = ImageBuffer.from_array(np.zeros((3, 4), np.uint8))
     assert (gray.width, gray.height, gray.channels) == (4, 3, 1)
