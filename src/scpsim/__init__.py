@@ -33,8 +33,6 @@ from .colorspace import (
     matrix_ei,
     rgb_to_yiq_px,
     roundtrip_sweep,
-    yiq_decode_offset128,
-    yiq_encode_offset128,
     yiq_to_rgb_px,
 )
 from .fabric import (

@@ -127,18 +127,6 @@ def yiq_to_rgb_px(p) -> tuple[int, int, int]:
     return tuple(clamp_u8(v) for v in _affine_px(YIQ2RGB.coeffs, p))
 
 
-def yiq_encode_offset128(p) -> tuple[int, int, int]:
-    """Byte encoding of a signed-chroma pixel: chroma offset by 128, saturating."""
-    y, i, q = p
-    return (y, clamp_u8(i + 128), clamp_u8(q + 128))
-
-
-def yiq_decode_offset128(p) -> tuple[int, int, int]:
-    """Inverse of the offset-128 encoding (saturated values stay clipped)."""
-    y, i, q = p
-    return (y, i - 128, q - 128)
-
-
 def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
     """One pixel through the full byte-to-byte affine map.
 

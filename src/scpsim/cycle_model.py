@@ -3,12 +3,11 @@
 The model knows exactly the workloads it is calibrated on: the (kernel,
 mode) pairs of ``CALIBRATION_MEASUREMENTS``.  It is throughput-style,
 with one fitted rate per pair (cycles per pixel for a mode without
-lanes, cycles per group of lanes for a lane mode), plus a composite
-charge for the histogram merge step.  A profile holds exactly what
-``fit_profile`` produces: each family's ``scalar`` rate, any of its lane
-rates, and ``merge_cycles``.  Every lane rate comes with its family's
-scalar rate, so every report has a speedup over the plain processor.
-Register pack/unpack traffic and buffer placement are free.
+lanes, cycles per group of lanes for a lane mode).  A profile holds
+exactly what ``fit_profile`` produces: each family's ``scalar`` rate and
+any of its lane rates.  Every lane rate comes with its family's scalar
+rate, so every report has a speedup over the plain processor.  Register
+pack/unpack traffic and buffer placement are free.
 
 All parameters are exact rationals so that the calibration points are
 reproduced exactly, not approximately: fitting the bundled
@@ -18,13 +17,12 @@ same workloads returns those totals bit for bit.
 Lane accounting: ``KERNEL_SHAPES`` gives each mode its lanes, the
 instructions one group of lanes issues and whether a composite merge
 step follows.  A pixel count that does not divide the lane width is
-finished on the scalar path, so the model charges floor(pixels/lanes)
-groups plus the remainder at the scalar per-pixel rate.  A mode with a
-merge step (the histogram pipeline: accumulate and transform per
-16-pixel group, one merge per ``COUNTER_MAX`` groups and at least one
-per run) has its fitted measurement split uniformly across the
-instructions of all groups plus the merges, each merge receiving
-exactly one step's worth.
+finished on the scalar path.  Every invocation a lane run issues costs
+one step, the per-group rate over the instructions per group, so a run
+costs its invocations times the step plus the remainder at the scalar
+per-pixel rate.  A merge (the histogram pipeline's composite step, one
+per ``COUNTER_MAX`` groups and at least one per run) is an invocation
+like any other and costs one step.
 
 Cost depends on the mode's shape and the workload family, not on
 coefficient values: every 3x3 colour conversion is costed at the
@@ -94,13 +92,20 @@ class KernelShape:
     ledgers: tuple[ResourceLedger, ...] = ()
     merge: bool = False
 
+    def windows(self, groups: int) -> range:
+        """The first group of each flush window of a run of ``groups``
+        groups: one window per ``COUNTER_MAX`` groups, the most a 16-bit
+        lane counter can count before it is flushed, and at least one;
+        none without a merge step.  Each window ends in one merge."""
+        return range(0, max(groups, 1) if self.merge else 0, COUNTER_MAX)
+
     def merges(self, groups: int) -> int:
-        """Merge steps a run of ``groups`` groups takes: one per
-        ``COUNTER_MAX`` groups, the most a 16-bit lane counter can count
-        before it is flushed, and at least one; none without a merge step."""
-        if not self.merge:
-            return 0
-        return max(1, -(-groups // COUNTER_MAX))
+        """Merge steps a run of ``groups`` groups takes, one per window."""
+        return len(self.windows(groups))
+
+    def invocations(self, groups: int) -> int:
+        """Invocations a run of ``groups`` groups issues, merges included."""
+        return groups * len(self.ledgers) + self.merges(groups)
 
     @property
     def peak(self) -> ResourceLedger:
@@ -134,7 +139,7 @@ def _convert_shape(lanes: int) -> KernelShape:
 #: instruction per group of 1, 5 or 8 pixels.  The histogram pipeline
 #: gives lane j bank j: it counts a group into per-lane 16-bit
 #: sub-histograms (one address add and one counter increment per lane),
-#: merges them (see ``KernelShape.merges``), then maps each group through
+#: merges them (see ``KernelShape.windows``), then maps each group through
 #: the table replicated in every bank (one address add per lane).
 KERNEL_SHAPES = {
     "scalar": KernelShape(0),
@@ -187,15 +192,15 @@ class CalibrationProfile:
     its (kernel, mode) pair from ``CALIBRATION_MEASUREMENTS``: cycles
     per pixel for a mode without lanes, cycles per group for a lane mode.
     A lane rate needs its family's ``scalar`` rate, which charges the
-    lane mode's tail and is the baseline of its speedup.
-    ``merge_cycles`` is the charge per merge step.  Raises ValueError for
-    a rate keyed by any other pair, a lane rate without its family's
-    scalar rate, a rate that is not positive or a negative merge charge.
+    lane mode's tail and is the baseline of its speedup.  A merge step
+    has no rate of its own: it costs one step of its mode, the per-group
+    rate over the instructions per group.  Raises ValueError for a rate
+    keyed by any other pair, a lane rate without its family's scalar
+    rate or a rate that is not positive.
     """
 
     name: str
     rates: Mapping[tuple[str, str], Fraction]
-    merge_cycles: Fraction = Fraction(0)
 
     def __post_init__(self):
         for kernel, mode in self.rates:
@@ -211,8 +216,6 @@ class CalibrationProfile:
         # A zero rate would make a run free and its speedup undefined.
         if any(v <= 0 for v in self.rates.values()):
             raise ValueError("rates must be positive")
-        if self.merge_cycles < 0:
-            raise ValueError("the merge charge must be nonnegative")
 
 
 @dataclass
@@ -305,16 +308,13 @@ def estimate(
     cpp = profile.rates[(kernel, "scalar")]
     # The plain processor is a shape without lanes: every pixel is tail.
     groups, tail = divmod(pixels, shape.lanes) if shape.lanes else (0, pixels)
-    merges = shape.merges(groups)
+    invocations = shape.invocations(groups)
     # Terms are added only when non-zero: Fraction arithmetic dominates the call.
     total = Fraction(0)
-    if groups:
-        total += groups * per_unit
-    if merges:
-        total += merges * profile.merge_cycles
+    if invocations:
+        total += invocations * per_unit / len(shape.ledgers)
     if tail:
         total += tail * cpp
-    invocations = groups * len(shape.ledgers) + merges
 
     return CycleReport(
         kernel=kernel,
@@ -359,8 +359,9 @@ def fit_profile(
     """Solve per-unit costs so each measurement is reproduced exactly.
 
     One unknown per calibrated (kernel, mode): its scalar rate or its
-    per-group cost.  A mode's merge charge is folded into its fit, each
-    merge one uniform step (see the module docstring for the split).
+    per-group cost.  A lane measurement less its tail is split evenly
+    over every invocation of the run, merges included (see the module
+    docstring), and a group is charged its instructions' steps.
     Scalar measurements are fitted first so lane tails can be subtracted;
     a lane measurement without its family's scalar measurement raises
     Underdetermined.  Raises UnknownKernelConfig for a pair outside
@@ -370,7 +371,6 @@ def fit_profile(
     if not rows:
         raise Underdetermined("no measurements supplied")
     rates: dict[tuple[str, str], Fraction] = {}
-    merge = Fraction(0)
 
     for kernel, mode, pixels, cycles in rows:
         if _calibrated_shape(kernel, mode).lanes == 0:
@@ -392,13 +392,9 @@ def fit_profile(
         pool = cycles - tail * cpp
         if pool <= 0:
             raise Underdetermined(f"{kernel}/{mode}: no cycles left for the groups after any tail")
-        per_group = len(shape.ledgers)
-        step = pool / (per_group * groups + shape.merges(groups))
-        rates[(kernel, mode)] = per_group * step
-        if shape.merge:
-            merge = step
+        rates[(kernel, mode)] = len(shape.ledgers) * pool / shape.invocations(groups)
 
-    return CalibrationProfile(name=name, rates=rates, merge_cycles=merge)
+    return CalibrationProfile(name=name, rates=rates)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +409,6 @@ def format_profile(profile: CalibrationProfile) -> str:
         lines.append(
             f"{kernel}.{mode}.{_rate_name(mode)} = {_ratio_str(profile.rates[(kernel, mode)])}"
         )
-    lines.append(f"merge_cycles = {_ratio_str(profile.merge_cycles)}")
     return "\n".join(lines) + "\n"
 
 
@@ -448,12 +443,12 @@ def parse_profile(text: str) -> CalibrationProfile:
     """Parse the flat key-value profile format.
 
     Raises ValueError naming the line for a malformed line, a key given
-    twice, a decimal exponent beyond +-4300 or a rate for a pair outside
-    ``CALIBRATION_MEASUREMENTS``.
+    twice, a key other than ``name`` and the rates (a merge has no charge
+    of its own to set), a decimal exponent beyond +-4300 or a rate for a
+    pair outside ``CALIBRATION_MEASUREMENTS``.
     """
     name = "unnamed"
     rates: dict[tuple[str, str], Fraction] = {}
-    merge = Fraction(0)
 
     for key, (lineno, value) in read_key_values(text, "profile").items():
         if key == "name":
@@ -467,23 +462,20 @@ def parse_profile(text: str) -> CalibrationProfile:
             number = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"profile line {lineno}: bad rational {value!r}") from exc
-        if key == "merge_cycles":
-            merge = number
-        else:
-            parts = key.split(".")
-            if len(parts) != 3:
-                raise ValueError(f"profile line {lineno}: unrecognized key {key!r}")
-            kernel, mode, what = parts
-            # A rate the model never charges would be stored and never read.
-            try:
-                _calibrated_shape(kernel, mode)
-            except UnknownKernelConfig as exc:
-                raise ValueError(f"profile line {lineno}: {exc}") from None
-            if what != _rate_name(mode):
-                raise ValueError(f"profile line {lineno}: unrecognized key {key!r}")
-            rates[(kernel, mode)] = number
+        parts = key.split(".")
+        if len(parts) != 3:
+            raise ValueError(f"profile line {lineno}: unrecognized key {key!r}")
+        kernel, mode, what = parts
+        # A rate the model never charges would be stored and never read.
+        try:
+            _calibrated_shape(kernel, mode)
+        except UnknownKernelConfig as exc:
+            raise ValueError(f"profile line {lineno}: {exc}") from None
+        if what != _rate_name(mode):
+            raise ValueError(f"profile line {lineno}: unrecognized key {key!r}")
+        rates[(kernel, mode)] = number
 
-    return CalibrationProfile(name=name, rates=rates, merge_cycles=merge)
+    return CalibrationProfile(name=name, rates=rates)
 
 
 def load_profile(path: Union[str, os.PathLike]) -> CalibrationProfile:

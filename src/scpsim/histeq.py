@@ -24,7 +24,6 @@ import numpy as np
 
 from . import cycle_model
 from .fabric import (
-    COUNTER_MAX,
     HIST_ENTRIES,
     ExtensionInstruction,
     InvocationLog,
@@ -93,8 +92,9 @@ def ei_transform16(
 def merge_cumulative(iram: IramState) -> np.ndarray:
     """Sum the per-bank sub-histograms into one cumulative histogram.
 
-    Host-visible composite step; its cycle cost is the profile's merge
-    charge, not a per-bank sequence of invocations.
+    Host-visible composite step, not a per-bank sequence of invocations;
+    the cost model charges it as one invocation of the pipeline, one step
+    of the ``isef`` rate.
     """
     return np.cumsum(iram.counters().sum(axis=0, dtype=np.int64))
 
@@ -136,7 +136,7 @@ def histeq_image(
     Output samples are identical between modes.  In fabric mode a pixel
     count that does not divide 16 leaves a tail that is counted and
     transformed on the plain-processor path, and the sub-histograms are
-    merged once per ``COUNTER_MAX`` groups, at least once.  With a
+    merged at the end of each flush window (``KernelShape.windows``).  With a
     profile the cycle report is filled from the cost model, which must
     agree with the invocations executed (``cycle_model.checked_report``);
     without one the report is None.
@@ -164,9 +164,9 @@ def histeq_image(
         head = LANES * groups
         pixels = flat[:head].reshape(groups, LANES)
         cum = np.zeros(HIST_ENTRIES, dtype=np.int64)
-        # Flush before a lane counter can pass COUNTER_MAX; zero groups still merge once.
-        for first in range(0, max(groups, 1), COUNTER_MAX):
-            ei_subhist16(pixels[first : first + COUNTER_MAX], iram, log=log)
+        windows = cycle_model.KERNEL_SHAPES["isef"].windows(groups)
+        for first in windows:
+            ei_subhist16(pixels[first : first + windows.step], iram, log=log)
             cum += merge_cumulative(iram)
             log.record("merge_lut")
             iram.clear()

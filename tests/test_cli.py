@@ -236,12 +236,27 @@ def test_profile_text_with_the_old_stall_line_is_a_constraint_error(ppm, tmp_pat
     profile = tmp_path / "old.profile"
     profile.write_text(
         "name = old\nyiq.scalar.cycles_per_pixel = 2\nyiq.ei5.ei_cycles = 3\n"
-        "merge_cycles = 0\nstall_penalty_external = 0\n"
+        "stall_penalty_external = 0\n"
     )
     args = ("--to", "yiq", "--report", str(tmp_path / "r.json"), "--profile", str(profile))
     assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT
-    assert "profile line 5: unrecognized key 'stall_penalty_external'" in capsys.readouterr().err
+    assert "profile line 4: unrecognized key 'stall_penalty_external'" in capsys.readouterr().err
     assert not (tmp_path / "out.ppm").exists() and not (tmp_path / "r.json").exists()
+
+
+def test_profile_text_with_a_merge_charge_is_a_constraint_error(tmp_path, capsys):
+    pgm = tmp_path / "in.pgm"
+    pgm.write_bytes(write_pnm(ImageBuffer.from_array(np.arange(35, dtype=np.uint8).reshape(7, 5))))
+    profile = tmp_path / "old.profile"
+    profile.write_text(
+        "name = old\nhisteq.scalar.cycles_per_pixel = 2\nhisteq.isef.ei_cycles = 3\n"
+        "merge_cycles = 0\n"
+    )
+    argv = ["histeq", "--in", str(pgm), "--out", str(tmp_path / "out.pgm"), "--mode", "isef",
+            "--report", str(tmp_path / "r.json"), "--profile", str(profile)]
+    assert cli.main(argv) == cli.EXIT_CONSTRAINT
+    assert "profile line 4: unrecognized key 'merge_cycles'" in capsys.readouterr().err
+    assert not (tmp_path / "out.pgm").exists() and not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("shape", [(5, 5, 3), (4, 7, 3)], ids=["25px", "28px"])

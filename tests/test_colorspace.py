@@ -21,8 +21,6 @@ from scpsim.colorspace import (
     matrix_ei,
     rgb_to_yiq_px,
     roundtrip_sweep,
-    yiq_decode_offset128,
-    yiq_encode_offset128,
     yiq_to_rgb_px,
 )
 from scpsim.fixed_point import COEFF_LIMIT, OFFSET_LIMIT, clamp_u8, div256_trunc, mul_acc3
@@ -37,7 +35,7 @@ from scpsim.fabric import (
     wr_unpack,
 )
 
-from util import random_rgb_image
+from util import random_rgb_image, yiq_decode_offset128, yiq_encode_offset128
 
 rgb_triples = st.tuples(*(st.integers(0, 255),) * 3)
 

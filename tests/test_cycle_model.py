@@ -135,8 +135,6 @@ def test_estimate_validates_arguments(profile):
 def test_profile_rejects_negative_parameters():
     with pytest.raises(ValueError):
         CalibrationProfile(name="bad", rates={("yiq", "scalar"): Fraction(-1)})
-    with pytest.raises(ValueError):
-        CalibrationProfile(name="bad", rates={}, merge_cycles=Fraction(-1))
 
 
 @pytest.mark.parametrize(
@@ -156,13 +154,13 @@ def test_profile_rejects_uncalibrated_pairs(pair):
         CalibrationProfile(name="stray", rates={pair: Fraction(1)})
 
 
-def test_profile_accepts_zero_merge():
+def test_each_merge_costs_one_step():
     p = CalibrationProfile(
-        name="zeros",
-        rates={("histeq", "scalar"): Fraction(1), ("histeq", "isef"): Fraction(1)},
-        merge_cycles=Fraction(0),
+        name="ones", rates={("histeq", "scalar"): Fraction(1), ("histeq", "isef"): Fraction(1)}
     )
-    assert estimate("histeq", "isef", 32, p).cycles_total == 2
+    # 2 groups x 2 instructions + 1 merge, at 1/2 cycle each
+    report = estimate("histeq", "isef", 32, p)
+    assert (report.ei_invocations, report.cycles_total) == (5, Fraction(5, 2))
 
 
 # ----------------------------------------------------------------- fitting
@@ -232,12 +230,10 @@ def test_fit_reproduces_measurements_with_tails():
 def test_fit_histeq_split():
     p = fit_profile([("histeq", "scalar", 16, 1600), ("histeq", "isef", 160, 2100)])
     # 10 groups -> 21 uniform steps; merge gets one, each group two
-    assert p.merge_cycles == 100
     assert p.rates[("histeq", "isef")] == 200
     assert estimate("histeq", "isef", 160, p).cycles_total == 2100
     # 65536 groups -> 2 * 65536 + 2 steps, one per merge
     p = fit_profile([("histeq", "scalar", 16, 1600), ("histeq", "isef", 16 * 65536, 3 * 131074)])
-    assert p.merge_cycles == 3
     assert p.rates[("histeq", "isef")] == 6
     assert estimate("histeq", "isef", 16 * 65536, p).cycles_total == 3 * 131074
 
@@ -273,7 +269,6 @@ histeq.isef.ei_cycles = 2102902/683
 yiq.ei1.ei_cycles = 4681/1280
 yiq.ei5.ei_cycles = 31759/6400
 yiq.ei8.ei_cycles = 72517/8000
-merge_cycles = 1051451/683
 """
 
 
@@ -283,8 +278,14 @@ def test_builtin_profile_text(profile):
 
 def test_profile_text_with_the_old_stall_line_is_rejected():
     # a profile file that still carries the external-buffer stall line
-    with pytest.raises(ValueError, match="line 9: unrecognized key 'stall_penalty_external'"):
+    with pytest.raises(ValueError, match="line 8: unrecognized key 'stall_penalty_external'"):
         parse_profile(BUILTIN_PROFILE_TEXT + "stall_penalty_external = 0\n")
+
+
+def test_profile_text_with_a_merge_charge_is_rejected():
+    # a merge costs one step of its mode's rate, so no profile key sets it
+    with pytest.raises(ValueError, match="line 8: unrecognized key 'merge_cycles'"):
+        parse_profile(BUILTIN_PROFILE_TEXT + "merge_cycles = 0\n")
 
 
 def test_profile_text_round_trip(profile):
@@ -312,6 +313,15 @@ def test_parse_profile_errors():
                 "yiq.ei5.fixed_overhead"):
         with pytest.raises(ValueError, match="line 2"):
             parse_profile(f"yiq.scalar.cycles_per_pixel = 2\n{key} = 4\n")
+
+
+def test_parse_profile_exponent_limit():
+    for value in ("1e4300", "1e-4300"):
+        p = parse_profile(f"name = edge\nyiq.scalar.cycles_per_pixel = {value}\n")
+        assert p.rates[("yiq", "scalar")] == Fraction(value)
+    for value in ("1e4301", "1e-4301"):
+        with pytest.raises(ValueError, match=r"line 2: \|exponent\| > 4300"):
+            parse_profile(f"name = edge\nyiq.scalar.cycles_per_pixel = {value}\n")
 
 
 def test_parse_profile_rejects_a_repeated_key():

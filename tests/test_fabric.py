@@ -110,6 +110,21 @@ def test_validate_iram_over_capacity():
         ei_validate(make_ei(ledger=ResourceLedger(iram_bytes_used=70000)))
 
 
+def test_validate_iram_at_capacity():
+    full = FabricCapacity().iram_bytes
+    assert ei_validate(make_ei(ledger=ResourceLedger(iram_bytes_used=full))) == 1
+    with pytest.raises(ResourceExceeded):
+        make_ei(ledger=ResourceLedger(iram_bytes_used=full + 1))
+
+
+@pytest.mark.parametrize("multipliers,stages", [(64, 1), (72, 2)])
+def test_validate_alu_at_capacity(multipliers, stages):
+    budget = FabricCapacity().alu_ops * stages
+    assert ei_validate(make_ei(ledger=ResourceLedger(multipliers, budget))) == stages
+    with pytest.raises(ResourceExceeded):
+        make_ei(ledger=ResourceLedger(multipliers, budget + 1))
+
+
 def test_validate_alu_budget_scales_with_stages():
     # 5000 ALU ops exceed one stage's 4096 but fit in two
     with pytest.raises(ResourceExceeded):

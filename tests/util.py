@@ -1,8 +1,10 @@
-"""Shared helpers for building deterministic random test images."""
+"""Shared test helpers: deterministic random test images and the offset-128
+byte encoding of signed-chroma pixels, an oracle for the YIQ byte maps."""
 
 import numpy as np
 
 from scpsim import ImageBuffer
+from scpsim.fixed_point import clamp_u8
 
 
 def random_rgb_image(rng, max_side=20) -> ImageBuffer:
@@ -22,6 +24,18 @@ def uniform_histogram_image(rng, repeats=1) -> ImageBuffer:
     values = np.repeat(np.arange(256, dtype=np.uint8), repeats)
     rng.shuffle(values)
     return ImageBuffer(width=256 * repeats, height=1, channels=1, samples=values)
+
+
+def yiq_encode_offset128(p) -> tuple[int, int, int]:
+    """Byte encoding of a signed-chroma pixel: chroma offset by 128, saturating."""
+    y, i, q = p
+    return (y, clamp_u8(i + 128), clamp_u8(q + 128))
+
+
+def yiq_decode_offset128(p) -> tuple[int, int, int]:
+    """Inverse of the offset-128 encoding (saturated values stay clipped)."""
+    y, i, q = p
+    return (y, i - 128, q - 128)
 
 
 def low_contrast_image(rng, side=128, mean=125.0, spread=10.0) -> ImageBuffer:
