@@ -8,20 +8,24 @@ unsigned bytes: luma/chroma images and wide registers store i and q
 offset by 128, while the scalar conversion functions keep them at full
 signed precision.
 
-Two cores compute the multiply and truncating divide, row by row with
-the same primitives, so they are bit-identical: ``_affine_px`` on one
-pixel, under the scalar functions (``convert_px`` is the reference), and
-``_affine_np`` on three int64 columns, under ``apply_matrix_np`` and the
-round-trip sweep.  ``apply_matrix_np`` is the plain-processor "scalar
-mode" for images and the body of every fabric kernel, which processes
-1, 5, or 8 pixels per invocation, issued as one batch per image.
+Two cores compute the multiply and truncating divide with the same
+primitives, so they are bit-identical: ``_affine_px`` on one pixel,
+under the scalar functions (``convert_px`` is the reference), and
+``_affine_np`` on a ``(3, n)`` int32 sample array (every accumulator is
+below 2^20; see ``OFFSET_LIMIT``), under ``apply_matrix_np`` and the
+round-trip sweep.  Both feed it at most ``_BLOCK`` samples at a time, so
+its intermediates stay in cache and the sweep never holds more than one
+block of its 2^24 triples.  ``apply_matrix_np`` is the plain-processor
+"scalar mode" for images and the body of every fabric kernel, which
+processes 1, 5, or 8 pixels per invocation, issued as one batch per
+image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -52,6 +56,11 @@ from .image_io import ChannelMismatch, ImageBuffer
 #: RGB (0, 121, 212) on the blue channel; 9808 triples reach it.
 ROUNDTRIP_MAX_ERROR = 5
 ROUNDTRIP_ARGMAX = (0, 121, 212)
+
+#: Samples per pass of the vectorized core, small enough that a block's
+#: int32 intermediates (192 KiB each) stay in cache.  A multiple of 256,
+#: so a sweep block holds whole runs of the blue channel.
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -142,17 +151,33 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _affine_np(coeffs, cols) -> list[np.ndarray]:
-    """_affine_px's rows over a tuple of three int64 sample columns, offset already taken."""
-    return [div256_trunc_np(mul_acc3(row, cols)) for row in coeffs]
+def _affine_np(coeffs, samples: np.ndarray) -> np.ndarray:
+    """_affine_px's rows over a (3, n) int32 sample array, offset already
+    taken; returns the (3, n) int32 results.
+
+    ``mul_acc3`` takes the matrix column by column, each a (3, 1) array,
+    so one call accumulates all three rows.
+    """
+    columns = np.array(coeffs, dtype=np.int32).T[:, :, None]
+    return div256_trunc_np(mul_acc3(columns, tuple(samples)))
 
 
 def apply_matrix_np(flat: np.ndarray, matrix: ConversionMatrix) -> np.ndarray:
     """Convert an (n, 3) uint8 sample block; bit-exact to convert_px."""
-    cols = flat.T.astype(np.int64, order="C") - np.array(matrix.input_offset)[:, None]
-    out = np.array(_affine_np(matrix.coeffs, tuple(cols)))
-    out += np.array(matrix.output_offset)[:, None]
-    return clamp_u8_np(out).T.astype(np.uint8, order="C")
+    n = flat.shape[0]
+    out = np.empty((n, 3), dtype=np.uint8)
+    input_offset = np.array(matrix.input_offset, dtype=np.int32)[:, None]
+    output_offset = np.array(matrix.output_offset, dtype=np.int32)[:, None]
+    for start in range(0, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        samples = flat[block].T.astype(np.int32, order="C")
+        samples -= input_offset
+        acc = _affine_np(matrix.coeffs, samples)
+        acc += output_offset
+        acc = clamp_u8_np(acc)
+        for c in range(3):
+            out[block, c] = acc[c]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +290,20 @@ class SweepResult:
     samples: int
 
 
-def _roundtrip_errors(r, g, b):
-    y, i, q = _affine_np(RGB2YIQ.coeffs, (r, g, b))
-    back = _affine_np(YIQ2RGB.coeffs, (clamp_u8_np(y), i, q))
-    return [np.abs(v - clamp_u8_np(w)) for v, w in zip((r, g, b), back)]
+def _rgb_blocks() -> Iterator[np.ndarray]:
+    """Every RGB triple in ascending (r, g, b) order, as (3, _BLOCK) int32 blocks."""
+    g_step = _BLOCK // 256
+    first = np.indices((1, g_step, 256), dtype=np.int32).reshape(3, _BLOCK)
+    for r in range(256):
+        for g in range(0, 256, g_step):
+            yield first + np.array([[r], [g], [0]], dtype=np.int32)
+
+
+def _roundtrip_errors(rgb: np.ndarray) -> np.ndarray:
+    """Per-channel |error| of forward+reverse conversion of a (3, n) int32 block."""
+    yiq = _affine_np(RGB2YIQ.coeffs, rgb)
+    yiq[0] = clamp_u8_np(yiq[0])
+    return np.abs(rgb - clamp_u8_np(_affine_np(YIQ2RGB.coeffs, yiq)))
 
 
 def roundtrip_sweep(
@@ -279,49 +314,44 @@ def roundtrip_sweep(
     """Forward+reverse conversion error, exhaustively or on a subsample.
 
     The full sweep covers all 2^24 RGB triples in ascending (r, g, b)
-    order and reports the first triple attaining the maximum; chroma is
-    carried signed, without the offset-128 byte encoding.
+    order, one block at a time, and reports the first triple attaining
+    the maximum; chroma is carried signed, without the offset-128 byte
+    encoding.
     """
     if gray_only:
-        v = np.arange(256, dtype=np.int64)
-        planes = [(v, v, v)]
+        blocks = [np.tile(np.arange(256, dtype=np.int32), (3, 1))]
         total = 256
     elif sample is not None:
         if sample < 1:
             raise ValueError("sample size must be positive")
         rng = np.random.default_rng(seed)
         trip = rng.integers(0, 256, size=(sample, 3), dtype=np.int64)
-        planes = [(trip[:, 0], trip[:, 1], trip[:, 2])]
+        blocks = (
+            trip[s : s + _BLOCK].T.astype(np.int32, order="C") for s in range(0, sample, _BLOCK)
+        )
         total = sample
     else:
-        g, b = np.meshgrid(
-            np.arange(256, dtype=np.int64), np.arange(256, dtype=np.int64), indexing="ij"
-        )
-        g = g.ravel()
-        b = b.ravel()
-        planes = [(np.full_like(g, r0), g, b) for r0 in range(256)]
+        blocks = _rgb_blocks()
         total = 256**3
 
     max_err = -1
     argmax = (0, 0, 0)
-    per_ch = [0, 0, 0]
+    per_ch = np.zeros(3, dtype=np.int32)
     err_sum = 0
-    for r, g, b in planes:
-        er, eg, eb = _roundtrip_errors(r, g, b)
-        for c, e in enumerate((er, eg, eb)):
-            per_ch[c] = max(per_ch[c], int(e.max()))
-        worst = np.maximum(np.maximum(er, eg), eb)
+    for rgb in blocks:
+        err = _roundtrip_errors(rgb)
+        per_ch = np.maximum(per_ch, err.max(axis=1))
+        worst = err.max(axis=0)
         m = int(worst.max())
         if m > max_err:
-            idx = int(np.argmax(worst))
             max_err = m
-            argmax = (int(r[idx]), int(g[idx]), int(b[idx]))
-        err_sum += int(er.sum()) + int(eg.sum()) + int(eb.sum())
+            argmax = tuple(int(v) for v in rgb[:, int(np.argmax(worst))])
+        err_sum += int(err.sum())
 
     return SweepResult(
         max_error=max_err,
         mean_error=err_sum / (3 * total),
         argmax_rgb=argmax,
-        per_channel_max=tuple(per_ch),
+        per_channel_max=tuple(int(v) for v in per_ch),
         samples=total,
     )

@@ -14,8 +14,9 @@ import numpy as np
 
 COEFF_LIMIT = 512
 #: Largest magnitude of a per-channel input or output offset: enough to
-#: move any byte anywhere in [0, 255], and small enough that the int64
-#: batch path cannot overflow.
+#: move any byte anywhere in [0, 255].  With it a sample less its offset
+#: has |s| <= 510, so an accumulator has |acc| <= 3 * 512 * 510 < 2^20 and
+#: the int32 batch path cannot overflow.
 OFFSET_LIMIT = 255
 
 
@@ -56,8 +57,15 @@ def div256_trunc(x: int) -> int:
 
 
 def div256_trunc_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized div256_trunc for signed integer arrays."""
-    return np.sign(x) * (np.abs(x) >> 8)
+    """Vectorized div256_trunc for signed integer arrays, in their dtype.
+
+    The arithmetic shift floors; adding 255 to a negative value first
+    turns that into truncation.  The sign mask ``x >> (bits - 1)`` is -1
+    for a negative value and 0 otherwise, so this is exact over the whole
+    range of every signed dtype: nothing is added to a value that could
+    overflow.
+    """
+    return (x + ((x >> (8 * x.dtype.itemsize - 1)) & 255)) >> 8
 
 
 def clamp_u8(x: int) -> int:

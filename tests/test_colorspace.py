@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scpsim import cycle_model
+from scpsim import colorspace, cycle_model
 from scpsim.colorspace import (
     CONVERT_MODES,
     ConversionMatrix,
@@ -304,6 +305,30 @@ def test_every_mode_matches_the_scalar_oracle(mode, matrix, pixels):
     assert out.samples.reshape(-1, 3).tolist() == [list(convert_px(matrix, p)) for p in pixels]
 
 
+@pytest.mark.parametrize("matrix", [RGB2YIQ, YIQ2RGB, AT_THE_LIMITS, WIDEST_ACCUMULATOR], ids=lambda m: m.name)
+def test_frames_that_span_blocks_match_the_oracle(matrix):
+    block = colorspace._BLOCK
+    n = 2 * block + 7
+    rng = np.random.default_rng(block)
+    flat = rng.integers(0, 256, (n, 3), dtype=np.uint8)
+    near_edges = sorted(
+        {k for edge in (0, block, 2 * block, n) for k in range(edge - 3, edge + 3) if 0 <= k < n}
+        | set(range(2 * block, n))
+    )
+    flat[near_edges[::2]] = np.resize(np.array(EXTREME_PIXELS, dtype=np.uint8), (len(near_edges[::2]), 3))
+    want = [list(convert_px(matrix, flat[k])) for k in near_edges]
+    sliced = np.concatenate([apply_matrix_np(flat[s : s + 4099], matrix) for s in range(0, n, 4099)])
+    whole = apply_matrix_np(flat, matrix)
+    assert whole[near_edges].tolist() == want
+    assert np.array_equal(whole, sliced)
+    img = ImageBuffer(width=n, height=1, channels=3, samples=flat)
+    for mode in CONVERT_MODES:
+        out, _ = convert_image(img, matrix, mode)
+        got = out.samples.reshape(-1, 3)
+        assert got[near_edges].tolist() == want, mode
+        assert np.array_equal(got, sliced), mode
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     matrix=st.one_of(st.sampled_from((RGB2YIQ, YIQ2RGB, RGB2CMY)), custom_matrices),
@@ -413,7 +438,14 @@ def test_roundtrip_sample_subset_bound():
 
 
 def test_roundtrip_sweep_exhaustive():
-    result = roundtrip_sweep()
+    # The sweep streams its 2^24 triples a block at a time.
+    tracemalloc.start()
+    try:
+        result = roundtrip_sweep()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
     assert result.samples == 256**3
     assert result.max_error == ROUNDTRIP_MAX_ERROR
     assert result.argmax_rgb == ROUNDTRIP_ARGMAX

@@ -71,11 +71,19 @@ def test_mul_acc3_linear(coeffs, a, b):
     assert mul_acc3(coeffs, summed) == mul_acc3(coeffs, a) + mul_acc3(coeffs, b)
 
 
+INT32 = np.iinfo(np.int32)
+INT64 = np.iinfo(np.int64)
+
+
 @given(st.lists(st.integers(-(2**22), 2**22), min_size=1, max_size=64))
 def test_div256_trunc_np_matches_scalar(values):
-    arr = np.array(values, dtype=np.int64)
-    expect = [div256_trunc(v) for v in values]
-    assert div256_trunc_np(arr).tolist() == expect
+    int32_extremes = [INT32.max, -INT32.max, INT32.min, -255, -256, -257, 255, 256]
+    int64_extremes = [INT64.max, -INT64.max, INT64.min]
+    for dtype, extremes in ((np.int32, int32_extremes), (np.int64, int32_extremes + int64_extremes)):
+        arr = np.array(values + extremes, dtype=dtype)
+        got = div256_trunc_np(arr)
+        assert got.dtype == dtype
+        assert got.tolist() == [div256_trunc(v) for v in values + extremes], dtype
 
 
 def test_coefficient_limit():

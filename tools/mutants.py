@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 FABRIC = "src/scpsim/fabric.py"
 CYCLE_MODEL = "src/scpsim/cycle_model.py"
+COLORSPACE = "src/scpsim/colorspace.py"
 
 MUTANTS = (
     # Fabric rules.
@@ -62,9 +63,16 @@ MUTANTS = (
            "ei.n_inputs > MAX_INPUTS", "ei.n_inputs > MAX_INPUTS + 1"),
     # Fixed-point primitives.
     Mutant("div256-floors", "src/scpsim/fixed_point.py",
-           "return np.sign(x) * (np.abs(x) >> 8)", "return x >> 8"),
+           "return (x + ((x >> (8 * x.dtype.itemsize - 1)) & 255)) >> 8", "return x >> 8"),
+    Mutant("div256-sign-mask-127", "src/scpsim/fixed_point.py",
+           "& 255)) >> 8", "& 127)) >> 8"),
     Mutant("clamp-passes-256", "src/scpsim/fixed_point.py",
            "return np.clip(x, 0, 255)", "return np.clip(x, 0, 256)"),
+    # Blocked batch path and the streamed sweep.
+    Mutant("block-drops-last-column", COLORSPACE,
+           "for c in range(3):", "for c in range(2):"),
+    Mutant("sweep-skips-a-g-step", COLORSPACE,
+           "for g in range(0, 256, g_step):", "for g in range(0, 256 - g_step, g_step):"),
     # Histogram equalization.
     Mutant("build-lut-rounds-up", "src/scpsim/histeq.py",
            "((255 * cum) // n)", "(-(-255 * cum // n))"),
