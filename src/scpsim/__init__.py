@@ -40,9 +40,7 @@ from .fabric import (
     ArityViolation,
     BankConflict,
     CounterOverflow,
-    DEFAULT_CAPACITY,
     ExtensionInstruction,
-    FabricCapacity,
     FabricError,
     ForbiddenOperation,
     InvocationLog,

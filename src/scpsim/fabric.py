@@ -34,10 +34,12 @@ The fabric owns three things:
   one invocation as a batch of one.  A per-register body runs one
   invocation per call, through ``ei_execute`` only.
 
-Capacity defaults mirror the modeled device: 64 multiplier units (8x16
-bit), 4096 arithmetic units per stage, 64 KB of embedded RAM.  Kernels
-that declare more than 64 products per invocation are scheduled over
-multiple stages; the ALU budget scales with the stage count.
+The fabric is one fixed device, and its capacities are constants:
+``MULTIPLIERS`` = 64 multiplier units (8x16 bit), ``ALU_OPS`` = 4096
+arithmetic units per stage, and ``IRAM_BYTES`` = 64 KB of embedded RAM,
+the 16 banks of 4 KB.  Kernels that declare more than 64 products per
+invocation are scheduled over multiple stages; the ALU budget scales
+with the stage count.
 """
 
 from __future__ import annotations
@@ -104,9 +106,6 @@ class WideRegister:
         if len(self.data) != WR_BYTES:
             raise ValueError(f"wide register holds {WR_BYTES} bytes, got {len(self.data)}")
 
-    def __getitem__(self, idx):
-        return self.data[idx]
-
     def __repr__(self):
         return f"WideRegister({self.data.hex()})"
 
@@ -139,6 +138,11 @@ BANK_BYTES = 4096
 HIST_ENTRIES = 256
 COUNTER_MAX = 0xFFFF
 
+#: Capacities of the fabric: multiplier units, ALU ops per stage, IRAM bytes.
+MULTIPLIERS = 64
+ALU_OPS = 4096
+IRAM_BYTES = BANK_COUNT * BANK_BYTES
+
 
 class IramState:
     """Fabric-local RAM: ``BANK_COUNT`` banks of ``BANK_BYTES`` bytes each.
@@ -163,17 +167,10 @@ class IramState:
     """
 
     def __init__(self):
-        # An instance attribute, not a class one: _touch reads it on every
-        # entry access, and the instance lookup is the faster of the two.
-        self.banks = BANK_COUNT
         self._mem = np.zeros((BANK_COUNT, BANK_BYTES), dtype=np.uint8)
         self._counters = self._mem[:, : 2 * HIST_ENTRIES].view("<u2")
         #: bank -> entry touched in the current invocation (None outside one)
         self.access_log: Optional[dict[int, int]] = None
-
-    @property
-    def total_bytes(self) -> int:
-        return self._mem.size
 
     def clear(self):
         self._mem[:] = 0
@@ -196,8 +193,8 @@ class IramState:
             self.access_log = None
 
     def _touch(self, bank: int, entry: int):
-        if not 0 <= bank < self.banks:
-            raise IndexError(f"bank {bank} out of range 0..{self.banks - 1}")
+        if not 0 <= bank < BANK_COUNT:
+            raise IndexError(f"bank {bank} out of range 0..{BANK_COUNT - 1}")
         if not 0 <= entry < HIST_ENTRIES:
             raise IndexError(f"entry {entry} out of range 0..{HIST_ENTRIES - 1}")
         if self.access_log is None:
@@ -265,7 +262,7 @@ class IramState:
         and whether ``banks`` is a vector of distinct banks, one per touch,
         broadcast over every row."""
         banks = np.asarray(banks)
-        for what, index, limit in (("bank", banks, self.banks), ("entry", entries, HIST_ENTRIES)):
+        for what, index, limit in (("bank", banks, BANK_COUNT), ("entry", entries, HIST_ENTRIES)):
             index = np.asarray(index)
             if index.size and not 0 <= index.min() <= index.max() < limit:
                 bad = index.min() if index.min() < 0 else index.max()
@@ -345,9 +342,9 @@ class IramState:
         """Upload one 256-entry table into each bank (host-side bulk write):
         ``tables`` is a ``(BANK_COUNT, HIST_ENTRIES)`` uint8 array."""
         tables = np.asarray(tables)
-        if tables.dtype != np.uint8 or tables.shape != (self.banks, HIST_ENTRIES):
+        if tables.dtype != np.uint8 or tables.shape != (BANK_COUNT, HIST_ENTRIES):
             raise ValueError(
-                f"LUT upload needs a uint8 ({self.banks}, {HIST_ENTRIES}) array, "
+                f"LUT upload needs a uint8 ({BANK_COUNT}, {HIST_ENTRIES}) array, "
                 f"got {tables.dtype} {tables.shape}"
             )
         self._mem[:, :HIST_ENTRIES] = tables
@@ -379,21 +376,9 @@ class ResourceLedger:
         )
 
 
-@dataclass(frozen=True)
-class FabricCapacity:
-    """Resource capacities of the configurable fabric."""
-
-    multipliers: int = 64
-    alu_ops: int = 4096
-    iram_bytes: int = 65536
-
-
-DEFAULT_CAPACITY = FabricCapacity()
-
-
-def stage_count(ledger: ResourceLedger, capacity: FabricCapacity = DEFAULT_CAPACITY) -> int:
-    """Stages one invocation needs: ceil(multipliers / capacity), at least one."""
-    return max(1, -(-ledger.multipliers_used // capacity.multipliers))
+def stage_count(ledger: ResourceLedger) -> int:
+    """Stages one invocation needs: ceil(multipliers / MULTIPLIERS), at least one."""
+    return max(1, -(-ledger.multipliers_used // MULTIPLIERS))
 
 
 @dataclass(frozen=True)
@@ -412,11 +397,11 @@ class ExtensionInstruction:
     receives one invocation's tuple of ``WideRegister`` inputs and
     returns its output register(s), using the entry accessors inside the
     invocation window ``ei_execute`` opens.  ``ops_used`` names the
-    operation kinds the body performs.  Construction runs
-    ``ei_validate`` at ``DEFAULT_CAPACITY``, so an instruction that breaks
-    a fabric rule (arity, an operation outside the whitelist such as
-    floating point, general division or trigonometry, a resource
-    capacity) cannot be built, and an instruction that exists is valid.
+    operation kinds the body performs.  Construction runs ``ei_validate``,
+    so an instruction that breaks a fabric rule (arity, an operation
+    outside the whitelist such as floating point, general division or
+    trigonometry, a resource capacity) cannot be built, and an
+    instruction that exists is valid.
     It is frozen: nothing can change it between validation and issue.
     """
 
@@ -450,15 +435,14 @@ class InvocationLog:
         return sum(self.counts.values())
 
 
-def ei_validate(
-    ei: ExtensionInstruction, capacity: FabricCapacity = DEFAULT_CAPACITY
-) -> int:
+def ei_validate(ei: ExtensionInstruction) -> int:
     """Check an instruction against the fabric rules; return its stage count.
 
-    Every instruction passes this at ``DEFAULT_CAPACITY`` when it is
-    constructed; call it to check another capacity or to read the stage
-    count.  Stage count is ceil(multipliers / capacity) with a floor of one;
-    the ALU budget is one full complement per stage.
+    Every instruction passes this when it is constructed, against the one
+    fixed fabric; there is no other capacity to check it against, so call
+    it only to read the stage count.  Stage count is ceil(multipliers /
+    ``MULTIPLIERS``) with a floor of one; the ALU budget is ``ALU_OPS`` per
+    stage and the IRAM budget ``IRAM_BYTES``.
     """
     if ei.n_inputs > MAX_INPUTS or ei.n_inputs < 0:
         raise ArityViolation(f"{ei.name}: {ei.n_inputs} inputs exceeds limit of {MAX_INPUTS}")
@@ -468,15 +452,14 @@ def ei_validate(
     if bad:
         raise ForbiddenOperation(f"{ei.name}: operations not supported by the fabric: {sorted(bad)}")
     led = ei.ledger
-    stages = stage_count(led, capacity)
-    if led.iram_bytes_used > capacity.iram_bytes:
+    stages = stage_count(led)
+    if led.iram_bytes_used > IRAM_BYTES:
         raise ResourceExceeded(
-            f"{ei.name}: {led.iram_bytes_used} IRAM bytes exceeds {capacity.iram_bytes}"
+            f"{ei.name}: {led.iram_bytes_used} IRAM bytes exceeds {IRAM_BYTES}"
         )
-    if led.alu_ops_used > capacity.alu_ops * stages:
+    if led.alu_ops_used > ALU_OPS * stages:
         raise ResourceExceeded(
-            f"{ei.name}: {led.alu_ops_used} ALU ops exceeds "
-            f"{capacity.alu_ops} x {stages} stage(s)"
+            f"{ei.name}: {led.alu_ops_used} ALU ops exceeds {ALU_OPS} x {stages} stage(s)"
         )
     return stages
 

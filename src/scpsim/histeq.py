@@ -24,6 +24,7 @@ import numpy as np
 
 from . import cycle_model
 from .fabric import (
+    BANK_COUNT,
     HIST_ENTRIES,
     ExtensionInstruction,
     InvocationLog,
@@ -114,7 +115,7 @@ def lut_replicate(lut: np.ndarray, iram: IramState):
     lut = np.asarray(lut, dtype=np.uint8)
     if lut.shape != (HIST_ENTRIES,):
         raise ValueError(f"lookup table must have {HIST_ENTRIES} entries")
-    iram.load_luts(lut[None].repeat(iram.banks, axis=0))
+    iram.load_luts(lut[None].repeat(BANK_COUNT, axis=0))
 
 
 def scalar_histogram(flat: np.ndarray) -> np.ndarray:

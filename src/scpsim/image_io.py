@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed_point import div256_trunc_np
+# Unused here; kept for the benchmark tracer, which patches this name.
+from .fixed_point import div256_trunc_np  # noqa: F401
 
 
 class ChannelMismatch(ValueError):
@@ -80,10 +81,6 @@ class ImageBuffer:
             raise ValueError("expected a 2-D or 3-D array")
         return cls(width=w, height=h, channels=c, samples=arr)
 
-    def as_array(self) -> np.ndarray:
-        """View as (height, width, channels)."""
-        return self.samples.reshape(self.height, self.width, self.channels)
-
     def __eq__(self, other):
         if not isinstance(other, ImageBuffer):
             return NotImplemented
@@ -134,7 +131,8 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 def read_pnm(data: bytes) -> ImageBuffer:
     """Decode binary PGM (P5) or PPM (P6) bytes, maxval 255 only."""
-    magic, pos = _next_token(bytes(data), 0)
+    data = bytes(data)
+    magic, pos = _next_token(data, 0)
     if magic == b"P5":
         channels = 1
     elif magic == b"P6":
@@ -168,11 +166,12 @@ def write_pnm(img: ImageBuffer) -> bytes:
 
 
 def to_gray(img: ImageBuffer) -> ImageBuffer:
-    """Collapse a 3-channel image to its fixed-point luminance channel."""
+    """Collapse a 3-channel image to its fixed-point luminance channel, the
+    Y channel of ``colorspace.RGB2YIQ``."""
+    # Imported here because colorspace imports this module.
+    from .colorspace import RGB2YIQ, apply_matrix_np
+
     if img.channels != 3:
         raise ChannelMismatch(f"to_gray needs 3 channels, got {img.channels}")
-    rgb = img.samples.reshape(-1, 3).astype(np.int64)
-    y = div256_trunc_np(77 * rgb[:, 0] + 150 * rgb[:, 1] + 29 * rgb[:, 2])
-    return ImageBuffer(
-        width=img.width, height=img.height, channels=1, samples=y.astype(np.uint8)
-    )
+    y = apply_matrix_np(img.samples.reshape(-1, 3), RGB2YIQ)[:, 0]
+    return ImageBuffer(width=img.width, height=img.height, channels=1, samples=y)

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scpsim.fabric import (
+    ALU_OPS,
+    BANK_COUNT,
     COUNTER_MAX,
+    IRAM_BYTES,
     ArityViolation,
     BankConflict,
     CounterOverflow,
     ExtensionInstruction,
-    FabricCapacity,
     FabricError,
     ForbiddenOperation,
     InvocationLog,
@@ -111,15 +113,14 @@ def test_validate_iram_over_capacity():
 
 
 def test_validate_iram_at_capacity():
-    full = FabricCapacity().iram_bytes
-    assert ei_validate(make_ei(ledger=ResourceLedger(iram_bytes_used=full))) == 1
+    assert ei_validate(make_ei(ledger=ResourceLedger(iram_bytes_used=IRAM_BYTES))) == 1
     with pytest.raises(ResourceExceeded):
-        make_ei(ledger=ResourceLedger(iram_bytes_used=full + 1))
+        make_ei(ledger=ResourceLedger(iram_bytes_used=IRAM_BYTES + 1))
 
 
 @pytest.mark.parametrize("multipliers,stages", [(64, 1), (72, 2)])
 def test_validate_alu_at_capacity(multipliers, stages):
-    budget = FabricCapacity().alu_ops * stages
+    budget = ALU_OPS * stages
     assert ei_validate(make_ei(ledger=ResourceLedger(multipliers, budget))) == stages
     with pytest.raises(ResourceExceeded):
         make_ei(ledger=ResourceLedger(multipliers, budget + 1))
@@ -149,11 +150,10 @@ def test_validate_forbidden_operations(op):
         ei_validate(make_ei(ops=("add", op)))
 
 
-def test_validate_custom_capacity():
-    small = FabricCapacity(multipliers=8, alu_ops=16, iram_bytes=128)
-    assert ei_validate(make_ei(ledger=ResourceLedger(multipliers_used=20)), small) == 3
-    with pytest.raises(ResourceExceeded):
-        ei_validate(make_ei(ledger=ResourceLedger(iram_bytes_used=129)), small)
+def test_validate_stage_count_at_the_multiplier_boundaries():
+    # One stage holds 64 multipliers; each product past a multiple of 64 opens a stage.
+    for multipliers, stages in ((64, 1), (65, 2), (128, 2), (129, 3)):
+        assert ei_validate(make_ei(ledger=ResourceLedger(multipliers_used=multipliers))) == stages
 
 
 def test_ledger_rejects_negative_counts():
@@ -217,9 +217,8 @@ def test_execute_logs_invocations():
 
 
 def test_iram_geometry():
-    iram = IramState()
-    assert iram.banks == 16
-    assert iram.total_bytes == 65536
+    assert BANK_COUNT == 16
+    assert IRAM_BYTES == 65536
 
 
 def test_one_access_per_bank_per_invocation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scpsim.colorspace import RGB2YIQ, apply_matrix_np
+from scpsim.colorspace import RGB2YIQ, convert_px
 from scpsim.image_io import (
     ChannelMismatch,
     ImageBuffer,
@@ -20,9 +20,11 @@ from scpsim.image_io import (
 
 
 def test_read_p5():
-    img = read_pnm(b"P5 2 2 255 " + bytes([1, 2, 3, 4]))
-    assert (img.width, img.height, img.channels) == (2, 2, 1)
-    assert img.samples.tolist() == [1, 2, 3, 4]
+    data = b"P5 2 2 255 " + bytes([1, 2, 3, 4])
+    for buf in (data, bytearray(data), memoryview(data)):
+        img = read_pnm(buf)
+        assert (img.width, img.height, img.channels) == (2, 2, 1)
+        assert img.samples.tolist() == [1, 2, 3, 4]
 
 
 def test_read_p6_single_pixel():
@@ -108,12 +110,11 @@ def test_to_gray_uses_luminance_row():
 
 
 def test_to_gray_is_the_forward_luma_row():
-    # image_io cannot import colorspace (cycle), so its luma copy is pinned here
     rng = np.random.default_rng(21)
     extremes = np.array(list(itertools.product((0, 1, 254, 255), repeat=3)), dtype=np.uint8)
     for flat in (rng.integers(0, 256, (500, 3), dtype=np.uint8), extremes):
         img = ImageBuffer(width=len(flat), height=1, channels=3, samples=flat.ravel())
-        assert np.array_equal(to_gray(img).samples, apply_matrix_np(flat, RGB2YIQ)[:, 0])
+        assert to_gray(img).samples.tolist() == [convert_px(RGB2YIQ, p)[0] for p in flat]
 
 
 def test_to_gray_needs_three_channels():
@@ -155,7 +156,6 @@ def test_buffer_from_array_shapes():
     assert (gray.width, gray.height, gray.channels) == (4, 3, 1)
     rgb = ImageBuffer.from_array(np.zeros((3, 4, 3), np.uint8))
     assert (rgb.width, rgb.height, rgb.channels) == (4, 3, 3)
-    assert rgb.as_array().shape == (3, 4, 3)
 
 
 header_tokens = st.one_of(

@@ -50,11 +50,15 @@ COLORSPACE = "src/scpsim/colorspace.py"
 MUTANTS = (
     # Fabric rules.
     Mutant("iram-check-at-capacity", FABRIC,
-           "led.iram_bytes_used > capacity.iram_bytes", "led.iram_bytes_used >= capacity.iram_bytes"),
+           "led.iram_bytes_used > IRAM_BYTES", "led.iram_bytes_used >= IRAM_BYTES"),
+    Mutant("iram-is-one-bank", FABRIC,
+           "IRAM_BYTES = BANK_COUNT * BANK_BYTES", "IRAM_BYTES = BANK_BYTES"),
     Mutant("alu-check-at-capacity", FABRIC,
-           "led.alu_ops_used > capacity.alu_ops * stages", "led.alu_ops_used >= capacity.alu_ops * stages"),
+           "led.alu_ops_used > ALU_OPS * stages", "led.alu_ops_used >= ALU_OPS * stages"),
     Mutant("alu-budget-ignores-stages", FABRIC,
-           "led.alu_ops_used > capacity.alu_ops * stages", "led.alu_ops_used > capacity.alu_ops"),
+           "led.alu_ops_used > ALU_OPS * stages", "led.alu_ops_used > ALU_OPS"),
+    Mutant("stage-count-floors", FABRIC,
+           "-(-ledger.multipliers_used // MULTIPLIERS)", "ledger.multipliers_used // MULTIPLIERS"),
     Mutant("conflict-check-misses-adjacent-entries", FABRIC,
            "((step > 0) & (step < HIST_ENTRIES))", "((step > 1) & (step < HIST_ENTRIES))"),
     Mutant("counter-limit-fires-at-65535", FABRIC,
