@@ -8,24 +8,26 @@ unsigned bytes: luma/chroma images and wide registers store i and q
 offset by 128, while the scalar conversion functions keep them at full
 signed precision.
 
-Two cores compute the multiply and truncating divide with the same
-primitives, so they are bit-identical: ``_affine_px`` on one pixel,
-under the scalar functions (``convert_px`` is the reference), and
+Two cores compute the same integer sum of products and the same
+truncating divide, so they are bit-identical: ``_affine_px`` on one
+pixel, under the scalar functions (``convert_px`` is the reference), and
 ``_affine_np`` on a ``(3, n)`` int32 sample array (every accumulator is
 below 2^20; see ``OFFSET_LIMIT``), under ``apply_matrix_np`` and the
-round-trip sweep.  Both feed it at most ``_BLOCK`` samples at a time, so
-its intermediates stay in cache and the sweep never holds more than one
-block of its 2^24 triples.  ``apply_matrix_np`` is the plain-processor
-"scalar mode" for images and the body of every fabric kernel, which
-processes 1, 5, or 8 pixels per invocation, issued as one batch per
-image.
+round-trip sweep.  Both feed it at most ``_BLOCK`` samples at a time,
+into block-sized arrays made once per call and reused for every block,
+so a steady-state block maps no fresh memory and the sweep never holds
+more than one block of its 2^24 triples.  ``apply_matrix_np`` is the
+plain-processor "scalar mode" for images and the body of every fabric
+kernel, which processes 1, 5, or 8 pixels per invocation;
+``convert_image`` issues a lane mode's invocations one batch per block of
+``_BLOCK // lanes`` groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -57,10 +59,13 @@ from .image_io import ChannelMismatch, ImageBuffer
 ROUNDTRIP_MAX_ERROR = 5
 ROUNDTRIP_ARGMAX = (0, 121, 212)
 
-#: Samples per pass of the vectorized core, small enough that a block's
-#: int32 intermediates (192 KiB each) stay in cache.  A multiple of 256,
-#: so a sweep block holds whole runs of the blue channel.
-_BLOCK = 16384
+#: Samples per pass of the vectorized core.  A block's (3, _BLOCK) int32
+#: arrays are 96 KiB, under glibc's 128 KiB mmap threshold, so the
+#: allocator serves them and their temporaries from reused heap memory
+#: instead of faulting in fresh pages; 4096 costs more in per-block Python
+#: than it saves.  A multiple of 256, so a sweep block holds whole runs of
+#: the blue channel.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -151,15 +156,21 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _affine_np(coeffs, samples: np.ndarray) -> np.ndarray:
+def _affine_np(coeffs, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     """_affine_px's rows over a (3, n) int32 sample array, offset already
-    taken; returns the (3, n) int32 results.
+    taken, written to ``out``, an int32 array with one row per row of
+    ``coeffs``; returns ``out``.
 
-    ``mul_acc3`` takes the matrix column by column, each a (3, 1) array,
-    so one call accumulates all three rows.
+    Each matrix column is a (rows, 1) array, so one multiply gives a
+    sample row's products for every output row.  The products are summed
+    in ``out``; no temporary outlives the statement that makes it.
     """
     columns = np.array(coeffs, dtype=np.int32).T[:, :, None]
-    return div256_trunc_np(mul_acc3(columns, tuple(samples)))
+    np.multiply(columns[0], samples[0], out=out)
+    out += columns[1] * samples[1]
+    out += columns[2] * samples[2]
+    out[...] = div256_trunc_np(out)
+    return out
 
 
 def apply_matrix_np(flat: np.ndarray, matrix: ConversionMatrix) -> np.ndarray:
@@ -168,15 +179,19 @@ def apply_matrix_np(flat: np.ndarray, matrix: ConversionMatrix) -> np.ndarray:
     out = np.empty((n, 3), dtype=np.uint8)
     input_offset = np.array(matrix.input_offset, dtype=np.int32)[:, None]
     output_offset = np.array(matrix.output_offset, dtype=np.int32)[:, None]
+    samples = np.empty((3, min(n, _BLOCK)), dtype=np.int32)
+    acc = np.empty_like(samples)
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
-        samples = flat[block].T.astype(np.int32, order="C")
-        samples -= input_offset
-        acc = _affine_np(matrix.coeffs, samples)
-        acc += output_offset
-        acc = clamp_u8_np(acc)
+        width = len(flat[block])
+        s, a = samples[:, :width], acc[:, :width]
+        s[...] = flat[block].T
+        s -= input_offset
+        _affine_np(matrix.coeffs, s, a)
+        a += output_offset
+        clamped = clamp_u8_np(a)
         for c in range(3):
-            out[block, c] = acc[c]
+            out[block, c] = clamped[c]
     return out
 
 
@@ -261,11 +276,19 @@ def convert_image(
         groups = n // lanes
         head = lanes * groups
         span = 3 * lanes
-        registers = np.zeros((groups, ei.n_inputs * WR_BYTES), dtype=np.uint8)
-        registers[:, :span] = flat[:head].reshape(groups, span)
-        outputs = ei_execute_batch(ei, registers.reshape(groups, ei.n_inputs, WR_BYTES), log=log)
+        step = _BLOCK // lanes
         out = np.empty_like(flat)
-        out[:head] = outputs.reshape(groups, ei.n_outputs * WR_BYTES)[:, :span].reshape(head, 3)
+        pixels = flat[:head].reshape(groups, span)
+        results = out[:head].reshape(groups, span)
+        # Bytes past the last pixel are never written, so they stay zero.
+        registers = np.zeros((min(groups, step), ei.n_inputs * WR_BYTES), dtype=np.uint8)
+        for start in range(0, groups, step):
+            block = slice(start, start + step)
+            count = len(pixels[block])
+            registers[:count, :span] = pixels[block]
+            batch = registers[:count].reshape(count, ei.n_inputs, WR_BYTES)
+            outputs = ei_execute_batch(ei, batch, log=log)
+            results[block] = outputs.reshape(count, ei.n_outputs * WR_BYTES)[:, :span]
         if head < n:
             out[head:] = apply_matrix_np(flat[head:], matrix)
 
@@ -291,19 +314,32 @@ class SweepResult:
 
 
 def _rgb_blocks() -> Iterator[np.ndarray]:
-    """Every RGB triple in ascending (r, g, b) order, as (3, _BLOCK) int32 blocks."""
+    """Every RGB triple in ascending (r, g, b) order, as (3, _BLOCK) int32
+    blocks.  Every block is written to the same array, so a block holds
+    only until the next one is drawn."""
     g_step = _BLOCK // 256
     first = np.indices((1, g_step, 256), dtype=np.int32).reshape(3, _BLOCK)
+    block = np.empty_like(first)
     for r in range(256):
         for g in range(0, 256, g_step):
-            yield first + np.array([[r], [g], [0]], dtype=np.int32)
+            yield np.add(first, np.array([[r], [g], [0]], dtype=np.int32), out=block)
 
 
-def _roundtrip_errors(rgb: np.ndarray) -> np.ndarray:
-    """Per-channel |error| of forward+reverse conversion of a (3, n) int32 block."""
-    yiq = _affine_np(RGB2YIQ.coeffs, rgb)
-    yiq[0] = clamp_u8_np(yiq[0])
-    return np.abs(rgb - clamp_u8_np(_affine_np(YIQ2RGB.coeffs, yiq)))
+def _roundtrip_errors(blocks: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each (3, n) int32 RGB block of ``blocks``, n <= _BLOCK, with the
+    per-channel |error| of its forward+reverse conversion.  Every error is
+    written to the same array, so it holds only until the next is drawn."""
+    yiq = np.empty((3, _BLOCK), dtype=np.int32)
+    back = np.empty_like(yiq)
+    for rgb in blocks:
+        width = rgb.shape[1]
+        y, err = yiq[:, :width], back[:, :width]
+        _affine_np(RGB2YIQ.coeffs, rgb, y)
+        y[0] = clamp_u8_np(y[0])
+        _affine_np(YIQ2RGB.coeffs, y, err)
+        err[...] = clamp_u8_np(err)
+        err -= rgb
+        yield rgb, np.abs(err, out=err)
 
 
 def roundtrip_sweep(
@@ -338,8 +374,7 @@ def roundtrip_sweep(
     argmax = (0, 0, 0)
     per_ch = np.zeros(3, dtype=np.int32)
     err_sum = 0
-    for rgb in blocks:
-        err = _roundtrip_errors(rgb)
+    for rgb, err in _roundtrip_errors(blocks):
         per_ch = np.maximum(per_ch, err.max(axis=1))
         worst = err.max(axis=0)
         m = int(worst.max())

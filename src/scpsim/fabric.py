@@ -30,7 +30,8 @@ The fabric owns three things:
   Kernel bodies are ordinary host functions, not interpreted bytecode.
   A batched body runs every invocation of a batch in one call, as the
   fabric runs an instruction's lanes side by side: ``ei_execute_batch``
-  issues a whole image's invocations at once, and ``ei_execute`` issues
+  issues any number of invocations at once (``convert_image`` issues one
+  block of an image's invocations at a time), and ``ei_execute`` issues
   one invocation as a batch of one.  A per-register body runs one
   invocation per call, through ``ei_execute`` only.
 

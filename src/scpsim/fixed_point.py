@@ -1,9 +1,11 @@
 """Integer-only arithmetic primitives shared by every conversion kernel.
 
 All pixel math in this package runs on signed integers scaled by 256,
-with C-style division that truncates toward zero.  Keeping the three
+with C-style division that truncates toward zero.  Keeping the
 primitives here, in one place, is what makes the scalar reference path,
-the numpy batch path, and the fabric kernels bit-identical.
+the numpy batch path, and the fabric kernels bit-identical: both paths
+divide and saturate with the functions below, and the batch path sums
+the same integer products as ``mul_acc3``, in place.
 """
 
 from __future__ import annotations
@@ -63,9 +65,14 @@ def div256_trunc_np(x: np.ndarray) -> np.ndarray:
     turns that into truncation.  The sign mask ``x >> (bits - 1)`` is -1
     for a negative value and 0 otherwise, so this is exact over the whole
     range of every signed dtype: nothing is added to a value that could
-    overflow.
+    overflow.  The quotient is built in place in the one array it returns,
+    so no other temporary of ``x``'s size is made.
     """
-    return (x + ((x >> (8 * x.dtype.itemsize - 1)) & 255)) >> 8
+    q = x >> (8 * x.dtype.itemsize - 1)
+    q &= 255
+    q += x
+    q >>= 8
+    return q
 
 
 def clamp_u8(x: int) -> int:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fixed_point import clamp_u8_np
 # Unused here; kept for the benchmark tracer, which patches this name.
 from .fixed_point import div256_trunc_np  # noqa: F401
 
@@ -169,9 +170,11 @@ def to_gray(img: ImageBuffer) -> ImageBuffer:
     """Collapse a 3-channel image to its fixed-point luminance channel, the
     Y channel of ``colorspace.RGB2YIQ``."""
     # Imported here because colorspace imports this module.
-    from .colorspace import RGB2YIQ, apply_matrix_np
+    from .colorspace import RGB2YIQ, _affine_np
 
     if img.channels != 3:
         raise ChannelMismatch(f"to_gray needs 3 channels, got {img.channels}")
-    y = apply_matrix_np(img.samples.reshape(-1, 3), RGB2YIQ)[:, 0]
+    samples = img.samples.reshape(-1, 3).T.astype(np.int32, order="C")
+    luma = _affine_np(RGB2YIQ.coeffs[:1], samples, np.empty((1, samples.shape[1]), dtype=np.int32))
+    y = clamp_u8_np(luma[0]).astype(np.uint8)
     return ImageBuffer(width=img.width, height=img.height, channels=1, samples=y)

@@ -1,6 +1,11 @@
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +42,11 @@ from scpsim.fabric import (
 )
 
 from util import random_rgb_image, yiq_decode_offset128, yiq_encode_offset128
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 rgb_triples = st.tuples(*(st.integers(0, 255),) * 3)
 
@@ -435,6 +445,55 @@ def test_roundtrip_gray_only_is_exact():
 def test_roundtrip_sample_subset_bound():
     result = roundtrip_sweep(sample=10000, seed=0)
     assert result.max_error <= ROUNDTRIP_MAX_ERROR
+
+
+# Run in a fresh interpreter: glibc raises its mmap and trim thresholds after
+# a process frees a large block, so a long-lived process such as this one
+# would hide the faults.  Prints the faults of 64 sweep blocks after one
+# warm-up block, then those of three ei1 conversions of a 320x200 frame.
+_FAULT_PROBE = textwrap.dedent(
+    """
+    import resource
+
+    import numpy as np
+
+    from scpsim import colorspace
+    from scpsim.image_io import ImageBuffer
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    errors = colorspace._roundtrip_errors(colorspace._rgb_blocks())
+    next(errors)
+    before = faults()
+    for _ in range(64):
+        next(errors)
+    print(faults() - before)
+    rng = np.random.default_rng(0)
+    img = ImageBuffer.from_array(rng.integers(0, 256, (200, 320, 3), dtype=np.uint8))
+    for _ in range(3):
+        before = faults()
+        colorspace.convert_image(img, colorspace.RGB2YIQ, "ei1")
+        print(faults() - before)
+    """
+)
+
+
+@pytest.mark.skipif(
+    resource is None or not sys.platform.startswith("linux"), reason="counts Linux minor page faults"
+)
+def test_steady_state_blocks_do_not_page_fault():
+    # Each block's arrays are reused, so a steady-state block maps no fresh page.
+    src = Path(colorspace.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    sweep, *calls = map(int, run.stdout.split())
+    assert sweep < 4 * 64
+    # A 320x200 frame is 8 ei1 blocks, which take about 300 faults a call;
+    # one batch per image, with 1 MB register arrays, took about 750.
+    assert max(calls[1:]) < 500
 
 
 def test_roundtrip_sweep_exhaustive():

@@ -607,6 +607,7 @@ def test_lanes_that_own_their_banks_skip_the_row_sort(monkeypatch):
 
 def test_each_image_runs_each_kernel_body_once_per_batch(monkeypatch):
     # A kernel that fell back to one body call per invocation would show here, not in a timing.
+    # A conversion issues one batch per lane block of colorspace._BLOCK // lanes groups.
     from scpsim import colorspace, cycle_model, histeq
     from scpsim.image_io import ImageBuffer
 
@@ -630,10 +631,14 @@ def test_each_image_runs_each_kernel_body_once_per_batch(monkeypatch):
     rgb = ImageBuffer.from_array(rng.integers(0, 256, (200, 320, 3), dtype=np.uint8))
     gray = ImageBuffer.from_array(rng.integers(0, 256, (128, 128), dtype=np.uint8))
     constant = ImageBuffer.from_array(np.full((1024, 1024), 42, dtype=np.uint8))
-    runs = [
-        (partial(colorspace.convert_image, rgb, colorspace.RGB2YIQ, "ei1"), {"rgb2yiq_x1": 1}),
-        (partial(colorspace.convert_image, rgb, colorspace.RGB2YIQ, "ei5"), {"rgb2yiq_x5": 1}),
-        (partial(colorspace.convert_image, rgb, colorspace.RGB2YIQ, "ei8"), {"rgb2yiq_x8": 1}),
+
+    def convert(lanes):
+        groups = rgb.width * rgb.height // lanes
+        lane_blocks = -(-groups // (colorspace._BLOCK // lanes))
+        run = partial(colorspace.convert_image, rgb, colorspace.RGB2YIQ, f"ei{lanes}")
+        return run, {f"rgb2yiq_x{lanes}": lane_blocks}
+
+    runs = [convert(lanes) for lanes in (1, 5, 8)] + [
         (partial(histeq.histeq_image, gray, "isef"), {"subhist16": 1, "lut16": 1}),
         # two counter-flush windows
         (partial(histeq.histeq_image, constant, "isef"), {"subhist16": 2, "lut16": 1}),

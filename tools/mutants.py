@@ -66,10 +66,8 @@ MUTANTS = (
     Mutant("input-arity-allows-four", FABRIC,
            "ei.n_inputs > MAX_INPUTS", "ei.n_inputs > MAX_INPUTS + 1"),
     # Fixed-point primitives.
-    Mutant("div256-floors", "src/scpsim/fixed_point.py",
-           "return (x + ((x >> (8 * x.dtype.itemsize - 1)) & 255)) >> 8", "return x >> 8"),
-    Mutant("div256-sign-mask-127", "src/scpsim/fixed_point.py",
-           "& 255)) >> 8", "& 127)) >> 8"),
+    Mutant("div256-floors", "src/scpsim/fixed_point.py", "q &= 255", "q &= 0"),
+    Mutant("div256-sign-mask-127", "src/scpsim/fixed_point.py", "q &= 255", "q &= 127"),
     Mutant("clamp-passes-256", "src/scpsim/fixed_point.py",
            "return np.clip(x, 0, 255)", "return np.clip(x, 0, 256)"),
     # Blocked batch path and the streamed sweep.
@@ -77,6 +75,12 @@ MUTANTS = (
            "for c in range(3):", "for c in range(2):"),
     Mutant("sweep-skips-a-g-step", COLORSPACE,
            "for g in range(0, 256, g_step):", "for g in range(0, 256 - g_step, g_step):"),
+    Mutant("lane-walk-skips-last-block", COLORSPACE,
+           "for start in range(0, groups, step):", "for start in range(0, groups - step, step):"),
+    Mutant("lane-block-drops-last-group", COLORSPACE,
+           "results[block] = outputs.reshape(count, ei.n_outputs * WR_BYTES)[:, :span]",
+           "results[start : start + count - 1] = "
+           "outputs.reshape(count, ei.n_outputs * WR_BYTES)[:-1, :span]"),
     # Histogram equalization.
     Mutant("build-lut-rounds-up", "src/scpsim/histeq.py",
            "((255 * cum) // n)", "(-(-255 * cum // n))"),
