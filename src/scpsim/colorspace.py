@@ -14,13 +14,19 @@ pixel, under the scalar functions (``convert_px`` is the reference), and
 ``_affine_np`` on a ``(3, n)`` int32 sample array (every accumulator is
 below 2^20; see ``OFFSET_LIMIT``), under ``apply_matrix_np`` and the
 round-trip sweep.  Both feed it at most ``_BLOCK`` samples at a time,
-into block-sized arrays made once per call and reused for every block,
-so a steady-state block maps no fresh memory and the sweep never holds
-more than one block of its 2^24 triples.  ``apply_matrix_np`` is the
+into block-sized arrays made once per call and reused for every block;
+the products are summed, divided and clamped in those arrays, so a
+steady-state block maps no fresh memory and the sweep never holds more
+than one block of its 2^24 triples.  ``apply_matrix_np`` is the
 plain-processor "scalar mode" for images and the body of every fabric
 kernel, which processes 1, 5, or 8 pixels per invocation;
 ``convert_image`` issues a lane mode's invocations one batch per block of
-``_BLOCK // lanes`` groups.
+``_BLOCK // lanes`` groups.  The kernel body of a one-pixel register
+converts straight from the input-register view into the output-register
+view.  Lane groups are packed and unpacked without a 2-D copy of a few
+bytes per row, which numpy makes one row at a time: many one-pixel
+groups move as three channel columns, many wider ones as one span-byte
+item each (``_copy_groups``).
 """
 
 from __future__ import annotations
@@ -156,43 +162,82 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _affine_np(coeffs, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """_affine_px's rows over a (3, n) int32 sample array, offset already
-    taken, written to ``out``, an int32 array with one row per row of
-    ``coeffs``; returns ``out``.
+def _columns(coeffs) -> np.ndarray:
+    """The columns of ``coeffs`` as (rows, 1) int32 arrays, stacked, the
+    form ``_affine_np`` multiplies by; built once per call of its caller."""
+    return np.array(coeffs, dtype=np.int32).T[:, :, None]
 
-    Each matrix column is a (rows, 1) array, so one multiply gives a
-    sample row's products for every output row.  The products are summed
-    in ``out``; no temporary outlives the statement that makes it.
+
+def _affine_np(columns: np.ndarray, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """_affine_px's rows over a (3, n) int32 sample array, offset already
+    taken, written to ``out``, an int32 array with one row per matrix row;
+    returns ``out``.  ``columns`` is ``_columns(coeffs)``.
+
+    Each column is a (rows, 1) array, so one multiply gives a sample row's
+    products for every output row.  The products are summed and divided in
+    ``out``; no temporary outlives the statement that makes it.
     """
-    columns = np.array(coeffs, dtype=np.int32).T[:, :, None]
     np.multiply(columns[0], samples[0], out=out)
     out += columns[1] * samples[1]
     out += columns[2] * samples[2]
-    out[...] = div256_trunc_np(out)
-    return out
+    return div256_trunc_np(out, out=out)
 
 
-def apply_matrix_np(flat: np.ndarray, matrix: ConversionMatrix) -> np.ndarray:
-    """Convert an (n, 3) uint8 sample block; bit-exact to convert_px."""
+def apply_matrix_np(
+    flat: np.ndarray, matrix: ConversionMatrix, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Convert an (n, 3) uint8 sample block; bit-exact to convert_px.
+
+    The result goes to ``out``, an (n, 3) uint8 array of any strides, such
+    as the pixel bytes of a register view, or to a new array without one.
+    """
     n = flat.shape[0]
-    out = np.empty((n, 3), dtype=np.uint8)
+    if out is None:
+        out = np.empty((n, 3), dtype=np.uint8)
+    columns = _columns(matrix.coeffs)
     input_offset = np.array(matrix.input_offset, dtype=np.int32)[:, None]
     output_offset = np.array(matrix.output_offset, dtype=np.int32)[:, None]
     samples = np.empty((3, min(n, _BLOCK)), dtype=np.int32)
     acc = np.empty_like(samples)
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
-        width = len(flat[block])
-        s, a = samples[:, :width], acc[:, :width]
-        s[...] = flat[block].T
+        pixels = flat[block]
+        s, a = samples[:, : len(pixels)], acc[:, : len(pixels)]
+        s[...] = pixels.T
         s -= input_offset
-        _affine_np(matrix.coeffs, s, a)
+        _affine_np(columns, s, a)
         a += output_offset
-        clamped = clamp_u8_np(a)
-        for c in range(3):
-            out[block, c] = clamped[c]
+        clamp_u8_np(a, out=a)
+        for channel, row in enumerate(a):
+            out[block, channel] = row
     return out
+
+
+#: Fewer groups than this are copied as one 2-D assignment: below about
+#: 512 groups of any lane width, the fixed cost of a channel or span-byte
+#: copy is more than it saves.
+_PLAIN_COPY_GROUPS = 512
+
+
+def _copy_groups(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src`` for (groups, span) uint8 arrays, ``dst``'s rows
+    contiguous, as when packing or unpacking lane registers.
+
+    numpy copies a 2-D array one inner run at a time, which is slow for
+    runs of a few bytes, so many one-pixel groups move as three channel
+    columns and many wider ones as one span-byte item per group.
+    """
+    span = dst.shape[1]
+    if len(dst) < _PLAIN_COPY_GROUPS:
+        dst[...] = src
+    elif span == 3:
+        for c in range(3):
+            dst[:, c] = src[:, c]
+    else:
+        if src.strides[-1] != 1:
+            src = src.copy()
+        item = f"V{span}"
+        dst.view(item)[:, 0] = src.view(item)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +253,11 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
     Coefficients and offsets are part of the fabric configuration, not
     operands, so the pixels' interleaved bytes are the whole input: one
     register for up to five pixels, two for eight, with the bytes past
-    the last pixel ignored on input and zero on output.  Kernels are not
+    the last pixel ignored on input and zero on output.  The body converts
+    a one-pixel register's bytes in place, reading the input-register view
+    and writing the zero-filled output-register view; wider registers are
+    gathered into one contiguous (pixels, 3) array, converted, and stored
+    back, both by ``_copy_groups``.  Kernels are not
     cached: building one costs a few microseconds, far less than the
     smallest image run it serves, and a cache would keep every custom
     matrix's kernel alive.
@@ -222,9 +271,15 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
 
     def body(inputs, iram):
         invocations = len(inputs)
-        raw = inputs.reshape(invocations, registers * WR_BYTES)[:, :span]
+        pixels = inputs.reshape(invocations, registers * WR_BYTES)[:, :span]
         out = np.zeros((invocations, registers * WR_BYTES), dtype=np.uint8)
-        out[:, :span] = apply_matrix_np(raw.reshape(-1, 3), matrix).reshape(invocations, span)
+        if lanes == 1:
+            apply_matrix_np(pixels, matrix, out=out[:, :span])
+        else:
+            flat = np.empty((invocations, span), dtype=np.uint8)
+            _copy_groups(flat, pixels)
+            converted = apply_matrix_np(flat.reshape(-1, 3), matrix)
+            _copy_groups(out[:, :span], converted.reshape(invocations, span))
         return out.reshape(invocations, registers, WR_BYTES)
 
     return ExtensionInstruction(
@@ -285,10 +340,10 @@ def convert_image(
         for start in range(0, groups, step):
             block = slice(start, start + step)
             count = len(pixels[block])
-            registers[:count, :span] = pixels[block]
+            _copy_groups(registers[:count, :span], pixels[block])
             batch = registers[:count].reshape(count, ei.n_inputs, WR_BYTES)
             outputs = ei_execute_batch(ei, batch, log=log)
-            results[block] = outputs.reshape(count, ei.n_outputs * WR_BYTES)[:, :span]
+            _copy_groups(results[block], outputs.reshape(count, ei.n_outputs * WR_BYTES)[:, :span])
         if head < n:
             out[head:] = apply_matrix_np(flat[head:], matrix)
 
@@ -329,15 +384,16 @@ def _roundtrip_errors(blocks: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray
     """Each (3, n) int32 RGB block of ``blocks``, n <= _BLOCK, with the
     per-channel |error| of its forward+reverse conversion.  Every error is
     written to the same array, so it holds only until the next is drawn."""
+    forward, reverse = _columns(RGB2YIQ.coeffs), _columns(YIQ2RGB.coeffs)
     yiq = np.empty((3, _BLOCK), dtype=np.int32)
     back = np.empty_like(yiq)
     for rgb in blocks:
         width = rgb.shape[1]
         y, err = yiq[:, :width], back[:, :width]
-        _affine_np(RGB2YIQ.coeffs, rgb, y)
-        y[0] = clamp_u8_np(y[0])
-        _affine_np(YIQ2RGB.coeffs, y, err)
-        err[...] = clamp_u8_np(err)
+        _affine_np(forward, rgb, y)
+        clamp_u8_np(y[0], out=y[0])
+        _affine_np(reverse, y, err)
+        clamp_u8_np(err, out=err)
         err -= rgb
         yield rgb, np.abs(err, out=err)
 

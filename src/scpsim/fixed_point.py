@@ -11,6 +11,7 @@ the same integer products as ``mul_acc3``, in place.
 from __future__ import annotations
 
 import operator
+from typing import Optional
 
 import numpy as np
 
@@ -58,21 +59,24 @@ def div256_trunc(x: int) -> int:
     return -((-x) >> 8)
 
 
-def div256_trunc_np(x: np.ndarray) -> np.ndarray:
+def div256_trunc_np(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized div256_trunc for signed integer arrays, in their dtype.
 
     The arithmetic shift floors; adding 255 to a negative value first
     turns that into truncation.  The sign mask ``x >> (bits - 1)`` is -1
     for a negative value and 0 otherwise, so this is exact over the whole
     range of every signed dtype: nothing is added to a value that could
-    overflow.  The quotient is built in place in the one array it returns,
-    so no other temporary of ``x``'s size is made.
+    overflow.  The mask is the one temporary of ``x``'s size.  The quotient
+    is written to ``out``, which may be ``x`` itself, and returned; without
+    ``out`` it is built in the mask's array.
     """
     q = x >> (8 * x.dtype.itemsize - 1)
     q &= 255
-    q += x
-    q >>= 8
-    return q
+    if out is None:
+        out = q
+    np.add(x, q, out=out)
+    out >>= 8
+    return out
 
 
 def clamp_u8(x: int) -> int:
@@ -84,6 +88,14 @@ def clamp_u8(x: int) -> int:
     return x
 
 
-def clamp_u8_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized clamp_u8; result stays in the input's integer dtype."""
-    return np.clip(x, 0, 255)
+#: clamp_u8_np's bounds.  As numpy scalars they skip the two ``np.iinfo``
+#: lookups that ``np.clip`` makes for Python-int bounds; those and its
+#: argument handling cost about as much as clamping an 8192-pixel block.
+_U8_BOUNDS = (np.int32(0), np.int32(255))
+
+
+def clamp_u8_np(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vectorized clamp_u8 for int32 or wider signed arrays, in their dtype.
+    The result is written to ``out``, which may be ``x`` itself, or to a
+    new array without one."""
+    return x.clip(*_U8_BOUNDS, out=out)

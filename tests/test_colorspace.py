@@ -339,21 +339,41 @@ def test_frames_that_span_blocks_match_the_oracle(matrix):
         assert np.array_equal(got, sliced), mode
 
 
+#: Enough invocations for a kernel body's group copies to leave the 2-D path.
+WIDE_BATCH = colorspace._PLAIN_COPY_GROUPS + 3
+
+
+def _registers(rng, invocations, n_inputs, layout):
+    """Random (invocations, n_inputs, 16) registers laid out as ``layout``:
+    contiguous, every other row of a larger array, or every other byte of
+    32-byte rows."""
+    if layout == "contiguous":
+        return rng.integers(0, 256, (invocations, n_inputs, 16), dtype=np.uint8)
+    big = rng.integers(0, 256, (2 * invocations, n_inputs, 32), dtype=np.uint8)
+    return big[::2, :, 8:24] if layout == "rows-apart" else big[::2, :, ::2]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     matrix=st.one_of(st.sampled_from((RGB2YIQ, YIQ2RGB, RGB2CMY)), custom_matrices),
     lanes=st.sampled_from((1, 5, 8)),
     invocations=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(("contiguous", "rows-apart", "bytes-apart")),
 )
-@example(matrix=AT_THE_LIMITS, lanes=8, invocations=0, seed=0)
-def test_matrix_batch_equals_a_loop_of_batches_of_one(matrix, lanes, invocations, seed):
+@example(matrix=AT_THE_LIMITS, lanes=8, invocations=0, seed=0, layout="contiguous")
+@example(matrix=YIQ2RGB, lanes=1, invocations=WIDE_BATCH, seed=1, layout="rows-apart")
+@example(matrix=YIQ2RGB, lanes=5, invocations=WIDE_BATCH, seed=2, layout="bytes-apart")
+@example(matrix=WIDEST_ACCUMULATOR, lanes=8, invocations=WIDE_BATCH, seed=3, layout="bytes-apart")
+def test_matrix_batch_equals_a_loop_of_batches_of_one(matrix, lanes, invocations, seed, layout):
     ei = matrix_ei(matrix, lanes)
-    rng = np.random.default_rng(seed)
-    registers = rng.integers(0, 256, (invocations, ei.n_inputs, 16), dtype=np.uint8)
+    registers = _registers(np.random.default_rng(seed), invocations, ei.n_inputs, layout)
+    before = registers.copy()
     batch_log, loop_log = InvocationLog(), InvocationLog()
     out = ei_execute_batch(ei, registers, log=batch_log)
     assert out.shape == (invocations, ei.n_outputs, 16)
+    assert np.array_equal(registers, before)
+    assert np.array_equal(out, ei_execute_batch(ei, np.ascontiguousarray(registers)))
     loop = [ei_execute(ei, [WideRegister(r.tobytes()) for r in row], log=loop_log) for row in registers]
     assert [[wr.data for wr in outs] for outs in loop] == [[r.tobytes() for r in row] for row in out]
     assert batch_log.counts == loop_log.counts and batch_log.total == invocations
@@ -363,6 +383,17 @@ def test_matrix_batch_equals_a_loop_of_batches_of_one(matrix, lanes, invocations
         pixels = row_in[:span].reshape(lanes, 3).tolist()
         assert row_out[:span].reshape(lanes, 3).tolist() == [list(convert_px(matrix, p)) for p in pixels]
         assert not row_out[span:].any()
+
+
+def test_apply_matrix_np_writes_only_its_destination():
+    n = colorspace._BLOCK + 5
+    flat = np.random.default_rng(n).integers(0, 256, (n, 3), dtype=np.uint8)
+    canvas = np.full((2 * n, 16), 0xA5, dtype=np.uint8)
+    view = canvas[::2, 4:7]
+    assert apply_matrix_np(flat, YIQ2RGB, out=view) is view
+    assert np.array_equal(view, apply_matrix_np(flat, YIQ2RGB))
+    view[...] = 0xA5
+    assert (canvas == 0xA5).all()
 
 
 @pytest.mark.parametrize("mode", ["ei1", "ei5", "ei8"])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scpsim.fixed_point import (
     check_coefficient,
     clamp_u8,
+    clamp_u8_np,
     div256_trunc,
     div256_trunc_np,
     mul_acc3,
@@ -81,9 +82,26 @@ def test_div256_trunc_np_matches_scalar(values):
     int64_extremes = [INT64.max, -INT64.max, INT64.min]
     for dtype, extremes in ((np.int32, int32_extremes), (np.int64, int32_extremes + int64_extremes)):
         arr = np.array(values + extremes, dtype=dtype)
+        want = [div256_trunc(v) for v in values + extremes]
         got = div256_trunc_np(arr)
         assert got.dtype == dtype
-        assert got.tolist() == [div256_trunc(v) for v in values + extremes], dtype
+        assert got.tolist() == want, dtype
+        assert arr.tolist() == values + extremes
+        assert div256_trunc_np(arr, out=arr) is arr
+        assert arr.tolist() == want, dtype
+
+
+@given(st.lists(st.integers(-(2**20), 2**20), min_size=1, max_size=64))
+def test_clamp_u8_np_matches_scalar(values):
+    values = values + [-1, 0, 255, 256]
+    want = [clamp_u8(v) for v in values]
+    for dtype in (np.int32, np.int64):
+        arr = np.array(values, dtype=dtype)
+        got = clamp_u8_np(arr)
+        assert got.dtype == dtype and got.tolist() == want
+        assert arr.tolist() == values
+        assert clamp_u8_np(arr, out=arr) is arr
+        assert arr.tolist() == want
 
 
 def test_coefficient_limit():

@@ -69,18 +69,28 @@ MUTANTS = (
     Mutant("div256-floors", "src/scpsim/fixed_point.py", "q &= 255", "q &= 0"),
     Mutant("div256-sign-mask-127", "src/scpsim/fixed_point.py", "q &= 255", "q &= 127"),
     Mutant("clamp-passes-256", "src/scpsim/fixed_point.py",
-           "return np.clip(x, 0, 255)", "return np.clip(x, 0, 256)"),
+           "(np.int32(0), np.int32(255))", "(np.int32(0), np.int32(256))"),
     # Blocked batch path and the streamed sweep.
     Mutant("block-drops-last-column", COLORSPACE,
-           "for c in range(3):", "for c in range(2):"),
+           "for channel, row in enumerate(a):", "for channel, row in enumerate(a[:2]):"),
     Mutant("sweep-skips-a-g-step", COLORSPACE,
            "for g in range(0, 256, g_step):", "for g in range(0, 256 - g_step, g_step):"),
     Mutant("lane-walk-skips-last-block", COLORSPACE,
            "for start in range(0, groups, step):", "for start in range(0, groups - step, step):"),
     Mutant("lane-block-drops-last-group", COLORSPACE,
-           "results[block] = outputs.reshape(count, ei.n_outputs * WR_BYTES)[:, :span]",
-           "results[start : start + count - 1] = "
-           "outputs.reshape(count, ei.n_outputs * WR_BYTES)[:-1, :span]"),
+           "_copy_groups(results[block], outputs.reshape(count, ei.n_outputs * WR_BYTES)[:, :span])",
+           "_copy_groups(results[start : start + count - 1], "
+           "outputs.reshape(count, ei.n_outputs * WR_BYTES)[:-1, :span])"),
+    # Register traffic: group copies and the kernel body's output.
+    Mutant("one-pixel-copy-skips-a-channel", COLORSPACE,
+           "for c in range(3):", "for c in range(2):"),
+    Mutant("group-copy-one-byte-short", COLORSPACE,
+           "dst.view(item)[:, 0] = src.view(item)[:, 0]",
+           "item = np.dtype((np.void, span - 1))\n"
+           "        dst[:, :-1].view(item)[:, 0] = src[:, :-1].view(item)[:, 0]"),
+    Mutant("body-output-tail-not-zeroed", COLORSPACE,
+           "out = np.zeros((invocations, registers * WR_BYTES), dtype=np.uint8)",
+           "out = np.empty((invocations, registers * WR_BYTES), dtype=np.uint8)"),
     # Histogram equalization.
     Mutant("build-lut-rounds-up", "src/scpsim/histeq.py",
            "((255 * cum) // n)", "(-(-255 * cum // n))"),
