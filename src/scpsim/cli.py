@@ -86,26 +86,25 @@ _MATRIX_KEYS = ("name", "row0", "row1", "row2", "input_offset", "output_offset")
 
 def _load_matrix_file(path: str) -> colorspace.ConversionMatrix:
     """Matrix file: 'name = x', 'row0 = a b c' (thrice), optional offsets."""
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = cycle_model.read_key_values(fh.read(), f"matrix file {path}")
-    fields = {}
-    for key, (lineno, value) in entries.items():
+    source = f"matrix file {path}"
+    entries = cycle_model.read_key_values(cycle_model.read_text(path, source), source)
+    for key, (lineno, _) in entries.items():
         if key not in _MATRIX_KEYS:
-            raise ValueError(f"matrix file {path} line {lineno}: unrecognized key {key!r}")
-        fields[key] = value
-    try:
-        rows = tuple(
-            tuple(int(v) for v in fields[f"row{i}"].split()) for i in range(3)
-        )
-    except KeyError as exc:
-        raise ValueError(f"matrix file {path}: missing {exc.args[0]}") from None
-    offsets = {}
-    for key in ("input_offset", "output_offset"):
-        if key in fields:
-            offsets[key] = tuple(int(v) for v in fields[key].split())
-    return colorspace.ConversionMatrix(
-        name=fields.get("name", "custom"), coeffs=rows, **offsets
-    )
+            raise ValueError(f"{source} line {lineno}: unrecognized key {key!r}")
+
+    def ints(key):
+        if key not in entries:
+            raise ValueError(f"{source}: missing {key}")
+        lineno, value = entries[key]
+        try:
+            return tuple(int(v) for v in value.split())
+        except ValueError:
+            raise ValueError(f"{source} line {lineno}: expected integers, got {value!r}") from None
+
+    rows = tuple(ints(f"row{i}") for i in range(3))
+    offsets = {key: ints(key) for key in ("input_offset", "output_offset") if key in entries}
+    name = entries["name"][1] if "name" in entries else "custom"
+    return colorspace.ConversionMatrix(name=name, coeffs=rows, **offsets)
 
 
 def _resolve_matrix(target: str) -> colorspace.ConversionMatrix:

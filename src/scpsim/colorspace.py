@@ -17,9 +17,10 @@ round-trip sweep.  Both feed it at most ``_BLOCK`` samples at a time,
 into block-sized arrays made once per call and reused for every block;
 the products are summed, divided and clamped in those arrays, so a
 steady-state block maps no fresh memory and the sweep never holds more
-than one block of its 2^24 triples.  ``apply_matrix_np`` is the
-plain-processor "scalar mode" for images and the body of every fabric
-kernel, which processes 1, 5, or 8 pixels per invocation;
+than one block of its 2^24 triples.  The core's int32 matrix and offset
+columns are built once per matrix, at construction.  ``apply_matrix_np``
+is the plain-processor "scalar mode" for images and the body of every
+fabric kernel, which processes 1, 5, or 8 pixels per invocation;
 ``convert_image`` issues a lane mode's invocations one batch per block of
 ``_BLOCK // lanes`` groups.  The kernel body of a one-pixel register
 converts straight from the input-register view into the output-register
@@ -31,7 +32,7 @@ item each (``_copy_groups``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Iterable, Iterator, Optional
 
@@ -80,13 +81,17 @@ class ConversionMatrix:
 
     ``coeffs`` are scaled by 256.  ``input_offset`` is subtracted from
     each incoming byte before the multiply; ``output_offset`` is added
-    after the truncating divide, before saturation.
+    after the truncating divide, before saturation.  The read-only int32
+    ``columns``, ``input_column`` and ``output_column`` are built from them.
     """
 
     name: str
     coeffs: tuple[tuple[int, int, int], ...]
     input_offset: tuple[int, int, int] = (0, 0, 0)
     output_offset: tuple[int, int, int] = (0, 0, 0)
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    input_column: np.ndarray = field(init=False, repr=False, compare=False)
+    output_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != 3 or any(len(row) != 3 for row in self.coeffs):
@@ -102,6 +107,11 @@ class ConversionMatrix:
                     f"conversion offsets must be three integers in "
                     f"[-{OFFSET_LIMIT}, {OFFSET_LIMIT}], got {offset!r}"
                 )
+        names = ("columns", "input_column", "output_column")
+        for name, value in zip(names, (self.coeffs, self.input_offset, self.output_offset)):
+            array = np.array(value, dtype=np.int32).T[..., None]
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 RGB2YIQ = ConversionMatrix(
@@ -162,16 +172,10 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _columns(coeffs) -> np.ndarray:
-    """The columns of ``coeffs`` as (rows, 1) int32 arrays, stacked, the
-    form ``_affine_np`` multiplies by; built once per call of its caller."""
-    return np.array(coeffs, dtype=np.int32).T[:, :, None]
-
-
 def _affine_np(columns: np.ndarray, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     """_affine_px's rows over a (3, n) int32 sample array, offset already
     taken, written to ``out``, an int32 array with one row per matrix row;
-    returns ``out``.  ``columns`` is ``_columns(coeffs)``.
+    returns ``out``.  ``columns`` is built once per matrix (``ConversionMatrix``).
 
     Each column is a (rows, 1) array, so one multiply gives a sample row's
     products for every output row.  The products are summed and divided in
@@ -194,9 +198,6 @@ def apply_matrix_np(
     n = flat.shape[0]
     if out is None:
         out = np.empty((n, 3), dtype=np.uint8)
-    columns = _columns(matrix.coeffs)
-    input_offset = np.array(matrix.input_offset, dtype=np.int32)[:, None]
-    output_offset = np.array(matrix.output_offset, dtype=np.int32)[:, None]
     samples = np.empty((3, min(n, _BLOCK)), dtype=np.int32)
     acc = np.empty_like(samples)
     for start in range(0, n, _BLOCK):
@@ -204,9 +205,9 @@ def apply_matrix_np(
         pixels = flat[block]
         s, a = samples[:, : len(pixels)], acc[:, : len(pixels)]
         s[...] = pixels.T
-        s -= input_offset
-        _affine_np(columns, s, a)
-        a += output_offset
+        s -= matrix.input_column
+        _affine_np(matrix.columns, s, a)
+        a += matrix.output_column
         clamp_u8_np(a, out=a)
         for channel, row in enumerate(a):
             out[block, channel] = row
@@ -305,11 +306,12 @@ def convert_image(
 ) -> tuple[ImageBuffer, Optional[cycle_model.CycleReport]]:
     """Convert a 3-channel image; optionally cost the run.
 
-    Output samples are identical across all modes.  Lane modes finish a
-    pixel count that does not divide the lane width on the batch path
-    (the scalar tail).  With a profile the cycle report is filled from
-    the cost model, which must agree with the invocations executed
-    (``cycle_model.checked_report``); without one the report is None.
+    Output samples are identical across all modes.  Every mode issues its
+    whole lane groups (``KernelShape.split``) and converts the tail on the
+    batch path; without lanes the tail is the whole image.  With a profile
+    the cycle report is filled from the cost model, which must agree with
+    the invocations executed (``cycle_model.checked_report``); without one
+    the report is None.
     Every matrix is costed at the calibrated ``yiq`` rates, the family
     the report's ``kernel`` names: cost depends on shape, not coefficients.
     """
@@ -323,16 +325,14 @@ def convert_image(
 
     flat = img.samples.reshape(-1, 3)
     n = flat.shape[0]
-    if mode == "scalar":
-        out = apply_matrix_np(flat, matrix)
-    else:
-        lanes = cycle_model.mode_lanes(mode)
+    lanes = cycle_model.mode_lanes(mode)
+    groups, tail = cycle_model.KERNEL_SHAPES[mode].split(n)
+    head = n - tail
+    out = np.empty_like(flat)
+    if groups:
         ei = matrix_ei(matrix, lanes)
-        groups = n // lanes
-        head = lanes * groups
         span = 3 * lanes
         step = _BLOCK // lanes
-        out = np.empty_like(flat)
         pixels = flat[:head].reshape(groups, span)
         results = out[:head].reshape(groups, span)
         # Bytes past the last pixel are never written, so they stay zero.
@@ -344,8 +344,8 @@ def convert_image(
             batch = registers[:count].reshape(count, ei.n_inputs, WR_BYTES)
             outputs = ei_execute_batch(ei, batch, log=log)
             _copy_groups(results[block], outputs.reshape(count, ei.n_outputs * WR_BYTES)[:, :span])
-        if head < n:
-            out[head:] = apply_matrix_np(flat[head:], matrix)
+    if tail:
+        apply_matrix_np(flat[head:], matrix, out=out[head:])
 
     converted = ImageBuffer(
         width=img.width, height=img.height, channels=3, samples=out
@@ -384,7 +384,7 @@ def _roundtrip_errors(blocks: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray
     """Each (3, n) int32 RGB block of ``blocks``, n <= _BLOCK, with the
     per-channel |error| of its forward+reverse conversion.  Every error is
     written to the same array, so it holds only until the next is drawn."""
-    forward, reverse = _columns(RGB2YIQ.coeffs), _columns(YIQ2RGB.coeffs)
+    forward, reverse = RGB2YIQ.columns, YIQ2RGB.columns
     yiq = np.empty((3, _BLOCK), dtype=np.int32)
     back = np.empty_like(yiq)
     for rgb in blocks:
@@ -416,6 +416,8 @@ def roundtrip_sweep(
     elif sample is not None:
         if sample < 1:
             raise ValueError("sample size must be positive")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         trip = rng.integers(0, 256, size=(sample, 3), dtype=np.int64)
         blocks = (

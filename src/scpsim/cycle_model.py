@@ -34,9 +34,9 @@ from __future__ import annotations
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 from .fabric import BANK_COUNT, COUNTER_MAX, HIST_ENTRIES, ResourceLedger, stage_count
@@ -92,6 +92,11 @@ class KernelShape:
     ledgers: tuple[ResourceLedger, ...] = ()
     merge: bool = False
 
+    def split(self, pixels: int) -> tuple[int, int]:
+        """``(groups, tail)``: the whole lane groups in ``pixels`` and the
+        pixels left to the plain processor; without lanes every pixel is tail."""
+        return divmod(pixels, self.lanes) if self.lanes else (0, pixels)
+
     def windows(self, groups: int) -> range:
         """The first group of each flush window of a run of ``groups``
         groups: one window per ``COUNTER_MAX`` groups, the most a 16-bit
@@ -107,13 +112,10 @@ class KernelShape:
         """Invocations a run of ``groups`` groups issues, merges included."""
         return groups * len(self.ledgers) + self.merges(groups)
 
-    @property
+    @cached_property
     def peak(self) -> ResourceLedger:
         """Componentwise peak demand over the mode's instructions."""
-        peak = ResourceLedger()
-        for ledger in self.ledgers:
-            peak = peak.merged_peak(ledger)
-        return peak
+        return ResourceLedger(*map(max, zip(*map(astuple, self.ledgers))))
 
     @property
     def stages(self) -> int:
@@ -306,8 +308,7 @@ def estimate(
             f"profile {profile.name!r} has no entry for kernel {kernel!r} mode {mode!r}"
         )
     cpp = profile.rates[(kernel, "scalar")]
-    # The plain processor is a shape without lanes: every pixel is tail.
-    groups, tail = divmod(pixels, shape.lanes) if shape.lanes else (0, pixels)
+    groups, tail = shape.split(pixels)
     invocations = shape.invocations(groups)
     # Terms are added only when non-zero: Fraction arithmetic dominates the call.
     total = Fraction(0)
@@ -386,7 +387,7 @@ def fit_profile(
         cpp = rates.get((kernel, "scalar"))
         if cpp is None:
             raise Underdetermined(f"{kernel}/{mode}: no scalar measurement for {kernel!r}")
-        groups, tail = divmod(pixels, lanes)
+        groups, tail = shape.split(pixels)
         if groups < 1:
             raise Underdetermined(f"{kernel}/{mode}: fewer pixels than one {lanes}-lane group")
         pool = cycles - tail * cpp
@@ -410,6 +411,15 @@ def format_profile(profile: CalibrationProfile) -> str:
             f"{kernel}.{mode}.{_rate_name(mode)} = {_ratio_str(profile.rates[(kernel, mode)])}"
         )
     return "\n".join(lines) + "\n"
+
+
+def read_text(path: Union[str, os.PathLike], source: str) -> str:
+    """The text of a UTF-8 file; ValueError naming ``source`` for any other bytes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def read_key_values(text: str, source: str) -> dict[str, tuple[int, str]]:
@@ -479,8 +489,7 @@ def parse_profile(text: str) -> CalibrationProfile:
 
 
 def load_profile(path: Union[str, os.PathLike]) -> CalibrationProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_profile(fh.read())
+    return parse_profile(read_text(path, f"profile file {path}"))
 
 
 @cache

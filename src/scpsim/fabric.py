@@ -368,14 +368,6 @@ class ResourceLedger:
         if min(self.multipliers_used, self.alu_ops_used, self.iram_bytes_used) < 0:
             raise ValueError("resource counts cannot be negative")
 
-    def merged_peak(self, other: "ResourceLedger") -> "ResourceLedger":
-        """Componentwise peak, for reporting multi-instruction pipelines."""
-        return ResourceLedger(
-            max(self.multipliers_used, other.multipliers_used),
-            max(self.alu_ops_used, other.alu_ops_used),
-            max(self.iram_bytes_used, other.iram_bytes_used),
-        )
-
 
 def stage_count(ledger: ResourceLedger) -> int:
     """Stages one invocation needs: ceil(multipliers / MULTIPLIERS), at least one."""

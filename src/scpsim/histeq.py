@@ -35,8 +35,8 @@ from .fabric import (
 from .fabric import ei_execute, ei_validate, wr_pack, wr_unpack  # noqa: F401
 from .image_io import ChannelMismatch, ImageBuffer
 
-LANES = cycle_model.mode_lanes("isef")
-_SUBHIST_LEDGER, _TRANSFORM_LEDGER = cycle_model.KERNEL_SHAPES["isef"].ledgers
+_ISEF = cycle_model.KERNEL_SHAPES["isef"]
+_SUBHIST_LEDGER, _TRANSFORM_LEDGER = _ISEF.ledgers
 
 
 class EmptyImage(ValueError):
@@ -44,7 +44,7 @@ class EmptyImage(ValueError):
 
 
 #: Lane j of both kernels owns bank j; a register holds one pixel per lane.
-_LANE_BANKS = np.arange(LANES)
+_LANE_BANKS = np.arange(_ISEF.lanes)
 
 
 def _subhist_body(registers, iram):
@@ -152,8 +152,6 @@ def histeq_image(
 
     flat = img.samples
     n = flat.size
-    if n == 0:
-        raise EmptyImage("cannot equalize zero pixels")
 
     if mode == "scalar":
         cum = np.cumsum(scalar_histogram(flat))
@@ -161,22 +159,21 @@ def histeq_image(
         out = lut[flat]
     else:
         iram = IramState()
-        groups = n // LANES
-        head = LANES * groups
-        pixels = flat[:head].reshape(groups, LANES)
+        groups, tail = _ISEF.split(n)
+        head = n - tail
+        pixels = flat[:head].reshape(groups, _ISEF.lanes)
         cum = np.zeros(HIST_ENTRIES, dtype=np.int64)
-        windows = cycle_model.KERNEL_SHAPES["isef"].windows(groups)
+        windows = _ISEF.windows(groups)
         for first in windows:
             ei_subhist16(pixels[first : first + windows.step], iram, log=log)
             cum += merge_cumulative(iram)
             log.record("merge_lut")
             iram.clear()
-        tail = flat[head:]
-        if tail.size:
-            cum += np.cumsum(scalar_histogram(tail))
+        if tail:
+            cum += np.cumsum(scalar_histogram(flat[head:]))
         lut = build_lut(cum, n)
         lut_replicate(lut, iram)
-        out = np.concatenate((ei_transform16(pixels, iram, log=log).ravel(), lut[tail]))
+        out = np.concatenate((ei_transform16(pixels, iram, log=log).ravel(), lut[flat[head:]]))
 
     result = ImageBuffer(width=img.width, height=img.height, channels=1, samples=out)
     report = cycle_model.checked_report("histeq", mode, n, profile, log.total - logged)

@@ -170,11 +170,11 @@ def to_gray(img: ImageBuffer) -> ImageBuffer:
     """Collapse a 3-channel image to its fixed-point luminance channel, the
     Y channel of ``colorspace.RGB2YIQ``."""
     # Imported here because colorspace imports this module.
-    from .colorspace import RGB2YIQ, _affine_np, _columns
+    from .colorspace import RGB2YIQ, _affine_np
 
     if img.channels != 3:
         raise ChannelMismatch(f"to_gray needs 3 channels, got {img.channels}")
     samples = img.samples.reshape(-1, 3).T.astype(np.int32, order="C")
-    luma = _affine_np(_columns(RGB2YIQ.coeffs[:1]), samples, np.empty_like(samples[:1]))
+    luma = _affine_np(RGB2YIQ.columns[:, :1], samples, np.empty_like(samples[:1]))
     y = clamp_u8_np(luma[0], out=luma[0]).astype(np.uint8)
     return ImageBuffer(width=img.width, height=img.height, channels=1, samples=y)

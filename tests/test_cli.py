@@ -168,6 +168,30 @@ def test_malformed_matrix_file_is_a_constraint_error(ppm, tmp_path, text):
     assert convert(ppm, tmp_path, "--to", f"matrix:{matrix}") == cli.EXIT_CONSTRAINT
 
 
+@pytest.mark.parametrize(
+    "flag, content, message",
+    [
+        ("--to", b"\xffname = m\n", "matrix file {path}: 'utf-8' codec can't decode byte 0xff"),
+        ("--profile", b"\xffname = p\n", "profile file {path}: 'utf-8' codec can't decode byte 0xff"),
+        ("--to", b"row0 = 1.5 2 3\n", "matrix file {path} line 1: expected integers, got '1.5 2 3'"),
+    ],
+    ids=["matrix-not-utf8", "profile-not-utf8", "matrix-not-integers"],
+)
+def test_unreadable_text_file_is_named_in_the_error(ppm, tmp_path, capsys, flag, content, message):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(content)
+    spec = f"matrix:{path}" if flag == "--to" else str(path)
+    # The profile is read only for a report; a second --to replaces the first.
+    args = ("--to", "yiq", "--report", str(tmp_path / "r.json"), flag, spec)
+    assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT
+    assert capsys.readouterr().err.startswith("constraint error: " + message.format(path=path))
+
+
+def test_negative_roundtrip_seed_is_a_constraint_error(capsys):
+    assert cli.main(["roundtrip", "--sample", "5", "--seed", "-3"]) == cli.EXIT_CONSTRAINT
+    assert capsys.readouterr().err == "constraint error: seed must be non-negative, got -3\n"
+
+
 def test_invocation_mismatch_is_a_constraint_error(monkeypatch, tmp_path):
     transform = histeq.ei_transform16
     monkeypatch.setattr(histeq, "ei_transform16", lambda pixels, iram, log=None: transform(pixels, iram))

@@ -145,6 +145,23 @@ def test_matrix_validation():
     ConversionMatrix(name="edge", coeffs=identity, input_offset=edge, output_offset=edge)
 
 
+def test_compiled_core_is_read_only():
+    assert RGB2YIQ.columns[:, :, 0].T.tolist() == [list(row) for row in RGB2YIQ.coeffs]
+    assert YIQ2RGB.input_column[:, 0].tolist() == [0, 128, 128]
+    assert YIQ2RGB.output_column[:, 0].tolist() == [0, 0, 0]
+    for array in (RGB2YIQ.columns, RGB2YIQ.input_column, RGB2YIQ.output_column):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def test_matrices_equal_by_their_fields_are_equal_and_hash_alike():
+    twin = ConversionMatrix(RGB2YIQ.name, RGB2YIQ.coeffs, RGB2YIQ.input_offset, RGB2YIQ.output_offset)
+    assert twin.columns is not RGB2YIQ.columns
+    assert twin == RGB2YIQ and hash(twin) == hash(RGB2YIQ)
+    assert repr(twin) == repr(RGB2YIQ) and "columns" not in repr(twin)
+    assert twin != ConversionMatrix("other", RGB2YIQ.coeffs, RGB2YIQ.input_offset, RGB2YIQ.output_offset)
+
+
 def test_cmy_matrix_matches_direct_complement():
     for rgb in [(0, 0, 0), (255, 255, 255), (100, 50, 25), (1, 128, 254)]:
         assert convert_px(RGB2CMY, rgb) == tuple(255 - v for v in rgb)
@@ -471,6 +488,11 @@ def test_roundtrip_gray_only_is_exact():
     result = roundtrip_sweep(gray_only=True)
     assert result.max_error == 0
     assert result.per_channel_max == (0, 0, 0)
+
+
+def test_roundtrip_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        roundtrip_sweep(sample=5, seed=-3)
 
 
 def test_roundtrip_sample_subset_bound():

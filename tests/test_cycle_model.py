@@ -244,6 +244,18 @@ def test_merges_per_run():
     assert KERNEL_SHAPES["ei5"].merges(1 << 20) == 0
 
 
+@pytest.mark.parametrize("mode", KERNEL_SHAPES)
+def test_split_leaves_every_pixel_to_exactly_one_path(profile, mode):
+    shape = KERNEL_SHAPES[mode]
+    lanes = shape.lanes
+    kernel = "histeq" if mode == "isef" else "yiq"
+    for n in {1, lanes - 1, lanes, lanes + 1, 16384, 64000} - {-1, 0}:
+        groups, tail = shape.split(n)
+        assert groups * lanes + tail == n
+        assert tail < lanes if lanes else (groups, tail) == (0, n)
+        assert estimate(kernel, mode, n, profile).ei_invocations == shape.invocations(groups)
+
+
 def test_mode_lanes():
     assert mode_lanes("scalar") == 0
     assert mode_lanes("ei1") == 1

@@ -1,6 +1,6 @@
 """The mutation check's list stays in step with the source.
 
-``tools/mutants.py`` runs Tier-1 once per mutant, which is too slow for
+``tools/mutants.py`` runs tests once per mutant, which is too slow for
 Tier-1 itself; this only checks that every mutant's target string occurs
 exactly once in its file, so a source edit cannot silently leave a mutant
 that changes nothing.
