@@ -117,7 +117,7 @@ class KernelShape:
         """Componentwise peak demand over the mode's instructions."""
         return ResourceLedger(*map(max, zip(*map(astuple, self.ledgers))))
 
-    @property
+    @cached_property
     def stages(self) -> int:
         """Most stages any of the mode's instructions needs on the default fabric."""
         return max((stage_count(ledger) for ledger in self.ledgers), default=0)
@@ -241,20 +241,22 @@ class CycleReport:
 
     def to_dict(self) -> dict:
         """Stable report schema used by the JSON and CSV emitters."""
-        speedup = self.speedup_vs_scalar
+        total, total_exact = _figure(self.cycles_total)
+        per_pixel, per_pixel_exact = _figure(self.cycles_per_pixel)
+        speedup, speedup_exact = _figure(self.speedup_vs_scalar)
         return {
             "kernel": self.kernel,
             "mode": self.mode,
             "pixels": self.pixels,
             "ei_invocations": self.ei_invocations,
             "stages": self.stages,
-            "cycles_total": _num(self.cycles_total),
-            "cycles_total_exact": _ratio_str(self.cycles_total),
-            "cycles_per_pixel": _num(self.cycles_per_pixel),
-            "cycles_per_pixel_exact": _ratio_str(self.cycles_per_pixel),
-            "speedup_vs_scalar": _num(speedup),
-            "speedup_vs_scalar_exact": _ratio_str(speedup),
-            "speedup_rounded": round(_num(speedup)),
+            "cycles_total": total,
+            "cycles_total_exact": total_exact,
+            "cycles_per_pixel": per_pixel,
+            "cycles_per_pixel_exact": per_pixel_exact,
+            "speedup_vs_scalar": speedup,
+            "speedup_vs_scalar_exact": speedup_exact,
+            "speedup_rounded": round(speedup),
             "multipliers_used": self.resources.multipliers_used,
             "alu_ops_used": self.resources.alu_ops_used,
             "iram_bytes_used": self.resources.iram_bytes_used,
@@ -262,19 +264,22 @@ class CycleReport:
         }
 
 
-def _num(x: Rational) -> Union[int, float]:
-    frac = Fraction(x)
+#: The largest finite float, an integer, for exact comparison with a figure.
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _figure(x: Rational) -> tuple[Union[int, float], str]:
+    """A report figure as a number and as its exact ``num[/den]`` string."""
     # Every figure must survive float(): readers of the report and the CLI's lines use it.
-    if abs(frac) > sys.float_info.max:
+    if abs(x) > _FLOAT_MAX:
         # Sized by bit length: str() of a figure past 4300 digits raises a plain ValueError.
-        bits = abs(frac.numerator).bit_length() - frac.denominator.bit_length()
+        bits = abs(x.numerator).bit_length() - x.denominator.bit_length()
         raise ReportOverflow(f"a report figure of about 2^{bits} is beyond the float range")
-    return int(frac) if frac.denominator == 1 else float(frac)
+    return (x.numerator if x.denominator == 1 else x.numerator / x.denominator), _ratio_str(x)
 
 
 def _ratio_str(x: Rational) -> str:
-    frac = Fraction(x)
-    return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _exact(x: Fraction) -> Union[int, Fraction]:
@@ -292,7 +297,8 @@ def estimate(
     The report carries the mode's peak per-invocation resources and its
     stage count from ``KERNEL_SHAPES``.
 
-    Raises UnknownKernelConfig for a (kernel, mode) outside
+    Raises ValueError for fewer than one pixel.  Raises
+    UnknownKernelConfig for a (kernel, mode) outside
     ``CALIBRATION_MEASUREMENTS``, and when the profile has no rate for
     it.  A profile that rates the mode also rates its family's plain
     processor, which charges a lane mode's tail (on the plain processor,
@@ -310,12 +316,13 @@ def estimate(
     cpp = profile.rates[(kernel, "scalar")]
     groups, tail = shape.split(pixels)
     invocations = shape.invocations(groups)
-    # Terms are added only when non-zero: Fraction arithmetic dominates the call.
-    total = Fraction(0)
-    if invocations:
-        total += invocations * per_unit / len(shape.ledgers)
-    if tail:
-        total += tail * cpp
+    # Integer sums, then one Fraction per figure: Fraction operators cost
+    # microseconds each and dominated the call.  a/b cycles per invocation
+    # (a group's rate over its instructions; a plain mode has no
+    # invocations), c/d per plain-processor pixel.
+    a, b = per_unit.numerator, per_unit.denominator * max(len(shape.ledgers), 1)
+    c, d = cpp.numerator, cpp.denominator
+    total = Fraction(invocations * a * d + tail * c * b, b * d)
 
     return CycleReport(
         kernel=kernel,
@@ -323,8 +330,8 @@ def estimate(
         pixels=pixels,
         ei_invocations=invocations,
         cycles_total=_exact(total),
-        cycles_per_pixel=total / pixels,
-        speedup_vs_scalar=pixels * cpp / total,
+        cycles_per_pixel=Fraction(total.numerator, total.denominator * pixels),
+        speedup_vs_scalar=Fraction(pixels * c * total.denominator, d * total.numerator),
         resources=shape.peak,
         stages=shape.stages,
         profile_name=profile.name,

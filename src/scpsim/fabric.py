@@ -145,6 +145,13 @@ ALU_OPS = 4096
 IRAM_BYTES = BANK_COUNT * BANK_BYTES
 
 
+def _check_range(what: str, index: np.ndarray, limit: int):
+    """Raise IndexError naming the first bad value when ``index`` leaves 0..limit - 1."""
+    if index.size and not 0 <= index.min() <= index.max() < limit:
+        bad = index.min() if index.min() < 0 else index.max()
+        raise IndexError(f"{what} {bad} out of range 0..{limit - 1}")
+
+
 class IramState:
     """Fabric-local RAM: ``BANK_COUNT`` banks of ``BANK_BYTES`` bytes each.
 
@@ -161,10 +168,13 @@ class IramState:
     is a 1-D vector of distinct banks, one per touch, gives every row one
     touch per bank, which the rule always allows, so the row check
     (a sort of every row) is skipped for it; any other ``banks``, a 1-D
-    vector with a repeated bank included, gets the full check.  Host
-    helpers (``counters``, ``load_luts``) read and write every bank at
-    once; they model host-visible fabric plumbing (the composite merge
-    and table upload steps) and are not constrained.
+    vector with a repeated bank included, gets the full check.  Banks
+    and entries are range-checked, except uint8 ``entries``: no uint8
+    value reaches ``HIST_ENTRIES`` (256), so the dtype proves them in
+    range.  uint8 ``banks`` are still checked, against ``BANK_COUNT``
+    (16).  Host helpers (``counters``, ``load_luts``) read and write
+    every bank at once; they model host-visible fabric plumbing (the
+    composite merge and table upload steps) and are not constrained.
     """
 
     def __init__(self):
@@ -246,7 +256,8 @@ class IramState:
         """
         cells, lanes_own_banks = self._cells(banks, entries)
         before = self._counters.ravel()
-        totals = before + np.bincount(cells.ravel(), minlength=before.size)
+        totals = np.bincount(cells.ravel(), minlength=before.size)
+        totals += before
         self._check_rows(cells, lanes_own_banks, before, totals)
         self._counters[...] = totals.reshape(self._counters.shape)
 
@@ -263,13 +274,12 @@ class IramState:
         and whether ``banks`` is a vector of distinct banks, one per touch,
         broadcast over every row."""
         banks = np.asarray(banks)
-        for what, index, limit in (("bank", banks, BANK_COUNT), ("entry", entries, HIST_ENTRIES)):
-            index = np.asarray(index)
-            if index.size and not 0 <= index.min() <= index.max() < limit:
-                bad = index.min() if index.min() < 0 else index.max()
-                raise IndexError(f"{what} {bad} out of range 0..{limit - 1}")
+        entries = np.asarray(entries)
+        _check_range("bank", banks, BANK_COUNT)
+        if entries.dtype != np.uint8:  # every uint8 entry is below HIST_ENTRIES
+            _check_range("entry", entries, HIST_ENTRIES)
         # 16 bits hold every cell index (BANK_COUNT * HIST_ENTRIES = 4096).
-        cells = banks.astype(np.int16, copy=False) * HIST_ENTRIES + entries
+        cells = np.add(np.multiply(banks, HIST_ENTRIES, dtype=np.int16), entries, dtype=np.int16)
         if cells.ndim != 2:
             raise ValueError(f"touches must form an (invocations, touches) array, got {cells.shape}")
         # A set of 16 Python ints is cheaper than np.unique here.

@@ -156,7 +156,7 @@ def histeq_image(
     if mode == "scalar":
         cum = np.cumsum(scalar_histogram(flat))
         lut = build_lut(cum, n)
-        out = lut[flat]
+        out = lut.take(flat)
     else:
         iram = IramState()
         groups, tail = _ISEF.split(n)
@@ -173,7 +173,7 @@ def histeq_image(
             cum += np.cumsum(scalar_histogram(flat[head:]))
         lut = build_lut(cum, n)
         lut_replicate(lut, iram)
-        out = np.concatenate((ei_transform16(pixels, iram, log=log).ravel(), lut[flat[head:]]))
+        out = np.concatenate((ei_transform16(pixels, iram, log=log).ravel(), lut.take(flat[head:])))
 
     result = ImageBuffer(width=img.width, height=img.height, channels=1, samples=out)
     report = cycle_model.checked_report("histeq", mode, n, profile, log.total - logged)

@@ -132,6 +132,43 @@ def test_estimate_validates_arguments(profile):
         estimate("yiq", "scalar", 0, profile)
 
 
+# ------------------------------------------------------------ report figures
+
+
+def fraction_figures(kernel, mode, pixels, profile):
+    """Total, per-pixel cost and speedup by Fraction operators, as the model states them."""
+    shape = KERNEL_SHAPES[mode]
+    groups, tail = shape.split(pixels)
+    cpp = profile.rates[(kernel, "scalar")]
+    total = tail * cpp
+    if shape.ledgers:
+        total += shape.invocations(groups) * profile.rates[(kernel, mode)] / len(shape.ledgers)
+    return total, total / pixels, pixels * cpp / total
+
+
+rates = st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    point=st.sampled_from(CALIBRATION_MEASUREMENTS),
+    pixels=st.integers(1, 1 << 24),
+    values=st.lists(rates, min_size=len(CALIBRATION_MEASUREMENTS), max_size=len(CALIBRATION_MEASUREMENTS)),
+)
+def test_figures_match_the_fraction_formula(point, pixels, values):
+    kernel, mode, _, _ = point
+    pairs = [(k, m) for k, m, _, _ in CALIBRATION_MEASUREMENTS]
+    profile = CalibrationProfile("random", dict(zip(pairs, values)))
+    report = estimate(kernel, mode, pixels, profile)
+    total, per_pixel, speedup = fraction_figures(kernel, mode, pixels, profile)
+    assert (report.cycles_total, report.cycles_per_pixel, report.speedup_vs_scalar) == (
+        total,
+        per_pixel,
+        speedup,
+    )
+    assert isinstance(report.cycles_total, int) == (total.denominator == 1)
+
+
 def test_profile_rejects_negative_parameters():
     with pytest.raises(ValueError):
         CalibrationProfile(name="bad", rates={("yiq", "scalar"): Fraction(-1)})

@@ -492,6 +492,51 @@ def test_bulk_accessor_checks_bounds():
         iram.read_luts(np.arange(16), np.zeros(16, np.uint8))
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("entry", [256, -1])
+@pytest.mark.parametrize("counting", [True, False])
+def test_wider_entry_dtypes_keep_the_range_check(dtype, entry, counting):
+    # Only uint8 proves an entry in range; every wider dtype is checked.
+    iram = IramState()
+    entries = np.zeros((2, 16), dtype=dtype)
+    entries[1, 5] = entry
+    accessor = iram.add_counters if counting else iram.read_luts
+    with pytest.raises(IndexError, match=f"^entry {entry} out of range 0..255$"):
+        accessor(np.arange(16), entries)
+    assert not iram._mem.any()
+
+
+@pytest.mark.parametrize("bank", [16, 255])
+@pytest.mark.parametrize("counting", [True, False])
+def test_uint8_banks_keep_the_range_check(bank, counting):
+    # A uint8 bank can exceed the 16 banks, unlike a uint8 entry the 256 entries.
+    iram = IramState()
+    banks = np.arange(16, dtype=np.uint8)
+    banks[-1] = bank
+    accessor = iram.add_counters if counting else iram.read_luts
+    with pytest.raises(IndexError, match=f"^bank {bank} out of range 0..15$"):
+        accessor(banks, np.zeros((2, 16), dtype=np.uint8))
+    assert not iram._mem.any()
+
+
+@pytest.mark.parametrize("bank_dtype", [np.uint8, np.int64])
+def test_uint8_entries_reach_every_entry_as_the_entry_accessors_do(bank_dtype):
+    # Every uint8 value, 255 included, in every bank: 256 invocations of 16 lanes.
+    entries = np.arange(256, dtype=np.uint8)[:, None] + np.arange(16, dtype=np.uint8) * 17
+    banks = np.arange(16, dtype=bank_dtype)
+    rng = np.random.default_rng(3)
+    bulk, oracle = IramState(), IramState()
+    bulk._mem[:] = oracle._mem[:] = rng.integers(0, 256, bulk._mem.shape, dtype=np.uint8)
+    bulk._counters[:] = oracle._counters[:] = rng.integers(0, 1000, bulk._counters.shape)
+    values = []
+    per_entry(oracle, banks, entries, False, values, [])
+    assert bulk.read_luts(banks, entries).ravel().tolist() == values
+    bulk.add_counters(banks, entries)
+    per_entry(oracle, banks, entries, True, [], [])
+    assert np.array_equal(bulk.counters(), oracle.counters())
+    assert np.array_equal(bulk._mem, oracle._mem)
+
+
 def per_entry(iram, banks, entries, counting, values, rows_done):
     """The batch's touches through the entry accessors, one invocation per row."""
     for row_banks, row_entries in zip(*np.broadcast_arrays(banks, entries)):

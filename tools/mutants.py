@@ -20,8 +20,8 @@ Run from anywhere, with the test dependencies installed::
 Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
-1.7-18 s per mutant and 2 min 25 s to 2 min 45 s for all 37 on a 2-core
-host; running Tier-1 alone on each took 2.2-108 s and 7 min 46 s.
+2.1-17 s per mutant and 3 min 11 s summed over all 44 on a 2-core host;
+running Tier-1 alone on each of 37 took 2.2-108 s and 7 min 46 s.
 """
 
 from __future__ import annotations
@@ -66,6 +66,13 @@ MUTANTS = (
            "((step > 0) & (step < HIST_ENTRIES))", "((step > 1) & (step < HIST_ENTRIES))"),
     Mutant("counter-limit-fires-at-65535", FABRIC,
            "totals.max() > COUNTER_MAX", "totals.max() >= COUNTER_MAX"),
+    Mutant("batch-forgets-earlier-counts", FABRIC, "totals += before", "pass"),
+    # Range checks skipped only where the dtype proves them.
+    Mutant("entry-range-skipped-for-every-dtype", FABRIC,
+           "if entries.dtype != np.uint8:", "if False:"),
+    Mutant("bank-range-skipped-for-uint8", FABRIC,
+           '        _check_range("bank", banks, BANK_COUNT)\n',
+           '        if banks.dtype != np.uint8:\n            _check_range("bank", banks, BANK_COUNT)\n'),
     Mutant("input-arity-allows-four", FABRIC,
            "ei.n_inputs > MAX_INPUTS", "ei.n_inputs > MAX_INPUTS + 1"),
     # Fixed-point primitives.
@@ -130,13 +137,21 @@ MUTANTS = (
            "return groups * len(self.ledgers)"),
     # Cost formula and fit.
     Mutant("estimate-drops-the-merge-charge", CYCLE_MODEL,
-           "total += invocations * per_unit / len(shape.ledgers)",
-           "total += groups * per_unit"),
+           "Fraction(invocations * a * d", "Fraction((invocations - shape.merges(groups)) * a * d"),
     Mutant("fit-divides-by-groups", CYCLE_MODEL,
            "len(shape.ledgers) * pool / shape.invocations(groups)",
            "len(shape.ledgers) * pool / (groups * len(shape.ledgers))"),
     Mutant("tail-charged-at-lane-rate", CYCLE_MODEL,
-           "total += tail * cpp", "total += tail * per_unit"),
+           "tail * c * b, b * d)", "tail * a * d, b * d)"),
+    # Each figure built from integer sums, with one Fraction per figure.
+    Mutant("merge-charged-a-whole-group", CYCLE_MODEL,
+           "per_unit.denominator * max(len(shape.ledgers), 1)", "per_unit.denominator"),
+    Mutant("per-pixel-drops-the-pixels", CYCLE_MODEL,
+           "total.denominator * pixels)", "total.denominator)"),
+    Mutant("speedup-drops-the-rate-denominator", CYCLE_MODEL,
+           "d * total.numerator)", "total.numerator)"),
+    Mutant("report-figure-floors", CYCLE_MODEL,
+           "x.numerator / x.denominator", "x.numerator // x.denominator"),
     # Parsers.
     Mutant("exponent-guard-at-4300", CYCLE_MODEL,
            'exponent.group(1).replace("_", "")[:5]) > _EXPONENT_LIMIT',
