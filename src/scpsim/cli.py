@@ -26,6 +26,10 @@ EXIT_IO = 2
 EXIT_CONSTRAINT = 3
 EXIT_REGRESSION = 4
 
+#: The built-in ``--to`` targets; ``matrix:<file>`` names any other matrix.
+_TARGETS = {"yiq": colorspace.RGB2YIQ, "rgb": colorspace.YIQ2RGB, "cmy": colorspace.RGB2CMY}
+
+
 class UsageError(Exception):
     pass
 
@@ -45,7 +49,7 @@ def _build_parser() -> _Parser:
     convert.add_argument("--in", dest="infile", required=True)
     convert.add_argument("--out", dest="outfile", required=True)
     convert.add_argument("--to", dest="target", required=True,
-                         help="yiq | rgb | cmy | matrix:<file>")
+                         help=" | ".join([*_TARGETS, "matrix:<file>"]))
     convert.add_argument("--mode", default="ei5", choices=colorspace.CONVERT_MODES)
     _common_cost_flags(convert)
 
@@ -108,15 +112,11 @@ def _load_matrix_file(path: str) -> colorspace.ConversionMatrix:
 
 
 def _resolve_matrix(target: str) -> colorspace.ConversionMatrix:
-    if target == "yiq":
-        return colorspace.RGB2YIQ
-    if target == "rgb":
-        return colorspace.YIQ2RGB
-    if target == "cmy":
-        return colorspace.RGB2CMY
+    if target in _TARGETS:
+        return _TARGETS[target]
     if target.startswith("matrix:"):
         return _load_matrix_file(target.split(":", 1)[1])
-    raise UsageError(f"--to must be yiq, rgb, cmy, or matrix:<file>, got {target!r}")
+    raise UsageError(f"--to must be {', '.join(_TARGETS)}, or matrix:<file>, got {target!r}")
 
 
 def _write_report(path: str, fmt: str, rows: list[dict], columns=None):

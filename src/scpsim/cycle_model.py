@@ -138,11 +138,12 @@ def _convert_shape(lanes: int) -> KernelShape:
 
 
 #: Every executable mode, by name.  The colour conversion runs one
-#: instruction per group of 1, 5 or 8 pixels.  The histogram pipeline
-#: gives lane j bank j: it counts a group into per-lane 16-bit
-#: sub-histograms (one address add and one counter increment per lane),
-#: merges them (see ``KernelShape.windows``), then maps each group through
-#: the table replicated in every bank (one address add per lane).
+#: instruction per group of 1, 5 or 8 pixels.  The histogram pipeline's
+#: lanes own their banks (``fabric.LANE_BANKS``): it counts a group into
+#: per-lane 16-bit sub-histograms (one address add and one counter
+#: increment per lane), merges them (see ``KernelShape.windows``), then
+#: maps each group through the table replicated in every bank (one
+#: address add per lane).
 KERNEL_SHAPES = {
     "scalar": KernelShape(0),
     "ei1": _convert_shape(1),
@@ -159,16 +160,12 @@ KERNEL_SHAPES = {
 }
 
 
-def _shape(mode: str) -> KernelShape:
+def mode_lanes(mode: str) -> int:
+    """Pixels per vector group for a mode name; 0 for the scalar path."""
     shape = KERNEL_SHAPES.get(mode)
     if shape is None:
         raise UnknownKernelConfig(f"unrecognized mode name {mode!r}")
-    return shape
-
-
-def mode_lanes(mode: str) -> int:
-    """Pixels per vector group for a mode name; 0 for the scalar path."""
-    return _shape(mode).lanes
+    return shape.lanes
 
 
 def _calibrated_shape(kernel: str, mode: str) -> KernelShape:

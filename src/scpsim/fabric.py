@@ -16,11 +16,8 @@ The fabric owns three things:
   invocation window; the bulk accessors (``add_counters``,
   ``read_luts``) take every touch of a batch at once and check it per
   invocation row.  Either way a violation raises ``BankConflict``, in
-  every build of the simulator.  The bulk accessors skip the per-row
-  check in one case: a 1-D vector of distinct banks, one per touch,
-  broadcast over every row, as in kernels where lane j owns bank j.
-  Every row then touches each of its banks exactly once, so no row can
-  break the rule; the 16-bit counter limit is still checked.
+  every build of the simulator.  ``LANE_BANKS`` states the layout in
+  which lane j owns bank j; see it for the checks its construction proves.
 * ``ExtensionInstruction`` and its executors.  As on the device, an
   instruction is compiled into the fabric configuration before the
   program runs: the hardware rules (arity limits, the operation
@@ -144,6 +141,14 @@ MULTIPLIERS = 64
 ALU_OPS = 4096
 IRAM_BYTES = BANK_COUNT * BANK_BYTES
 
+#: Lane j owns bank j: the bank of every touch of a 16-lane invocation,
+#: so each bank is touched exactly once.  The bulk accessors know this
+#: array by identity and skip only what its construction proves, the bank
+#: range check and the per-row bank-rule sort; any other ``banks``, an
+#: equal copy included, gets both.  Read-only, so the proof cannot go stale.
+LANE_BANKS = np.arange(BANK_COUNT)
+LANE_BANKS.flags.writeable = False
+
 
 def _check_range(what: str, index: np.ndarray, limit: int):
     """Raise IndexError naming the first bad value when ``index`` leaves 0..limit - 1."""
@@ -164,17 +169,14 @@ class IramState:
     subject to the one-touch-per-bank-per-invocation rule while an
     invocation is open.  ``add_counters``/``read_luts`` are the same
     accesses for a whole batch of invocations, with the same rule and
-    counter limit checked per invocation row.  A ``banks`` argument that
-    is a 1-D vector of distinct banks, one per touch, gives every row one
-    touch per bank, which the rule always allows, so the row check
-    (a sort of every row) is skipped for it; any other ``banks``, a 1-D
-    vector with a repeated bank included, gets the full check.  Banks
-    and entries are range-checked, except uint8 ``entries``: no uint8
-    value reaches ``HIST_ENTRIES`` (256), so the dtype proves them in
-    range.  uint8 ``banks`` are still checked, against ``BANK_COUNT``
-    (16).  Host helpers (``counters``, ``load_luts``) read and write
-    every bank at once; they model host-visible fabric plumbing (the
-    composite merge and table upload steps) and are not constrained.
+    counter limit checked per invocation row, less what ``LANE_BANKS``
+    proves.  Banks and entries are range-checked, except uint8
+    ``entries``: no uint8 value reaches ``HIST_ENTRIES`` (256), so the
+    dtype proves them in range.  uint8 ``banks`` are still checked,
+    against ``BANK_COUNT`` (16).  Host helpers (``counters``,
+    ``load_luts``) read and write every bank at once; they model
+    host-visible fabric plumbing (the composite merge and table upload
+    steps) and are not constrained.
     """
 
     def __init__(self):
@@ -254,50 +256,44 @@ class IramState:
         or entry out of range anywhere in the batch raises IndexError
         first, ahead of any row's fault.
         """
-        cells, lanes_own_banks = self._cells(banks, entries)
+        cells = self._cells(banks, entries)
         before = self._counters.ravel()
         totals = np.bincount(cells.ravel(), minlength=before.size)
         totals += before
-        self._check_rows(cells, lanes_own_banks, before, totals)
+        self._check_rows(cells, banks, before, totals)
         self._counters[...] = totals.reshape(self._counters.shape)
 
     def read_luts(self, banks, entries) -> np.ndarray:
         """The 8-bit values at (bank, entry) for every touch of every
         invocation, as an ``(invocations, touches)`` uint8 array; the bank
         rule is checked per row as in ``add_counters``."""
-        cells, lanes_own_banks = self._cells(banks, entries)
-        self._check_rows(cells, lanes_own_banks)
+        cells = self._cells(banks, entries)
+        self._check_rows(cells, banks)
         return np.take(self._mem[:, :HIST_ENTRIES], cells)
 
-    def _cells(self, banks, entries) -> tuple[np.ndarray, bool]:
-        """Cell index bank * HIST_ENTRIES + entry of every touch, range-checked,
-        and whether ``banks`` is a vector of distinct banks, one per touch,
-        broadcast over every row."""
-        banks = np.asarray(banks)
+    def _cells(self, banks, entries) -> np.ndarray:
+        """Cell index bank * HIST_ENTRIES + entry of every touch, range-checked
+        (``LANE_BANKS`` is in range by construction)."""
+        if banks is not LANE_BANKS:
+            banks = np.asarray(banks)
+            _check_range("bank", banks, BANK_COUNT)
         entries = np.asarray(entries)
-        _check_range("bank", banks, BANK_COUNT)
         if entries.dtype != np.uint8:  # every uint8 entry is below HIST_ENTRIES
             _check_range("entry", entries, HIST_ENTRIES)
         # 16 bits hold every cell index (BANK_COUNT * HIST_ENTRIES = 4096).
         cells = np.add(np.multiply(banks, HIST_ENTRIES, dtype=np.int16), entries, dtype=np.int16)
         if cells.ndim != 2:
             raise ValueError(f"touches must form an (invocations, touches) array, got {cells.shape}")
-        # A set of 16 Python ints is cheaper than np.unique here.
-        lanes_own_banks = (
-            banks.ndim == 1
-            and banks.size == cells.shape[1]
-            and len(set(banks.tolist())) == banks.size
-        )
-        return cells, lanes_own_banks
+        return cells
 
     @staticmethod
-    def _check_rows(cells, lanes_own_banks, before=None, totals=None):
+    def _check_rows(cells, banks, before=None, totals=None):
         """Raise the fault of the first invocation row that breaks the bank
         rule or, given the flat counter values ``before`` the batch and the
         ``totals`` it would leave, pushes a counter past ``COUNTER_MAX``.
-        When the lanes own their banks no row can break the bank rule, and
-        only the counter limit is checked."""
-        faulty = [] if lanes_own_banks else IramState._conflict_rows(cells)
+        With ``LANE_BANKS`` no row can break the bank rule, and only the
+        counter limit is checked."""
+        faulty = [] if banks is LANE_BANKS else IramState._conflict_rows(cells)
         if totals is not None and totals.max() > COUNTER_MAX:
             # The touch that overflows a cell is its (headroom + 1)-th in row-major order.
             flat = cells.ravel()

@@ -1,9 +1,9 @@
 """Three-instruction histogram equalization on the fabric.
 
 The pipeline: a 16-lane kernel counts 16 gray pixels per invocation
-into 16 per-lane sub-histograms (lane j owns bank j, so each bank is
-touched exactly once per invocation); a composite merge step, run once
-per ``COUNTER_MAX`` groups so that no 16-bit lane counter can overflow,
+into 16 per-lane sub-histograms (lane j owns bank j, as
+``fabric.LANE_BANKS`` states); a composite merge step, run once per
+``COUNTER_MAX`` groups so that no 16-bit lane counter can overflow,
 adds the sub-histograms into the cumulative histogram, from which the
 gray-level lookup table is derived; the table is replicated into all
 banks so a second 16-lane kernel can transform 16 pixels per
@@ -26,6 +26,7 @@ from . import cycle_model
 from .fabric import (
     BANK_COUNT,
     HIST_ENTRIES,
+    LANE_BANKS,
     ExtensionInstruction,
     InvocationLog,
     IramState,
@@ -43,17 +44,14 @@ class EmptyImage(ValueError):
     """Equalization requested for zero pixels."""
 
 
-#: Lane j of both kernels owns bank j; a register holds one pixel per lane.
-_LANE_BANKS = np.arange(_ISEF.lanes)
-
-
+# A register of either kernel holds one pixel per lane.
 def _subhist_body(registers, iram):
-    iram.add_counters(_LANE_BANKS, registers[:, 0])
+    iram.add_counters(LANE_BANKS, registers[:, 0])
     return registers[:, :0]
 
 
 def _transform_body(registers, iram):
-    return iram.read_luts(_LANE_BANKS, registers[:, 0])[:, None]
+    return iram.read_luts(LANE_BANKS, registers[:, 0])[:, None]
 
 
 _SUBHIST_EI = ExtensionInstruction(

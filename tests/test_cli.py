@@ -174,8 +174,9 @@ def test_malformed_matrix_file_is_a_constraint_error(ppm, tmp_path, text):
         ("--to", b"\xffname = m\n", "matrix file {path}: 'utf-8' codec can't decode byte 0xff"),
         ("--profile", b"\xffname = p\n", "profile file {path}: 'utf-8' codec can't decode byte 0xff"),
         ("--to", b"row0 = 1.5 2 3\n", "matrix file {path} line 1: expected integers, got '1.5 2 3'"),
+        ("--to", b"row0 = 1 0 0\nrow1 = 0 1 0\n", "matrix file {path}: missing row2\n"),
     ],
-    ids=["matrix-not-utf8", "profile-not-utf8", "matrix-not-integers"],
+    ids=["matrix-not-utf8", "profile-not-utf8", "matrix-not-integers", "matrix-without-row2"],
 )
 def test_unreadable_text_file_is_named_in_the_error(ppm, tmp_path, capsys, flag, content, message):
     path = tmp_path / "bin.txt"
@@ -190,6 +191,11 @@ def test_unreadable_text_file_is_named_in_the_error(ppm, tmp_path, capsys, flag,
 def test_negative_roundtrip_seed_is_a_constraint_error(capsys):
     assert cli.main(["roundtrip", "--sample", "5", "--seed", "-3"]) == cli.EXIT_CONSTRAINT
     assert capsys.readouterr().err == "constraint error: seed must be non-negative, got -3\n"
+
+
+def test_empty_roundtrip_sample_is_a_constraint_error(capsys):
+    assert cli.main(["roundtrip", "--sample", "0"]) == cli.EXIT_CONSTRAINT
+    assert capsys.readouterr().err == "constraint error: sample size must be positive\n"
 
 
 def test_invocation_mismatch_is_a_constraint_error(monkeypatch, tmp_path):

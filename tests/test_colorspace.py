@@ -248,6 +248,8 @@ def test_lane_kernel_resources():
     assert ei5.ledger.multipliers_used == 45 and ei_validate(ei5) == 1
     assert ei8.ledger.multipliers_used == 72 and ei_validate(ei8) == 2
     assert matrix_ei(RGB2YIQ, 1).ledger.multipliers_used == 9
+    with pytest.raises(ValueError, match="^unsupported lane count 3$"):
+        matrix_ei(RGB2YIQ, 3)
 
 
 # ------------------------------------------------------------ whole images

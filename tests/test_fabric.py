@@ -12,6 +12,7 @@ from scpsim.fabric import (
     BANK_COUNT,
     COUNTER_MAX,
     IRAM_BYTES,
+    LANE_BANKS,
     ArityViolation,
     BankConflict,
     CounterOverflow,
@@ -87,6 +88,16 @@ def test_register_requires_sixteen_bytes():
 
     with pytest.raises(ValueError):
         WideRegister(b"\x00" * 15)
+
+
+def test_register_holds_a_copy_of_its_bytes_and_shows_them_in_hex():
+    from scpsim.fabric import WideRegister
+
+    raw = bytearray(range(16))
+    wr = WideRegister(raw)
+    raw[0] = 9
+    assert type(wr.data) is bytes and wr.data == bytes(range(16))
+    assert repr(wr) == "WideRegister(000102030405060708090a0b0c0d0e0f)"
 
 
 # ---------------------------------------------------------------- validator
@@ -168,6 +179,8 @@ def test_identity_ei_preserves_bytes():
     wr = wr_pack(bytes(range(16)))
     (out,) = ei_execute(make_ei(), (wr,))
     assert out.data == wr.data
+    # A body with one output may return the bare register.
+    assert ei_execute(make_ei(body=lambda inputs, iram: inputs[0]), (wr,)) == (wr,)
 
 
 def test_execute_is_deterministic():
@@ -186,12 +199,17 @@ def test_execute_validates_before_the_first_run():
 def test_execute_checks_input_count():
     with pytest.raises(ArityViolation):
         ei_execute(make_ei(n_inputs=2), (wr_pack(b""),))
+    with pytest.raises(TypeError, match="^t: inputs must be WideRegister, got bytes$"):
+        ei_execute(make_ei(), (bytes(16),))
 
 
 def test_execute_checks_produced_outputs():
     liar = make_ei(body=lambda inputs, iram: (inputs[0], inputs[0]), n_outputs=1)
     with pytest.raises(ArityViolation):
         ei_execute(liar, (wr_pack(b""),))
+    raw = make_ei(body=lambda inputs, iram: (bytes(16),))
+    with pytest.raises(TypeError, match="^t: outputs must be WideRegister$"):
+        ei_execute(raw, (wr_pack(b""),))
 
 
 def test_execute_requires_iram_when_kernel_uses_it():
@@ -219,6 +237,9 @@ def test_execute_logs_invocations():
 def test_iram_geometry():
     assert BANK_COUNT == 16
     assert IRAM_BYTES == 65536
+    assert LANE_BANKS.tolist() == list(range(BANK_COUNT))
+    with pytest.raises(ValueError):
+        LANE_BANKS[0] = 1
 
 
 def test_one_access_per_bank_per_invocation():
@@ -581,9 +602,9 @@ touch_batches = st.tuples(
     st.integers(0, 6), st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from((2, 4, 16))
 )
 #: How the batch names its banks: one row per invocation, or one vector
-#: broadcast over every row, its banks distinct or not, or a single bank
-#: broadcast over every touch.
-bank_layouts = st.sampled_from(("rows", "distinct", "repeated", "single"))
+#: broadcast over every row, its banks distinct or not, a single bank
+#: broadcast over every touch, or ``LANE_BANKS`` over 16 touches.
+bank_layouts = st.sampled_from(("rows", "distinct", "repeated", "single", "lanes"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -599,8 +620,10 @@ def test_bulk_accessors_equal_the_entry_accessors(shape, layout, counting, near_
     elif layout == "repeated":
         banks = rng.integers(0, spread, touches)
         banks[-1] = banks[0]
-    else:
+    elif layout == "single":
         banks = rng.integers(0, spread, 1)
+    else:
+        banks, touches = LANE_BANKS, BANK_COUNT
     entries = rng.integers(0, spread, (invocations, touches)).astype(np.uint8)
     start = IramState()
     start._mem[:] = rng.integers(0, 256, start._mem.shape, dtype=np.uint8)
@@ -625,29 +648,39 @@ def test_bulk_accessors_equal_the_entry_accessors(shape, layout, counting, near_
 
 def test_lanes_that_own_their_banks_skip_the_row_sort(monkeypatch):
     # The sort is what the per-row bank check costs; lane j owning bank j cannot break the rule.
-    from scpsim import histeq
+    # Only LANE_BANKS itself proves that layout: an equal copy is range-checked and sorted.
+    from scpsim import fabric, histeq
     from scpsim.image_io import ImageBuffer
 
-    sorts = []
-    conflict_rows = IramState._conflict_rows
+    sorts, range_checks = [], []
+    conflict_rows, check_range = IramState._conflict_rows, fabric._check_range
 
     def counted(cells):
         sorts.append(cells.shape)
         return conflict_rows(cells)
 
+    def counted_range(what, index, limit):
+        range_checks.append(what)
+        return check_range(what, index, limit)
+
     monkeypatch.setattr(IramState, "_conflict_rows", staticmethod(counted))
+    monkeypatch.setattr(fabric, "_check_range", counted_range)
     gray = ImageBuffer.from_array(np.random.default_rng(4).integers(0, 256, (128, 128), dtype=np.uint8))
     equalized = [histeq.histeq_image(gray, mode)[0].samples for mode in ("isef", "scalar")]
     assert np.array_equal(*equalized)
-    assert sorts == []
+    assert sorts == [] and range_checks == []
     iram = IramState()
     entries = np.zeros((4, 16), dtype=np.uint8)
-    iram.add_counters(np.tile(np.arange(16), (4, 1)), entries)
-    iram.read_luts(np.tile(np.arange(16), (4, 1)), entries)
-    assert sorts == [(4, 16), (4, 16)]
+    iram.add_counters(LANE_BANKS, entries)
+    iram.read_luts(LANE_BANKS, entries)
+    assert sorts == [] and range_checks == []
+    for banks in (np.tile(np.arange(16), (4, 1)), LANE_BANKS.copy()):
+        iram.add_counters(banks, entries)
+        iram.read_luts(banks, entries)
+    assert sorts == [(4, 16)] * 4 and range_checks == ["bank"] * 4
     with pytest.raises(BankConflict, match="^invocation 0, lane 1: bank 3 touched at entries 1 and 2$"):
         iram.read_luts([3, 3], [[1, 2]])
-    assert len(sorts) == 3
+    assert len(sorts) == 5
 
 
 def test_each_image_runs_each_kernel_body_once_per_batch(monkeypatch):

@@ -65,6 +65,21 @@ def test_read_rejects_a_header_number_too_long_to_convert():
         read_pnm(b"P5 " + b"1" * 5000 + b" 1 255 \x00")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5 0 2 255 ", "non-positive dimensions"),
+        (b"P5 2 0 255 ", "non-positive dimensions"),
+        (b"P5 1 1 255", "missing whitespace after maxval"),
+        (b"P5 1 1 255#\n\x00", "missing whitespace after maxval"),
+    ],
+    ids=["zero-width", "zero-height", "header-ends-at-maxval", "comment-after-maxval"],
+)
+def test_read_rejects_empty_dimensions_and_a_raster_glued_to_maxval(data, message):
+    with pytest.raises(MalformedHeader, match=f"^{message}$"):
+        read_pnm(data)
+
+
 def test_read_truncated_raster():
     with pytest.raises(TruncatedData):
         read_pnm(b"P5 2 2 255 " + bytes(3))
@@ -156,6 +171,9 @@ def test_buffer_from_array_shapes():
     assert (gray.width, gray.height, gray.channels) == (4, 3, 1)
     rgb = ImageBuffer.from_array(np.zeros((3, 4, 3), np.uint8))
     assert (rgb.width, rgb.height, rgb.channels) == (4, 3, 3)
+    with pytest.raises(ValueError, match="^expected a 2-D or 3-D array$"):
+        ImageBuffer.from_array(np.zeros(4, np.uint8))
+    assert (gray == 3) is False
 
 
 header_tokens = st.one_of(

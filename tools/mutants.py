@@ -20,7 +20,7 @@ Run from anywhere, with the test dependencies installed::
 Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
-2.1-17 s per mutant and 3 min 11 s summed over all 44 on a 2-core host;
+2.2-44 s per mutant and 4 min 15 s in all for 47 on a 2-core host;
 running Tier-1 alone on each of 37 took 2.2-108 s and 7 min 46 s.
 """
 
@@ -71,8 +71,14 @@ MUTANTS = (
     Mutant("entry-range-skipped-for-every-dtype", FABRIC,
            "if entries.dtype != np.uint8:", "if False:"),
     Mutant("bank-range-skipped-for-uint8", FABRIC,
-           '        _check_range("bank", banks, BANK_COUNT)\n',
-           '        if banks.dtype != np.uint8:\n            _check_range("bank", banks, BANK_COUNT)\n'),
+           '            _check_range("bank", banks, BANK_COUNT)\n',
+           '            if banks.dtype != np.uint8:\n'
+           '                _check_range("bank", banks, BANK_COUNT)\n'),
+    # Checks skipped only for LANE_BANKS, which proves them by construction.
+    Mutant("lane-banks-writable", FABRIC, "LANE_BANKS.flags.writeable = False\n", ""),
+    Mutant("skip-for-any-1d-banks", FABRIC, "banks is LANE_BANKS", "banks.ndim == 1"),
+    Mutant("range-skipped-for-any-1d-banks", FABRIC,
+           "if banks is not LANE_BANKS:", "if np.ndim(banks) != 1:"),
     Mutant("input-arity-allows-four", FABRIC,
            "ei.n_inputs > MAX_INPUTS", "ei.n_inputs > MAX_INPUTS + 1"),
     # Fixed-point primitives.
