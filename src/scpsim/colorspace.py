@@ -13,21 +13,31 @@ truncating divide, so they are bit-identical: ``_affine_px`` on one
 pixel, under the scalar functions (``convert_px`` is the reference), and
 ``_affine_np`` on a ``(3, n)`` int32 sample array (every accumulator is
 below 2^20; see ``OFFSET_LIMIT``), under ``apply_matrix_np`` and the
-round-trip sweep.  Both feed it at most ``_BLOCK`` samples at a time,
-into block-sized arrays made once per call and reused for every block;
-the products are summed, divided and clamped in those arrays, so a
-steady-state block maps no fresh memory and the sweep never holds more
-than one block of its 2^24 triples.  The core's int32 matrix and offset
-columns are built once per matrix, at construction.  ``apply_matrix_np``
-is the plain-processor "scalar mode" for images and the body of every
-fabric kernel, which processes 1, 5, or 8 pixels per invocation;
-``convert_image`` issues a lane mode's invocations one batch per block of
-``_BLOCK // lanes`` groups.  The kernel body of a one-pixel register
-converts straight from the input-register view into the output-register
-view.  Lane groups are packed and unpacked without a 2-D copy of a few
-bytes per row, which numpy makes one row at a time: many one-pixel
-groups move as three channel columns, many wider ones as one span-byte
-item each (``_copy_groups``).
+round-trip sweep; it is ``_sums_np``, the one vectorized sum of
+products, then the divide.  Both callers feed it at most ``_BLOCK``
+samples at a time, into block-sized arrays made once per call and reused
+for every block; the products are summed, divided and clamped in those
+arrays, so a steady-state block maps no fresh memory and the sweep never
+holds more than one block of its 2^24 triples.  The core's int32 matrix
+and offset columns are built once per matrix, at construction.
+``apply_matrix_np`` is the plain-processor "scalar mode" for images and
+the body of every fabric kernel, which processes 1, 5, or 8 pixels per
+invocation; ``convert_image`` issues a lane mode's invocations one batch
+per block of ``_BLOCK // lanes`` groups.  The kernel body of a one-pixel
+register converts straight from the input-register view into the
+output-register view.  Lane groups are packed and unpacked without a 2-D
+copy of a few bytes per row, which numpy makes one row at a time: many
+one-pixel groups move as three channel columns, many wider ones as one
+span-byte item each (``_copy_groups``).
+
+The round-trip sweep draws (RGB block, forward sums before the divide)
+pairs from a block source and finishes each pair in one place
+(``_roundtrip_errors``).  Over the full RGB grid every block is the first
+plus a column (r, g, 0), so its sums are the first block's plus that
+column's, exactly, by linearity (``_rgb_blocks``); sampled and gray
+blocks get theirs from ``_sums_np`` directly.  Each block's errors are
+summed in int32, which its 3 * 8192 errors of at most 255 cannot
+overflow.
 """
 
 from __future__ import annotations
@@ -172,19 +182,26 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _affine_np(columns: np.ndarray, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """_affine_px's rows over a (3, n) int32 sample array, offset already
-    taken, written to ``out``, an int32 array with one row per matrix row;
-    returns ``out``.  ``columns`` is built once per matrix (``ConversionMatrix``).
+def _sums_np(columns: np.ndarray, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each matrix row's sum of products with a (3, n) int32 sample array,
+    offset already taken, before the divide: ``mul_acc3`` over the block.
+    Written to ``out``, an int32 array with one row per matrix row, and
+    returned.  ``columns`` is built once per matrix (``ConversionMatrix``).
 
     Each column is a (rows, 1) array, so one multiply gives a sample row's
-    products for every output row.  The products are summed and divided in
-    ``out``; no temporary outlives the statement that makes it.
+    products for every output row.  The products are summed in ``out``; no
+    temporary outlives the statement that makes it.
     """
     np.multiply(columns[0], samples[0], out=out)
     out += columns[1] * samples[1]
     out += columns[2] * samples[2]
-    return div256_trunc_np(out, out=out)
+    return out
+
+
+def _affine_np(columns: np.ndarray, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """_affine_px's rows over a (3, n) int32 sample array: ``_sums_np``,
+    then the truncating divide in ``out``; returns ``out``."""
+    return div256_trunc_np(_sums_np(columns, samples, out), out=out)
 
 
 def apply_matrix_np(
@@ -368,29 +385,53 @@ class SweepResult:
     samples: int
 
 
-def _rgb_blocks() -> Iterator[np.ndarray]:
+def _rgb_blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every RGB triple in ascending (r, g, b) order, as (3, _BLOCK) int32
-    blocks.  Every block is written to the same array, so a block holds
-    only until the next one is drawn."""
+    blocks, each with its forward sums (``_sums_np`` of ``RGB2YIQ``).
+
+    Block (r, g) is the first block plus the column (r, g, 0).  A sum of
+    products before the truncating divide is linear over the integers, so
+    its sums are the first block's plus ``C·(r, g, 0)`` exactly: the first
+    block's sums are computed once and every block after costs one
+    broadcast add.  Every block and its sums are written to the same two
+    arrays, so a pair holds only until the next one is drawn.
+    """
+    forward = RGB2YIQ.columns
     g_step = _BLOCK // 256
     first = np.indices((1, g_step, 256), dtype=np.int32).reshape(3, _BLOCK)
-    block = np.empty_like(first)
+    first_sums = _sums_np(forward, first, np.empty_like(first))
+    block, sums = np.empty_like(first), np.empty_like(first)
     for r in range(256):
         for g in range(0, 256, g_step):
-            yield np.add(first, np.array([[r], [g], [0]], dtype=np.int32), out=block)
+            np.add(first, np.array([[r], [g], [0]], dtype=np.int32), out=block)
+            np.add(first_sums, forward[0] * r + forward[1] * g, out=sums)
+            yield block, sums
 
 
-def _roundtrip_errors(blocks: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each (3, n) int32 RGB block of ``blocks``, n <= _BLOCK, with the
-    per-channel |error| of its forward+reverse conversion.  Every error is
-    written to the same array, so it holds only until the next is drawn."""
-    forward, reverse = RGB2YIQ.columns, YIQ2RGB.columns
+def _with_forward_sums(blocks: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each (3, n) int32 RGB block of ``blocks``, n <= _BLOCK, with its
+    forward sums, computed directly.  The sums are written to the same
+    array, so each holds only until the next is drawn."""
+    sums = np.empty((3, _BLOCK), dtype=np.int32)
+    for rgb in blocks:
+        yield rgb, _sums_np(RGB2YIQ.columns, rgb, sums[:, : rgb.shape[1]])
+
+
+def _roundtrip_errors(
+    pairs: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each (rgb, forward sums) pair of ``pairs``, (3, n) int32 arrays with
+    n <= _BLOCK, as the RGB block with the per-channel |error| of its
+    forward+reverse conversion: the sums are divided, Y is clamped, and
+    the reverse map runs on signed chroma.  Every error is written to the
+    same array, so it holds only until the next is drawn."""
+    reverse = YIQ2RGB.columns
     yiq = np.empty((3, _BLOCK), dtype=np.int32)
     back = np.empty_like(yiq)
-    for rgb in blocks:
+    for rgb, sums in pairs:
         width = rgb.shape[1]
         y, err = yiq[:, :width], back[:, :width]
-        _affine_np(forward, rgb, y)
+        div256_trunc_np(sums, out=y)
         clamp_u8_np(y[0], out=y[0])
         _affine_np(reverse, y, err)
         clamp_u8_np(err, out=err)
@@ -406,40 +447,48 @@ def roundtrip_sweep(
     """Forward+reverse conversion error, exhaustively or on a subsample.
 
     The full sweep covers all 2^24 RGB triples in ascending (r, g, b)
-    order, one block at a time, and reports the first triple attaining
-    the maximum; chroma is carried signed, without the offset-128 byte
-    encoding.
+    order, one block at a time, with forward sums by linearity over the
+    grid (``_rgb_blocks``); a sample of ``sample`` seeded triples or the
+    256 gray triples (``gray_only``, which takes no ``sample``) get theirs
+    directly.  It reports the first triple attaining the maximum; chroma
+    is carried signed, without the offset-128 byte encoding.  A negative
+    ``seed`` is rejected in every mode.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if gray_only and sample is not None:
+        raise ValueError(f"sample cannot be combined with gray_only, got sample={sample}")
     if gray_only:
-        blocks = [np.tile(np.arange(256, dtype=np.int32), (3, 1))]
+        pairs = _with_forward_sums([np.tile(np.arange(256, dtype=np.int32), (3, 1))])
         total = 256
     elif sample is not None:
         if sample < 1:
             raise ValueError("sample size must be positive")
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         trip = rng.integers(0, 256, size=(sample, 3), dtype=np.int64)
-        blocks = (
+        pairs = _with_forward_sums(
             trip[s : s + _BLOCK].T.astype(np.int32, order="C") for s in range(0, sample, _BLOCK)
         )
         total = sample
     else:
-        blocks = _rgb_blocks()
+        pairs = _rgb_blocks()
         total = 256**3
 
     max_err = -1
     argmax = (0, 0, 0)
     per_ch = np.zeros(3, dtype=np.int32)
     err_sum = 0
-    for rgb, err in _roundtrip_errors(blocks):
-        per_ch = np.maximum(per_ch, err.max(axis=1))
-        worst = err.max(axis=0)
-        m = int(worst.max())
+    for rgb, err in _roundtrip_errors(pairs):
+        block_max = err.max(axis=1)
+        np.maximum(per_ch, block_max, out=per_ch)
+        m = int(block_max.max())
+        # Only a block that beats the maximum is searched for its first worst triple.
         if m > max_err:
             max_err = m
-            argmax = tuple(int(v) for v in rgb[:, int(np.argmax(worst))])
-        err_sum += int(err.sum())
+            argmax = tuple(int(v) for v in rgb[:, int(np.argmax(err.max(axis=0)))])
+        # Each |error| is at most 255, so a block's sum is at most
+        # 3 * 8192 * 255 < 2^31 and adds up in int32 without overflow.
+        err_sum += int(err.sum(dtype=np.int32))
 
     return SweepResult(
         max_error=max_err,

@@ -198,6 +198,20 @@ def test_empty_roundtrip_sample_is_a_constraint_error(capsys):
     assert capsys.readouterr().err == "constraint error: sample size must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--gray-only", "--sample", "0"], "sample cannot be combined with gray_only, got sample=0"),
+        (["--gray-only", "--sample", "5", "--seed", "-3"], "seed must be non-negative, got -3"),
+        (["--seed", "-3"], "seed must be non-negative, got -3"),
+    ],
+    ids=["gray-sample-0", "gray-sample-seed", "seed-without-sample"],
+)
+def test_roundtrip_flags_it_cannot_apply_are_constraint_errors(capsys, argv, message):
+    assert cli.main(["roundtrip", *argv]) == cli.EXIT_CONSTRAINT
+    assert capsys.readouterr().err == f"constraint error: {message}\n"
+
+
 def test_invocation_mismatch_is_a_constraint_error(monkeypatch, tmp_path):
     transform = histeq.ei_transform16
     monkeypatch.setattr(histeq, "ei_transform16", lambda pixels, iram, log=None: transform(pixels, iram))

@@ -497,9 +497,63 @@ def test_roundtrip_rejects_a_negative_seed():
         roundtrip_sweep(sample=5, seed=-3)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seed": -3}, "seed must be non-negative, got -3"),
+        ({"seed": -3, "gray_only": True}, "seed must be non-negative, got -3"),
+        ({"sample": 5, "seed": -3, "gray_only": True}, "seed must be non-negative, got -3"),
+        ({"sample": 0, "gray_only": True}, "sample cannot be combined with gray_only, got sample=0"),
+        ({"sample": 5, "gray_only": True}, "sample cannot be combined with gray_only, got sample=5"),
+    ],
+    ids=["seed-full", "seed-gray", "seed-gray-sample", "gray-sample-0", "gray-sample-5"],
+)
+def test_roundtrip_rejects_arguments_it_cannot_apply(kwargs, message):
+    # A negative seed is an error in every mode, and the gray sweep has no sample.
+    with pytest.raises(ValueError) as caught:
+        roundtrip_sweep(**kwargs)
+    assert str(caught.value) == message
+
+
 def test_roundtrip_sample_subset_bound():
     result = roundtrip_sweep(sample=10000, seed=0)
     assert result.max_error <= ROUNDTRIP_MAX_ERROR
+
+
+def _trunc_div256(x):
+    # Truncating division written independently of fixed_point.
+    return np.sign(x) * (np.abs(x) // 256)
+
+
+def test_grid_sums_equal_the_direct_sums_on_every_block():
+    # Each grid block's sums come from the first block's by one add; they
+    # must equal its sums computed from the block itself, in int64.
+    forward = np.array(RGB2YIQ.coeffs, dtype=np.int64)
+    width = colorspace._BLOCK
+    blocks = 0
+    for k, (rgb, sums) in enumerate(colorspace._rgb_blocks()):
+        index = np.arange(k * width, (k + 1) * width)
+        np.testing.assert_array_equal(rgb, [index >> 16, (index >> 8) & 255, index & 255])
+        np.testing.assert_array_equal(sums, forward @ rgb.astype(np.int64))
+        blocks += 1
+    assert blocks == 256**3 // width
+
+
+@pytest.mark.parametrize("size", [1, 8191, 8192, 8193, 20000])
+@pytest.mark.parametrize("seed", range(5))
+def test_sampled_sweep_equals_an_int64_reference(seed, size):
+    rgb = np.random.default_rng(seed).integers(0, 256, size=(size, 3), dtype=np.int64)
+    yiq = _trunc_div256(rgb @ np.array(RGB2YIQ.coeffs, dtype=np.int64).T)
+    yiq[:, 0] = yiq[:, 0].clip(0, 255)
+    back = _trunc_div256(yiq @ np.array(YIQ2RGB.coeffs, dtype=np.int64).T).clip(0, 255)
+    err = np.abs(back - rgb)
+    worst = err.max(axis=1)
+    result = roundtrip_sweep(sample=size, seed=seed)
+    assert result.max_error == worst.max()
+    assert result.argmax_rgb == tuple(rgb[np.argmax(worst)].tolist())
+    assert result.per_channel_max == tuple(err.max(axis=0).tolist())
+    assert result.mean_error == int(err.sum()) / (3 * size)
+    assert result.samples == size
 
 
 # Run in a fresh interpreter: glibc raises its mmap and trim thresholds after

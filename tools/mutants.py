@@ -4,7 +4,9 @@ A mutant is an exact-string replacement in one file under ``src/``.  For
 each one the tool copies the tree (``src/``, ``tests/``, ``perfbench/``
 and ``pyproject.toml``) into a temporary directory, applies the mutant
 there and runs the mutated module's own tests (``tests/test_<module>.py``)
-with ``-x``.  Only a mutant that passes them goes on to the rest of
+with ``-x`` and the ``mutants`` hypothesis profile, which does not shrink
+a failing example (``tests/conftest.py``): the first failure kills the
+mutant.  Only a mutant that passes them goes on to the rest of
 Tier-1, less ``tests/test_mutants.py``: that test fails on any mutated
 tree, since the mutant's target is gone, and would count every mutant as
 killed.  A mutant that passes both runs survives.  The unmutated copy is
@@ -20,8 +22,10 @@ Run from anywhere, with the test dependencies installed::
 Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
-2.2-44 s per mutant and 4 min 15 s in all for 47 on a 2-core host;
-running Tier-1 alone on each of 37 took 2.2-108 s and 7 min 46 s.
+2.0-9.2 s per mutant and 3 min 3 s in all for 50 on a 2-core host.
+Shrinking made one mutant take 6.7-36 s without the profile, and 47
+took 3 min 17 s; running Tier-1 alone on each of 37 took 2.2-108 s and
+7 min 46 s.
 """
 
 from __future__ import annotations
@@ -100,6 +104,10 @@ MUTANTS = (
     Mutant("sweep-skips-a-g-step", COLORSPACE,
            "for g in range(0, 256, g_step):", "for g in range(0, 256 - g_step, g_step):"),
     Mutant("sweep-accepts-a-negative-seed", COLORSPACE, "if seed < 0:", "if False:"),
+    Mutant("grid-sums-drop-the-g-column", COLORSPACE,
+           "forward[0] * r + forward[1] * g", "forward[0] * r"),
+    Mutant("block-sum-in-int16", COLORSPACE, "err.sum(dtype=np.int32)", "err.sum(dtype=np.int16)"),
+    Mutant("worst-triple-on-ties", COLORSPACE, "if m > max_err:", "if m >= max_err:"),
     Mutant("tail-skips-its-first-pixel", COLORSPACE,
            "apply_matrix_np(flat[head:], matrix, out=out[head:])",
            "apply_matrix_np(flat[head + 1 :], matrix, out=out[head + 1 :])"),
@@ -202,7 +210,7 @@ def passes(mutant: Optional[Mutant]) -> bool:
         for selection in runs:
             run = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                 "--ignore=tests/test_mutants.py", *selection],
+                 "--hypothesis-profile=mutants", "--ignore=tests/test_mutants.py", *selection],
                 cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             )
             if run.returncode != 0:
