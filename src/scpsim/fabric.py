@@ -15,9 +15,10 @@ The fabric owns three things:
   The per-entry accessors check the rule touch by touch inside an
   invocation window; the bulk accessors (``add_counters``,
   ``read_luts``) take every touch of a batch at once and check it per
-  invocation row.  Either way a violation raises ``BankConflict``, in
-  every build of the simulator.  ``LANE_BANKS`` states the layout in
-  which lane j owns bank j; see it for the checks its construction proves.
+  invocation row.  Both apply one statement of each rule, so a violation
+  raises the same ``BankConflict`` either way, in every build of the
+  simulator.  ``LANE_BANKS`` states the layout in which lane j owns bank
+  j; see it for the checks its construction proves.
 * ``ExtensionInstruction`` and its executors.  As on the device, an
   instruction is compiled into the fabric configuration before the
   program runs: the hardware rules (arity limits, the operation
@@ -157,6 +158,21 @@ def _check_range(what: str, index: np.ndarray, limit: int):
         raise IndexError(f"{what} {bad} out of range 0..{limit - 1}")
 
 
+def _bank_rule(first: dict[int, int], bank: int, entry: int):
+    """Log a touch in ``first`` (bank -> first entry); a second entry raises BankConflict."""
+    prev = first.setdefault(bank, entry)
+    if prev != entry:
+        raise BankConflict(f"bank {bank} touched at entries {prev} and {entry}")
+
+
+def _counter_limit(bank: int, entry: int, value: int):
+    """Raise CounterOverflow unless ``value`` fits counter (bank, entry)'s 16 bits."""
+    if not 0 <= value <= COUNTER_MAX:
+        raise CounterOverflow(
+            f"bank {bank} entry {entry} counter value {value} outside 16-bit range"
+        )
+
+
 class IramState:
     """Fabric-local RAM: ``BANK_COUNT`` banks of ``BANK_BYTES`` bytes each.
 
@@ -206,19 +222,10 @@ class IramState:
             self.access_log = None
 
     def _touch(self, bank: int, entry: int):
-        if not 0 <= bank < BANK_COUNT:
-            raise IndexError(f"bank {bank} out of range 0..{BANK_COUNT - 1}")
-        if not 0 <= entry < HIST_ENTRIES:
-            raise IndexError(f"entry {entry} out of range 0..{HIST_ENTRIES - 1}")
-        if self.access_log is None:
-            return
-        prev = self.access_log.get(bank)
-        if prev is None:
-            self.access_log[bank] = entry
-        elif prev != entry:
-            raise BankConflict(
-                f"bank {bank} touched at entries {prev} and {entry} in one invocation"
-            )
+        _check_range("bank", np.asarray(bank), BANK_COUNT)
+        _check_range("entry", np.asarray(entry), HIST_ENTRIES)
+        if self.access_log is not None:
+            _bank_rule(self.access_log, bank, entry)
 
     # -- 16-bit counter addressing (histogram use) ------------------------
 
@@ -227,14 +234,13 @@ class IramState:
         return self._counters.item(bank, entry)
 
     def write_counter(self, bank: int, entry: int, value: int):
-        if not 0 <= value <= COUNTER_MAX:
-            raise CounterOverflow(f"counter value {value} outside 16-bit range")
+        _counter_limit(bank, entry, value)
         self._touch(bank, entry)
         self._counters[bank, entry] = value
 
-    def add_counter(self, bank: int, entry: int, delta: int = 1) -> int:
-        """Read-modify-write of one counter; logged as a single access."""
-        value = self.read_counter(bank, entry) + delta
+    def add_counter(self, bank: int, entry: int) -> int:
+        """Add one to a counter by read-modify-write; logged as a single access."""
+        value = self.read_counter(bank, entry) + 1
         self.write_counter(bank, entry, value)
         return value
 
@@ -318,25 +324,19 @@ class IramState:
 
     @staticmethod
     def _replay(row: int, cells: list, counts):
-        """Replay the touches of invocation ``row`` one by one, as the entry
-        accessors would, and raise the first fault; ``counts`` (flat counter
-        values before the row, or None for reads) is consumed."""
+        """Replay invocation ``row``'s touches through the entry accessors' rules
+        and raise the first fault, naming its invocation and lane; ``counts``
+        (flat counter values before the row, or None for reads) is consumed."""
         first: dict[int, int] = {}
         for lane, cell in enumerate(cells):
             bank, entry = divmod(cell, HIST_ENTRIES)
-            prev = first.setdefault(bank, entry)
-            if prev != entry:
-                raise BankConflict(
-                    f"invocation {row}, lane {lane}: bank {bank} touched at entries "
-                    f"{prev} and {entry}"
-                )
-            if counts is not None:
-                counts[cell] += 1
-                if counts[cell] > COUNTER_MAX:
-                    raise CounterOverflow(
-                        f"invocation {row}, lane {lane}: bank {bank} entry {entry} "
-                        f"counter value {counts[cell]} outside 16-bit range"
-                    )
+            try:
+                _bank_rule(first, bank, entry)
+                if counts is not None:
+                    counts[cell] += 1
+                    _counter_limit(bank, entry, counts[cell])
+            except FabricError as exc:
+                raise type(exc)(f"invocation {row}, lane {lane}: {exc}") from None
 
     # -- host-visible bulk access ------------------------------------------
 
@@ -463,6 +463,20 @@ def ei_validate(ei: ExtensionInstruction) -> int:
     return stages
 
 
+def _check_issue(ei: ExtensionInstruction, n: int, iram: Optional[IramState]):
+    """Checks before a body runs: ``n`` input registers, then the IRAM handle."""
+    if n != ei.n_inputs:
+        raise ArityViolation(f"{ei.name}: expected {ei.n_inputs} inputs, got {n}")
+    if ei.uses_iram and iram is None:
+        raise ValueError(f"{ei.name}: kernel accesses IRAM but no IramState was supplied")
+
+
+def _check_outputs(ei: ExtensionInstruction, n: int):
+    """The check after a body runs: ``n`` output registers."""
+    if n != ei.n_outputs:
+        raise ArityViolation(f"{ei.name}: kernel produced {n} outputs, declared {ei.n_outputs}")
+
+
 def ei_execute(
     ei: ExtensionInstruction,
     inputs: Sequence[WideRegister],
@@ -473,24 +487,20 @@ def ei_execute(
 
     Deterministic: identical (instruction, inputs, IRAM state) yields
     identical outputs and identical IRAM end state.  The input and output
-    registers are checked against the declared arity.  A batched
-    instruction runs as a batch of one through ``ei_execute_batch``; for
-    a per-register body the IRAM access log is cleared at entry and every
-    entry access inside the body is checked against the
-    one-touch-per-bank rule.
+    registers are checked as in ``ei_execute_batch``, but must be
+    ``WideRegister``s.  A batched instruction runs as a batch of one
+    through ``ei_execute_batch``; for a per-register body the IRAM access
+    log is cleared at entry and every entry access inside the body is
+    checked against the one-touch-per-bank rule.
     """
-    if len(inputs) != ei.n_inputs:
-        raise ArityViolation(f"{ei.name}: expected {ei.n_inputs} inputs, got {len(inputs)}")
     for wr in inputs:
         if not isinstance(wr, WideRegister):
             raise TypeError(f"{ei.name}: inputs must be WideRegister, got {type(wr).__name__}")
     if ei.batched:
         registers = np.frombuffer(b"".join([wr.data for wr in inputs]), dtype=np.uint8)
-        outputs = ei_execute_batch(ei, registers.reshape(1, ei.n_inputs, WR_BYTES), iram, log)
+        outputs = ei_execute_batch(ei, registers.reshape(1, len(inputs), WR_BYTES), iram, log)
         return tuple(WideRegister(row.tobytes()) for row in outputs[0])
-    if ei.uses_iram and iram is None:
-        raise ValueError(f"{ei.name}: kernel accesses IRAM but no IramState was supplied")
-
+    _check_issue(ei, len(inputs), iram)
     if iram is not None:
         with iram.invocation():
             result = ei.body(tuple(inputs), iram)
@@ -503,10 +513,7 @@ def ei_execute(
         outputs = (result,)
     else:
         outputs = tuple(result)
-    if len(outputs) != ei.n_outputs:
-        raise ArityViolation(
-            f"{ei.name}: kernel produced {len(outputs)} outputs, declared {ei.n_outputs}"
-        )
+    _check_outputs(ei, len(outputs))
     for wr in outputs:
         if not isinstance(wr, WideRegister):
             raise TypeError(f"{ei.name}: outputs must be WideRegister")
@@ -542,11 +549,7 @@ def ei_execute_batch(
             f"{ei.name}: registers must form an (invocations, inputs, {WR_BYTES}) array, "
             f"got {registers.shape}"
         )
-    if registers.shape[1] != ei.n_inputs:
-        raise ArityViolation(f"{ei.name}: expected {ei.n_inputs} inputs, got {registers.shape[1]}")
-    if ei.uses_iram and iram is None:
-        raise ValueError(f"{ei.name}: kernel accesses IRAM but no IramState was supplied")
-
+    _check_issue(ei, registers.shape[1], iram)
     outputs = ei.body(registers, iram)
     if (
         not isinstance(outputs, np.ndarray)
@@ -558,10 +561,7 @@ def ei_execute_batch(
         raise TypeError(
             f"{ei.name}: outputs must be a uint8 ({len(registers)}, outputs, {WR_BYTES}) array"
         )
-    if outputs.shape[1] != ei.n_outputs:
-        raise ArityViolation(
-            f"{ei.name}: kernel produced {outputs.shape[1]} outputs, declared {ei.n_outputs}"
-        )
+    _check_outputs(ei, outputs.shape[1])
     if log is not None:
         log.record(ei.name, len(registers))
     return outputs

@@ -109,8 +109,8 @@ def build_lut(cum: np.ndarray, n: int) -> np.ndarray:
 
 
 def lut_replicate(lut: np.ndarray, iram: IramState):
-    """Copy the full 256-entry table into every bank."""
-    lut = np.asarray(lut, dtype=np.uint8)
+    """Copy the full 256-entry uint8 table into every bank; ``load_luts`` checks the dtype."""
+    lut = np.asarray(lut)
     if lut.shape != (HIST_ENTRIES,):
         raise ValueError(f"lookup table must have {HIST_ENTRIES} entries")
     iram.load_luts(lut[None].repeat(BANK_COUNT, axis=0))

@@ -8,6 +8,7 @@ emit a canonical minimal header, and a round trip through
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,26 +99,16 @@ class ImageBuffer:
 # ---------------------------------------------------------------------------
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+#: Whitespace runs and '#' comments up to the newline, then the token.
+_TOKEN = re.compile(rb"(?:[%s]+|#[^\n]*)*([^#%s]*)" % ((re.escape(_WHITESPACE),) * 2))
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Next header token, skipping whitespace and '#' comment lines."""
-    n = len(data)
-    while pos < n:
-        ch = data[pos : pos + 1]
-        if ch in _WHITESPACE:
-            pos += 1
-        elif ch == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
+    match = _TOKEN.match(data, pos)
+    if not match.group(1):
         raise MalformedHeader("header ended early")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+    return match.group(1), match.end()
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:

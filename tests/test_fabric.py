@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from functools import partial
@@ -330,8 +331,11 @@ def test_counter_overflow():
     with iram.invocation():
         iram.write_counter(0, 0, 0xFFFF)
     with iram.invocation():
-        with pytest.raises(CounterOverflow):
+        with pytest.raises(CounterOverflow, match="^bank 0 entry 0 counter value 65536 outside "):
             iram.add_counter(0, 0)
+    with pytest.raises(CounterOverflow, match="^bank 4 entry 200 counter value -1 outside 16-bit range$"):
+        iram.write_counter(4, 200, -1)
+    assert iram.counters()[0, 0] == COUNTER_MAX and iram.counters()[4, 200] == 0
 
 
 def test_counter_bounds_checked():
@@ -503,6 +507,41 @@ def test_counter_overflow_names_invocation_bank_and_entry():
         iram.add_counters(np.arange(16), entries)
 
 
+@pytest.mark.parametrize(
+    "touches, counting, error, bulk_prefix, message",
+    [
+        ([(2, 5), (2, 6)], True, BankConflict, "invocation 0, lane 1: ",
+         "bank 2 touched at entries 5 and 6"),
+        ([(2, 5), (2, 6)], False, BankConflict, "invocation 0, lane 1: ",
+         "bank 2 touched at entries 5 and 6"),
+        ([(3, 1), (4, 200)], True, CounterOverflow, "invocation 0, lane 1: ",
+         "bank 4 entry 200 counter value 65536 outside 16-bit range"),
+        ([(16, 0)], True, IndexError, "", "bank 16 out of range 0..15"),
+        ([(0, 1), (-1, 0)], False, IndexError, "", "bank -1 out of range 0..15"),
+        ([(0, 256)], True, IndexError, "", "entry 256 out of range 0..255"),
+        ([(0, 256)], False, IndexError, "", "entry 256 out of range 0..255"),
+    ],
+    ids=["conflict-counting", "conflict-reading", "overflow", "bank-16", "bank-minus-1",
+         "entry-256-counting", "entry-256-reading"],
+)
+def test_entry_faults_read_as_bulk_faults_without_invocation_and_lane(
+    touches, counting, error, bulk_prefix, message
+):
+    # One statement of each rule: the bulk message only adds where the batch failed.
+    bulk, entry = IramState(), IramState()
+    for iram in (bulk, entry):
+        iram._counters[4, 200] = COUNTER_MAX
+    banks, entries = (np.array([column]) for column in zip(*touches))
+    with pytest.raises(error) as bulk_fault:
+        (bulk.add_counters if counting else bulk.read_luts)(banks, entries)
+    with pytest.raises(error) as entry_fault:
+        with entry.invocation():
+            for bank, index in touches:
+                (entry.add_counter if counting else entry.read_lut)(bank, index)
+    assert str(entry_fault.value) == message
+    assert str(bulk_fault.value) == bulk_prefix + message
+
+
 def test_bulk_accessor_checks_bounds():
     iram = IramState()
     with pytest.raises(IndexError):
@@ -641,8 +680,8 @@ def test_bulk_accessors_equal_the_entry_accessors(shape, layout, counting, near_
         if not counting:
             assert bulk.read_luts(banks, entries).ravel().tolist() == values
     else:
-        # The batch names the row that failed one by one, and writes nothing.
-        assert str(got).startswith(f"invocation {len(rows_done)}, lane ")
+        # The batch names the row that failed one by one, and the same fault, and writes nothing.
+        assert re.fullmatch(rf"invocation {len(rows_done)}, lane \d+: {re.escape(str(want))}", str(got))
         assert np.array_equal(bulk._mem, start._mem)
 
 

@@ -151,6 +151,22 @@ def test_lut_replicate_all_banks_equal():
         assert [iram._mem[bank][k] for k in range(256)] == reference
 
 
+@pytest.mark.parametrize(
+    "table",
+    [np.full(256, 300, np.int64), np.full(256, -1, np.int64), np.full(256, 2.9)],
+    ids=["int64-300", "int64-minus-1", "float"],
+)
+def test_lut_replicate_uploads_only_a_uint8_table(table):
+    # A cast would store 300 as 44, -1 as 255 and 2.9 as 2.
+    iram = IramState()
+    iram._mem[:] = 7
+    with pytest.raises(ValueError, match="^LUT upload needs a uint8 "):
+        lut_replicate(table, iram)
+    assert (iram._mem == 7).all()
+    lut_replicate(np.full(256, 44, np.uint8), iram)
+    assert (iram._mem[:, :256] == 44).all() and (iram._mem[:, 256:] == 7).all()
+
+
 # ------------------------------------------------------------ transform
 
 

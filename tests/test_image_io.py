@@ -44,6 +44,19 @@ def test_read_tolerates_comments_and_whitespace():
     assert img.samples.tolist() == [9, 8, 7, 6]
 
 
+@pytest.mark.parametrize(
+    "header",
+    [b"P5%s2%s2%s255%s" % ((bytes([byte]),) * 4) for byte in b" \t\n\r\x0b\x0c"]
+    + [b"P5#c\n2 2 255\n", b"P5#a\n2#b\n2#c\n255\n", b"P5 #a\r\n\t2 #b\n 2\x0c#c\n255\x0b"],
+    ids=["space", "tab", "newline", "return", "vertical-tab", "form-feed",
+         "comment-after-magic", "comment-between-every-field", "comments-and-mixed-whitespace"],
+)
+def test_read_tolerates_every_header_separator(header):
+    img = read_pnm(header + bytes([9, 8, 7, 6]))
+    assert (img.width, img.height, img.channels) == (2, 2, 1)
+    assert img.samples.tolist() == [9, 8, 7, 6]
+
+
 def test_read_rejects_bad_magic():
     with pytest.raises(MalformedHeader):
         read_pnm(b"P3 1 1 255 aaa")
@@ -72,8 +85,11 @@ def test_read_rejects_a_header_number_too_long_to_convert():
         (b"P5 2 0 255 ", "non-positive dimensions"),
         (b"P5 1 1 255", "missing whitespace after maxval"),
         (b"P5 1 1 255#\n\x00", "missing whitespace after maxval"),
+        (b"P5 1 1 # a comment to the end of the data", "header ended early"),
+        (b"P5#c", "header ended early"),
     ],
-    ids=["zero-width", "zero-height", "header-ends-at-maxval", "comment-after-maxval"],
+    ids=["zero-width", "zero-height", "header-ends-at-maxval", "comment-after-maxval",
+         "comment-to-end-of-data", "comment-to-end-after-magic"],
 )
 def test_read_rejects_empty_dimensions_and_a_raster_glued_to_maxval(data, message):
     with pytest.raises(MalformedHeader, match=f"^{message}$"):

@@ -22,7 +22,7 @@ Run from anywhere, with the test dependencies installed::
 Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
-2.0-9.2 s per mutant and 3 min 3 s in all for 50 on a 2-core host.
+1.8-10.3 s per mutant and 3 min 36 s to 3 min 51 s in all for 59 on a 2-core host.
 Shrinking made one mutant take 6.7-36 s without the profile, and 47
 took 3 min 17 s; running Tier-1 alone on each of 37 took 2.2-108 s and
 7 min 46 s.
@@ -85,6 +85,17 @@ MUTANTS = (
            "if banks is not LANE_BANKS:", "if np.ndim(banks) != 1:"),
     Mutant("input-arity-allows-four", FABRIC,
            "ei.n_inputs > MAX_INPUTS", "ei.n_inputs > MAX_INPUTS + 1"),
+    # Each rule stated once, for the entry accessors and the batch path alike.
+    Mutant("bank-rule-lets-a-second-entry-through", FABRIC, "if prev != entry:", "if False:"),
+    Mutant("counter-rule-fires-at-65535", FABRIC,
+           "0 <= value <= COUNTER_MAX", "0 <= value < COUNTER_MAX"),
+    Mutant("counter-rule-allows-65536", FABRIC,
+           "0 <= value <= COUNTER_MAX", "0 <= value <= COUNTER_MAX + 1"),
+    Mutant("entry-touch-skips-the-entry-range", FABRIC,
+           '_check_range("entry", np.asarray(entry), HIST_ENTRIES)', "pass"),
+    Mutant("issue-skips-the-input-count", FABRIC, "if n != ei.n_inputs:", "if False:"),
+    Mutant("issue-skips-the-iram-handle", FABRIC, "if ei.uses_iram and iram is None:", "if False:"),
+    Mutant("issue-skips-the-output-count", FABRIC, "if n != ei.n_outputs:", "if False:"),
     # Fixed-point primitives.
     Mutant("div256-floors", "src/scpsim/fixed_point.py", "q &= 255", "q &= 0"),
     Mutant("div256-sign-mask-127", "src/scpsim/fixed_point.py", "q &= 255", "q &= 127"),
@@ -132,6 +143,8 @@ MUTANTS = (
            "((255 * cum) // n)", "(-(-255 * cum // n))"),
     Mutant("histeq-tail-not-counted", "src/scpsim/histeq.py",
            "cum += np.cumsum(scalar_histogram(flat[head:]))", "pass"),
+    Mutant("lut-replicate-casts-its-table", "src/scpsim/histeq.py",
+           "lut = np.asarray(lut)", "lut = np.asarray(lut, dtype=np.uint8)"),
     # The group/tail split and the peak ledger, each stated once.
     Mutant("split-drops-the-tail", CYCLE_MODEL,
            "divmod(pixels, self.lanes) if self.lanes", "(pixels // self.lanes, 0) if self.lanes"),
@@ -174,6 +187,9 @@ MUTANTS = (
            "        if key in entries:\n", "        if False:\n"),
     Mutant("pnm-accepts-short-raster", "src/scpsim/image_io.py",
            "if len(raster) < need:", "if len(raster) < need - 1:"),
+    Mutant("token-pattern-drops-vertical-tab", "src/scpsim/image_io.py",
+           "((re.escape(_WHITESPACE),) * 2)",
+           '((re.escape(_WHITESPACE.replace(b"\\x0b", b"")),) * 2)'),
 )
 
 
