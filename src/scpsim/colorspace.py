@@ -464,10 +464,12 @@ def roundtrip_sweep(
     elif sample is not None:
         if sample < 1:
             raise ValueError("sample size must be positive")
+        # Drawn a block at a time: the generator gives the same triples as one draw.
         rng = np.random.default_rng(seed)
-        trip = rng.integers(0, 256, size=(sample, 3), dtype=np.int64)
         pairs = _with_forward_sums(
-            trip[s : s + _BLOCK].T.astype(np.int32, order="C") for s in range(0, sample, _BLOCK)
+            rng.integers(0, 256, (min(_BLOCK, sample - s), 3), dtype=np.int64)
+            .T.astype(np.int32, order="C")
+            for s in range(0, sample, _BLOCK)
         )
         total = sample
     else:

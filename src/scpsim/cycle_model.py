@@ -345,17 +345,16 @@ def checked_report(
     """The cost of a run that executed ``executed`` invocations; None
     without a profile.
 
-    Raises InvocationMismatch when the model charges a different number
-    of invocations than the run executed.
+    Raises InvocationMismatch, with or without a profile, when the model
+    charges a different number of invocations than the run executed.
     """
-    if profile is None:
-        return None
-    report = estimate(kernel, mode, pixels, profile)
-    if report.ei_invocations != executed:
+    shape = _calibrated_shape(kernel, mode)
+    expected = shape.invocations(shape.split(pixels)[0])
+    if expected != executed:
         raise InvocationMismatch(
-            f"cost model predicted {report.ei_invocations} invocations, executed {executed}"
+            f"cost model predicted {expected} invocations, executed {executed}"
         )
-    return report
+    return None if profile is None else estimate(kernel, mode, pixels, profile)
 
 
 def fit_profile(

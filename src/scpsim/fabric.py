@@ -151,11 +151,11 @@ LANE_BANKS = np.arange(BANK_COUNT)
 LANE_BANKS.flags.writeable = False
 
 
-def _check_range(what: str, index: np.ndarray, limit: int):
-    """Raise IndexError naming the first bad value when ``index`` leaves 0..limit - 1."""
-    if index.size and not 0 <= index.min() <= index.max() < limit:
-        bad = index.min() if index.min() < 0 else index.max()
-        raise IndexError(f"{what} {bad} out of range 0..{limit - 1}")
+def _check_range(what: str, low, high, limit: int):
+    """Raise IndexError naming the first bad value when values whose least
+    is ``low`` and greatest ``high`` leave 0..limit - 1; a scalar is both."""
+    if not 0 <= low <= high < limit:
+        raise IndexError(f"{what} {low if low < 0 else high} out of range 0..{limit - 1}")
 
 
 def _bank_rule(first: dict[int, int], bank: int, entry: int):
@@ -166,8 +166,8 @@ def _bank_rule(first: dict[int, int], bank: int, entry: int):
 
 
 def _counter_limit(bank: int, entry: int, value: int):
-    """Raise CounterOverflow unless ``value`` fits counter (bank, entry)'s 16 bits."""
-    if not 0 <= value <= COUNTER_MAX:
+    """Raise CounterOverflow when a count of ``value`` passes counter (bank, entry)'s 16 bits."""
+    if value > COUNTER_MAX:
         raise CounterOverflow(
             f"bank {bank} entry {entry} counter value {value} outside 16-bit range"
         )
@@ -180,8 +180,8 @@ class IramState:
     addressing is a little-endian 16-bit view of each bank's first
     ``2 * HIST_ENTRIES`` bytes, so counter entry e occupies bytes 2e and
     2e + 1 of its bank, and table addressing reads the bank's bytes.
-    Entry accessors (``read_counter``/``add_counter``/``read_lut``/...)
-    are the kernel-visible interface of a per-register body and are
+    Entry accessors (``read_counter``/``add_counter``/``read_lut``) are
+    the kernel-visible interface of a per-register body and are
     subject to the one-touch-per-bank-per-invocation rule while an
     invocation is open.  ``add_counters``/``read_luts`` are the same
     accesses for a whole batch of invocations, with the same rule and
@@ -199,7 +199,7 @@ class IramState:
         self._mem = np.zeros((BANK_COUNT, BANK_BYTES), dtype=np.uint8)
         self._counters = self._mem[:, : 2 * HIST_ENTRIES].view("<u2")
         #: bank -> entry touched in the current invocation (None outside one)
-        self.access_log: Optional[dict[int, int]] = None
+        self._access_log: Optional[dict[int, int]] = None
 
     def clear(self):
         self._mem[:] = 0
@@ -213,19 +213,19 @@ class IramState:
         Clears the access log on entry; every entry accessor called
         inside the window is checked against the bank rule.
         """
-        if self.access_log is not None:
+        if self._access_log is not None:
             raise FabricError("IRAM invocation windows cannot nest")
-        self.access_log = {}
+        self._access_log = {}
         try:
             yield self
         finally:
-            self.access_log = None
+            self._access_log = None
 
     def _touch(self, bank: int, entry: int):
-        _check_range("bank", np.asarray(bank), BANK_COUNT)
-        _check_range("entry", np.asarray(entry), HIST_ENTRIES)
-        if self.access_log is not None:
-            _bank_rule(self.access_log, bank, entry)
+        _check_range("bank", bank, bank, BANK_COUNT)
+        _check_range("entry", entry, entry, HIST_ENTRIES)
+        if self._access_log is not None:
+            _bank_rule(self._access_log, bank, entry)
 
     # -- 16-bit counter addressing (histogram use) ------------------------
 
@@ -233,15 +233,13 @@ class IramState:
         self._touch(bank, entry)
         return self._counters.item(bank, entry)
 
-    def write_counter(self, bank: int, entry: int, value: int):
-        _counter_limit(bank, entry, value)
-        self._touch(bank, entry)
-        self._counters[bank, entry] = value
-
     def add_counter(self, bank: int, entry: int) -> int:
-        """Add one to a counter by read-modify-write; logged as a single access."""
-        value = self.read_counter(bank, entry) + 1
-        self.write_counter(bank, entry, value)
+        """Add one to a counter by read-modify-write, one touch, and return
+        the new count; faults in ``_replay``'s order: range, bank rule, limit."""
+        self._touch(bank, entry)
+        value = self._counters.item(bank, entry) + 1
+        _counter_limit(bank, entry, value)
+        self._counters[bank, entry] = value
         return value
 
     # -- 8-bit addressing (lookup-table use) -------------------------------
@@ -282,10 +280,11 @@ class IramState:
         (``LANE_BANKS`` is in range by construction)."""
         if banks is not LANE_BANKS:
             banks = np.asarray(banks)
-            _check_range("bank", banks, BANK_COUNT)
+            if banks.size:
+                _check_range("bank", banks.min(), banks.max(), BANK_COUNT)
         entries = np.asarray(entries)
-        if entries.dtype != np.uint8:  # every uint8 entry is below HIST_ENTRIES
-            _check_range("entry", entries, HIST_ENTRIES)
+        if entries.size and entries.dtype != np.uint8:  # every uint8 entry is below HIST_ENTRIES
+            _check_range("entry", entries.min(), entries.max(), HIST_ENTRIES)
         # 16 bits hold every cell index (BANK_COUNT * HIST_ENTRIES = 4096).
         cells = np.add(np.multiply(banks, HIST_ENTRIES, dtype=np.int16), entries, dtype=np.int16)
         if cells.ndim != 2:

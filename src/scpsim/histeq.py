@@ -109,11 +109,9 @@ def build_lut(cum: np.ndarray, n: int) -> np.ndarray:
 
 
 def lut_replicate(lut: np.ndarray, iram: IramState):
-    """Copy the full 256-entry uint8 table into every bank; ``load_luts`` checks the dtype."""
-    lut = np.asarray(lut)
-    if lut.shape != (HIST_ENTRIES,):
-        raise ValueError(f"lookup table must have {HIST_ENTRIES} entries")
-    iram.load_luts(lut[None].repeat(BANK_COUNT, axis=0))
+    """Copy the full 256-entry uint8 table into every bank; ``load_luts``
+    checks the copies, so a table of another dtype or shape raises ValueError."""
+    iram.load_luts(np.asarray(lut)[None].repeat(BANK_COUNT, axis=0))
 
 
 def scalar_histogram(flat: np.ndarray) -> np.ndarray:

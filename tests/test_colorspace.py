@@ -450,6 +450,18 @@ def test_convert_image_with_a_reused_log():
     assert log.total == 4
 
 
+def test_convert_invocation_mismatch_is_typed(monkeypatch):
+    # A lane walk that logs none of its batches is caught whether or not the run is costed.
+    issue = colorspace.ei_execute_batch
+    monkeypatch.setattr(colorspace, "ei_execute_batch", lambda ei, batch, log=None: issue(ei, batch))
+    img = ImageBuffer.from_array(np.zeros((2, 5, 3), dtype=np.uint8))
+    for profile in (cycle_model.builtin_profile(), None):
+        with pytest.raises(
+            cycle_model.InvocationMismatch, match="^cost model predicted 2 invocations, executed 0$"
+        ):
+            convert_image(img, RGB2YIQ, "ei5", profile=profile)
+
+
 def test_convert_image_without_profile_has_no_report():
     rng = np.random.default_rng(5)
     img = random_rgb_image(rng)
@@ -603,6 +615,18 @@ def test_steady_state_blocks_do_not_page_fault():
     # A 320x200 frame is 8 ei1 blocks, which take about 300 faults a call;
     # one batch per image, with 1 MB register arrays, took about 750.
     assert max(calls[1:]) < 500
+
+
+def test_sampled_sweep_streams_its_triples():
+    # Each block of triples is drawn as it is needed, not all 2^20 at once (24 MiB as int64).
+    tracemalloc.start()
+    try:
+        result = roundtrip_sweep(sample=2**20, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert result.samples == 2**20
 
 
 def test_roundtrip_sweep_exhaustive():

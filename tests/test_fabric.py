@@ -33,6 +33,8 @@ from scpsim.fabric import (
     wr_unpack,
 )
 
+from util import preset_counter
+
 
 def make_ei(name="t", body=None, n_inputs=1, n_outputs=1, ledger=None, ops=()):
     if body is None:
@@ -271,10 +273,11 @@ def test_lane_per_bank_pattern_is_accepted():
 
 def test_rmw_of_one_entry_counts_once():
     iram = IramState()
+    preset_counter(iram, 3, 9, 7)
     with iram.invocation():
-        iram.read_counter(3, 9)
-        iram.write_counter(3, 9, 7)
-        iram.add_counter(3, 9)
+        assert iram.read_counter(3, 9) == 7
+        assert iram.add_counter(3, 9) == 8
+        assert iram.read_counter(3, 9) == 8
     assert iram.counters()[3, 9] == 8
 
 
@@ -328,14 +331,11 @@ def test_host_bulk_access_reads_a_copy_and_checks_the_tables():
 
 def test_counter_overflow():
     iram = IramState()
-    with iram.invocation():
-        iram.write_counter(0, 0, 0xFFFF)
+    preset_counter(iram, 0, 0, 0xFFFF)
     with iram.invocation():
         with pytest.raises(CounterOverflow, match="^bank 0 entry 0 counter value 65536 outside "):
             iram.add_counter(0, 0)
-    with pytest.raises(CounterOverflow, match="^bank 4 entry 200 counter value -1 outside 16-bit range$"):
-        iram.write_counter(4, 200, -1)
-    assert iram.counters()[0, 0] == COUNTER_MAX and iram.counters()[4, 200] == 0
+    assert iram.counters()[0, 0] == COUNTER_MAX
 
 
 def test_counter_bounds_checked():
@@ -401,7 +401,7 @@ def test_each_instruction_is_validated_once_at_construction(monkeypatch):
 @pytest.mark.parametrize("entry", [0, 1, 77, 127])
 def test_counter_entry_is_two_little_endian_lut_bytes(entry):
     iram = IramState()
-    iram.write_counter(5, entry, 0x0201)
+    preset_counter(iram, 5, entry, 0x0201)
     assert iram.read_lut(5, 2 * entry) == 1
     assert iram.read_lut(5, 2 * entry + 1) == 2
     assert type(iram.read_counter(5, entry)) is int and iram.read_counter(5, entry) == 0x0201
@@ -498,7 +498,7 @@ def test_bank_conflict_names_invocation_lane_bank_and_entries():
 
 def test_counter_overflow_names_invocation_bank_and_entry():
     iram = IramState()
-    iram.write_counter(4, 200, COUNTER_MAX - 1)
+    preset_counter(iram, 4, 200, COUNTER_MAX - 1)
     entries = np.full((3, 16), 200, dtype=np.uint8)
     with pytest.raises(
         CounterOverflow,
@@ -516,12 +516,15 @@ def test_counter_overflow_names_invocation_bank_and_entry():
          "bank 2 touched at entries 5 and 6"),
         ([(3, 1), (4, 200)], True, CounterOverflow, "invocation 0, lane 1: ",
          "bank 4 entry 200 counter value 65536 outside 16-bit range"),
+        ([(4, 1), (4, 200)], True, BankConflict, "invocation 0, lane 1: ",
+         "bank 4 touched at entries 1 and 200"),
         ([(16, 0)], True, IndexError, "", "bank 16 out of range 0..15"),
         ([(0, 1), (-1, 0)], False, IndexError, "", "bank -1 out of range 0..15"),
         ([(0, 256)], True, IndexError, "", "entry 256 out of range 0..255"),
         ([(0, 256)], False, IndexError, "", "entry 256 out of range 0..255"),
     ],
-    ids=["conflict-counting", "conflict-reading", "overflow", "bank-16", "bank-minus-1",
+    ids=["conflict-counting", "conflict-reading", "overflow", "conflict-before-overflow",
+         "bank-16", "bank-minus-1",
          "entry-256-counting", "entry-256-reading"],
 )
 def test_entry_faults_read_as_bulk_faults_without_invocation_and_lane(
@@ -698,9 +701,9 @@ def test_lanes_that_own_their_banks_skip_the_row_sort(monkeypatch):
         sorts.append(cells.shape)
         return conflict_rows(cells)
 
-    def counted_range(what, index, limit):
+    def counted_range(what, low, high, limit):
         range_checks.append(what)
-        return check_range(what, index, limit)
+        return check_range(what, low, high, limit)
 
     monkeypatch.setattr(IramState, "_conflict_rows", staticmethod(counted))
     monkeypatch.setattr(fabric, "_check_range", counted_range)

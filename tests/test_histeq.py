@@ -24,7 +24,7 @@ from scpsim.histeq import (
 )
 from scpsim.image_io import ChannelMismatch, ImageBuffer
 
-from util import random_gray_image, uniform_histogram_image
+from util import preset_counter, random_gray_image, uniform_histogram_image
 
 
 def gray_image(values, width=None):
@@ -65,8 +65,7 @@ def test_subhist_conservation_against_scalar_oracle():
 
 def test_subhist_counter_overflow():
     iram = IramState()
-    with iram.invocation():
-        iram.write_counter(0, 7, 0xFFFF)
+    preset_counter(iram, 0, 7, 0xFFFF)
     with pytest.raises(CounterOverflow):
         ei_subhist16(np.full((1, 16), 7, dtype=np.uint8), iram)
 
@@ -89,8 +88,7 @@ def test_merge_of_empty_banks_is_zero():
 
 def test_merge_single_pixel_of_value_zero():
     iram = IramState()
-    with iram.invocation():
-        iram.write_counter(0, 0, 1)
+    preset_counter(iram, 0, 0, 1)
     assert merge_cumulative(iram).tolist() == [1] * 256
 
 
@@ -133,6 +131,14 @@ def test_build_lut_monotone_on_random_histograms():
         assert lut[255] == 255
 
 
+@pytest.mark.parametrize(
+    "cum", [np.arange(255), np.arange(257), np.arange(256)[None]], ids=["255", "257", "1x256"]
+)
+def test_build_lut_rejects_a_histogram_of_the_wrong_shape(cum):
+    with pytest.raises(ValueError, match="^cumulative histogram must have 256 bins$"):
+        build_lut(cum, 10)
+
+
 def test_lut_replicate_identity():
     iram = IramState()
     lut_replicate(np.arange(256, dtype=np.uint8), iram)
@@ -153,11 +159,12 @@ def test_lut_replicate_all_banks_equal():
 
 @pytest.mark.parametrize(
     "table",
-    [np.full(256, 300, np.int64), np.full(256, -1, np.int64), np.full(256, 2.9)],
-    ids=["int64-300", "int64-minus-1", "float"],
+    [np.full(256, 300, np.int64), np.full(256, -1, np.int64), np.full(256, 2.9),
+     np.zeros(255, np.uint8), np.zeros((16, 256), np.uint8), np.array(7, np.uint8)],
+    ids=["int64-300", "int64-minus-1", "float", "255-entries", "16x256", "0-d"],
 )
 def test_lut_replicate_uploads_only_a_uint8_table(table):
-    # A cast would store 300 as 44, -1 as 255 and 2.9 as 2.
+    # A cast would store 300 as 44, -1 as 255 and 2.9 as 2; load_luts checks the shape as well.
     iram = IramState()
     iram._mem[:] = 7
     with pytest.raises(ValueError, match="^LUT upload needs a uint8 "):
@@ -320,11 +327,15 @@ def test_histeq_flushes_lane_counters_before_they_overflow():
 
 
 def test_histeq_invocation_mismatch_is_typed(monkeypatch):
+    # The run's count is checked whether or not it is costed.
     transform = histeq.ei_transform16
     monkeypatch.setattr(histeq, "ei_transform16", lambda pixels, iram, log=None: transform(pixels, iram))
     img = gray_image(np.arange(32), width=8)
-    with pytest.raises(cycle_model.InvocationMismatch):
-        histeq_image(img, "isef", profile=cycle_model.builtin_profile())
+    for profile in (cycle_model.builtin_profile(), None):
+        with pytest.raises(
+            cycle_model.InvocationMismatch, match="^cost model predicted 5 invocations, executed 3$"
+        ):
+            histeq_image(img, "isef", profile=profile)
 
 
 def test_histeq_with_a_reused_log():

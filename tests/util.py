@@ -1,5 +1,6 @@
-"""Shared test helpers: deterministic random test images and the offset-128
-byte encoding of signed-chroma pixels, an oracle for the YIQ byte maps."""
+"""Shared test helpers: deterministic random test images, the offset-128
+byte encoding of signed-chroma pixels, an oracle for the YIQ byte maps,
+and counter presets for IRAM tests."""
 
 import numpy as np
 
@@ -41,3 +42,11 @@ def yiq_decode_offset128(p) -> tuple[int, int, int]:
 def low_contrast_image(rng, side=128, mean=125.0, spread=10.0) -> ImageBuffer:
     vals = np.clip(np.rint(rng.normal(mean, spread, (side, side))), 0, 255)
     return ImageBuffer.from_array(vals.astype(np.uint8))
+
+
+def preset_counter(iram, bank, entry, count):
+    """Add ``count`` to counter (bank, entry) of ``iram`` with one
+    ``add_counters`` call of ``count`` invocations, one touch each; on a
+    fresh ``IramState`` that sets the counter to ``count``."""
+    touches = np.ones((count, 1), dtype=np.int64)
+    iram.add_counters(bank * touches, entry * touches)
