@@ -248,13 +248,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -262,12 +257,7 @@ def main(argv=None) -> int:
     except (OSError, image_io.PnmError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        FabricError,
-        cycle_model.UnknownKernelConfig,
-        cycle_model.InvocationMismatch,
-        ValueError,
-    ) as exc:
+    except (FabricError, cycle_model.InvocationMismatch, ValueError) as exc:
         print(f"constraint error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
 

@@ -278,12 +278,10 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
     back, both by ``_copy_groups``.  Kernels are not
     cached: building one costs a few microseconds, far less than the
     smallest image run it serves, and a cache would keep every custom
-    matrix's kernel alive.
+    matrix's kernel alive.  A lane count without a calibrated ``ei<lanes>``
+    mode raises UnknownKernelConfig.
     """
-    shape = cycle_model.KERNEL_SHAPES.get(f"ei{lanes}")
-    if shape is None:
-        raise ValueError(f"unsupported lane count {lanes}")
-    (ledger,) = shape.ledgers
+    (ledger,) = cycle_model.calibrated_shape("yiq", f"ei{lanes}").ledgers
     span = 3 * lanes
     registers = -(-span // WR_BYTES)
 
@@ -331,19 +329,19 @@ def convert_image(
     the report is None.
     Every matrix is costed at the calibrated ``yiq`` rates, the family
     the report's ``kernel`` names: cost depends on shape, not coefficients.
+    A mode outside ``CONVERT_MODES`` raises UnknownKernelConfig before any work.
     """
     if img.channels != 3:
         raise ChannelMismatch(f"conversion needs 3 channels, got {img.channels}")
-    if mode not in CONVERT_MODES:
-        raise ValueError(f"mode must be one of {CONVERT_MODES}, got {mode!r}")
+    shape = cycle_model.calibrated_shape("yiq", mode)
     if log is None:
         log = InvocationLog()
     logged = log.total
 
     flat = img.samples.reshape(-1, 3)
     n = flat.shape[0]
-    lanes = cycle_model.mode_lanes(mode)
-    groups, tail = cycle_model.KERNEL_SHAPES[mode].split(n)
+    lanes = shape.lanes
+    groups, tail = shape.split(n)
     head = n - tail
     out = np.empty_like(flat)
     if groups:

@@ -42,11 +42,9 @@ from typing import Iterable, Mapping, Optional, Union
 from .fabric import BANK_COUNT, COUNTER_MAX, HIST_ENTRIES, ResourceLedger, stage_count
 
 
-class UnknownKernelConfig(KeyError):
-    """A kernel/mode that is not calibrated, or that the profile has no rate for."""
-
-    def __str__(self):  # KeyError quotes its payload; keep messages readable
-        return self.args[0] if self.args else ""
+class UnknownKernelConfig(ValueError):
+    """A kernel/mode that is not calibrated, or that the profile has no rate
+    for: the one error every entry point raises for a bad mode."""
 
 
 class Underdetermined(ValueError):
@@ -168,8 +166,9 @@ def mode_lanes(mode: str) -> int:
     return shape.lanes
 
 
-def _calibrated_shape(kernel: str, mode: str) -> KernelShape:
-    """The shape of a calibrated workload; UnknownKernelConfig for any other pair."""
+def calibrated_shape(kernel: str, mode: str) -> KernelShape:
+    """The shape of a calibrated workload; UnknownKernelConfig for any
+    other pair.  Every entry point takes its run from it."""
     if mode not in FAMILY_MODES.get(kernel, ()):
         raise UnknownKernelConfig(
             f"no calibrated workload {kernel!r} in mode {mode!r}; calibrated: "
@@ -193,9 +192,9 @@ class CalibrationProfile:
     A lane rate needs its family's ``scalar`` rate, which charges the
     lane mode's tail and is the baseline of its speedup.  A merge step
     has no rate of its own: it costs one step of its mode, the per-group
-    rate over the instructions per group.  Raises ValueError for a rate
-    keyed by any other pair, a lane rate without its family's scalar
-    rate or a rate that is not positive.
+    rate over the instructions per group.  Raises UnknownKernelConfig for
+    a rate keyed by any other pair, and ValueError for a lane rate without
+    its family's scalar rate or a rate that is not positive.
     """
 
     name: str
@@ -203,10 +202,7 @@ class CalibrationProfile:
 
     def __post_init__(self):
         for kernel, mode in self.rates:
-            try:
-                _calibrated_shape(kernel, mode)
-            except UnknownKernelConfig as exc:
-                raise ValueError(str(exc)) from None
+            calibrated_shape(kernel, mode)
             if (kernel, "scalar") not in self.rates:
                 raise ValueError(
                     f"profile {self.name!r} rates {kernel!r} mode {mode!r} "
@@ -304,7 +300,7 @@ def estimate(
     if pixels < 1:
         raise ValueError("pixel count must be positive")
 
-    shape = _calibrated_shape(kernel, mode)
+    shape = calibrated_shape(kernel, mode)
     per_unit = profile.rates.get((kernel, mode))
     if per_unit is None:
         raise UnknownKernelConfig(
@@ -348,7 +344,7 @@ def checked_report(
     Raises InvocationMismatch, with or without a profile, when the model
     charges a different number of invocations than the run executed.
     """
-    shape = _calibrated_shape(kernel, mode)
+    shape = calibrated_shape(kernel, mode)
     expected = shape.invocations(shape.split(pixels)[0])
     if expected != executed:
         raise InvocationMismatch(
@@ -377,7 +373,7 @@ def fit_profile(
     rates: dict[tuple[str, str], Fraction] = {}
 
     for kernel, mode, pixels, cycles in rows:
-        if _calibrated_shape(kernel, mode).lanes == 0:
+        if calibrated_shape(kernel, mode).lanes == 0:
             if pixels < 1 or cycles <= 0:
                 raise Underdetermined(f"scalar fit for {kernel!r} needs pixels >= 1 and cycles > 0")
             rates[(kernel, mode)] = Fraction(cycles, pixels)
@@ -481,7 +477,7 @@ def parse_profile(text: str) -> CalibrationProfile:
         kernel, mode, what = parts
         # A rate the model never charges would be stored and never read.
         try:
-            _calibrated_shape(kernel, mode)
+            calibrated_shape(kernel, mode)
         except UnknownKernelConfig as exc:
             raise ValueError(f"profile line {lineno}: {exc}") from None
         if what != _rate_name(mode):

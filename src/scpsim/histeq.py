@@ -36,8 +36,7 @@ from .fabric import (
 from .fabric import ei_execute, ei_validate, wr_pack, wr_unpack  # noqa: F401
 from .image_io import ChannelMismatch, ImageBuffer
 
-_ISEF = cycle_model.KERNEL_SHAPES["isef"]
-_SUBHIST_LEDGER, _TRANSFORM_LEDGER = _ISEF.ledgers
+_SUBHIST_LEDGER, _TRANSFORM_LEDGER = cycle_model.calibrated_shape("histeq", "isef").ledgers
 
 
 class EmptyImage(ValueError):
@@ -136,12 +135,12 @@ def histeq_image(
     merged at the end of each flush window (``KernelShape.windows``).  With a
     profile the cycle report is filled from the cost model, which must
     agree with the invocations executed (``cycle_model.checked_report``);
-    without one the report is None.
+    without one the report is None.  A mode outside ``HISTEQ_MODES``
+    raises UnknownKernelConfig before any work.
     """
     if img.channels != 1:
         raise ChannelMismatch(f"equalization needs 1 channel, got {img.channels}")
-    if mode not in HISTEQ_MODES:
-        raise ValueError(f"mode must be one of {HISTEQ_MODES}, got {mode!r}")
+    shape = cycle_model.calibrated_shape("histeq", mode)
     if log is None:
         log = InvocationLog()
     logged = log.total
@@ -149,17 +148,17 @@ def histeq_image(
     flat = img.samples
     n = flat.size
 
-    if mode == "scalar":
+    if not shape.lanes:
         cum = np.cumsum(scalar_histogram(flat))
         lut = build_lut(cum, n)
         out = lut.take(flat)
     else:
         iram = IramState()
-        groups, tail = _ISEF.split(n)
+        groups, tail = shape.split(n)
         head = n - tail
-        pixels = flat[:head].reshape(groups, _ISEF.lanes)
+        pixels = flat[:head].reshape(groups, shape.lanes)
         cum = np.zeros(HIST_ENTRIES, dtype=np.int64)
-        windows = _ISEF.windows(groups)
+        windows = shape.windows(groups)
         for first in windows:
             ei_subhist16(pixels[first : first + windows.step], iram, log=log)
             cum += merge_cumulative(iram)

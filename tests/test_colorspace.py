@@ -50,6 +50,11 @@ except ImportError:  # not on every platform
 
 rgb_triples = st.tuples(*(st.integers(0, 255),) * 3)
 
+#: The one message of a bad (family, mode) pair, from every entry point.
+UNCALIBRATED = (
+    "no calibrated workload '{}' in mode '{}'; calibrated: yiq scalar/ei1/ei5/ei8, histeq scalar/isef"
+)
+
 
 # ------------------------------------------------------------ scalar ops
 
@@ -248,8 +253,10 @@ def test_lane_kernel_resources():
     assert ei5.ledger.multipliers_used == 45 and ei_validate(ei5) == 1
     assert ei8.ledger.multipliers_used == 72 and ei_validate(ei8) == 2
     assert matrix_ei(RGB2YIQ, 1).ledger.multipliers_used == 9
-    with pytest.raises(ValueError, match="^unsupported lane count 3$"):
-        matrix_ei(RGB2YIQ, 3)
+    for lanes in (3, 0, 16):
+        with pytest.raises(cycle_model.UnknownKernelConfig) as exc:
+            matrix_ei(RGB2YIQ, lanes)
+        assert str(exc.value) == UNCALIBRATED.format("yiq", f"ei{lanes}")
 
 
 # ------------------------------------------------------------ whole images
@@ -270,8 +277,10 @@ def test_convert_image_rejects_single_channel():
 
 def test_convert_image_rejects_unknown_mode():
     img = ImageBuffer(width=1, height=1, channels=3, samples=np.zeros(3, np.uint8))
-    with pytest.raises(ValueError):
-        convert_image(img, RGB2YIQ, "ei4")
+    for mode in ("ei4", "isef"):
+        with pytest.raises(cycle_model.UnknownKernelConfig) as exc:
+            convert_image(img, RGB2YIQ, mode)
+        assert str(exc.value) == UNCALIBRATED.format("yiq", mode)
 
 
 @pytest.mark.parametrize("mode", ["ei1", "ei5", "ei8"])
@@ -356,6 +365,31 @@ def test_frames_that_span_blocks_match_the_oracle(matrix):
         got = out.samples.reshape(-1, 3)
         assert got[near_edges].tolist() == want, mode
         assert np.array_equal(got, sliced), mode
+
+
+@pytest.mark.parametrize("matrix", [RGB2YIQ, WIDEST_ACCUMULATOR], ids=lambda m: m.name)
+def test_apply_matrix_np_over_every_rgb_triple(matrix):
+    # All 2^24 triples as 256 frames of 256x256, one per red value, against
+    # an oracle that shares no code with colorspace: per-channel tables of
+    # c * (v - offset), summed, divided truncating toward zero, clipped.
+    v = np.arange(256, dtype=np.int32)
+    tables = [[c * (v - off) for c, off in zip(row, matrix.input_offset)] for row in matrix.coeffs]
+    # Each output row's (g, b) sums, built once; a frame adds its red term.
+    gb_sums = [(g[:, None] + b[None, :]).ravel() for _, g, b in tables]
+    frame = np.empty((256 * 256, 3), dtype=np.uint8)
+    frame[:, 1:] = np.indices((256, 256), dtype=np.uint8).reshape(2, -1).T
+    want, got = np.empty_like(frame), np.empty_like(frame)
+    for r in range(256):
+        frame[:, 0] = r
+        for row, (red, _, _) in enumerate(tables):
+            acc = gb_sums[row] + red[r]
+            quotient = np.abs(acc) >> 8
+            np.negative(quotient, out=quotient, where=acc < 0)
+            want[:, row] = np.clip(quotient + matrix.output_offset[row], 0, 255)
+        apply_matrix_np(frame, matrix, out=got)
+        if not np.array_equal(got, want):
+            k = np.flatnonzero((got != want).any(axis=1))[0]
+            pytest.fail(f"rgb {frame[k]}: got {got[k]}, oracle {want[k]}")
 
 
 #: Enough invocations for a kernel body's group copies to leave the 2-D path.

@@ -75,8 +75,11 @@ def test_unknown_kernel(profile):
     # executable modes outside the family's calibrated ones
     with pytest.raises(UnknownKernelConfig):
         estimate("yiq", "isef", 32, profile)
-    with pytest.raises(UnknownKernelConfig):
+    with pytest.raises(UnknownKernelConfig) as exc:
         estimate("histeq", "ei5", 32, profile)
+    # A ValueError, whose message reads as written: a KeyError would quote it.
+    assert issubclass(UnknownKernelConfig, ValueError)
+    assert str(exc.value).startswith("no calibrated workload 'histeq' in mode 'ei5'; calibrated: ")
 
 
 def test_tail_needs_scalar_entry():

@@ -358,5 +358,10 @@ def test_histeq_report_resources():
 
 def test_histeq_rejects_unknown_mode():
     img = gray_image([1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        histeq_image(img, "vector")
+    for mode in ("vector", "ei5"):
+        with pytest.raises(cycle_model.UnknownKernelConfig) as exc:
+            histeq_image(img, mode)
+        assert str(exc.value) == (
+            f"no calibrated workload 'histeq' in mode '{mode}'; "
+            "calibrated: yiq scalar/ei1/ei5/ei8, histeq scalar/isef"
+        )

@@ -22,7 +22,7 @@ Run from anywhere, with the test dependencies installed::
 Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
-1.5-9.8 s per mutant and 3 min 20 s in all for 64 on a 2-core host.
+1.8-12.5 s per mutant and 3 min 47 s in all for 69 on a 2-core host.
 Shrinking made one mutant take 6.7-36 s without the profile, and 47
 took 3 min 17 s; running Tier-1 alone on each of 37 took 2.2-108 s and
 7 min 46 s.
@@ -116,6 +116,11 @@ MUTANTS = (
            "np.array(value, dtype=np.int32).T[..., None]", "np.array(value, dtype=np.int32)[..., None]"),
     Mutant("gray-takes-the-i-row", "src/scpsim/image_io.py",
            "RGB2YIQ.columns[:, :1]", "RGB2YIQ.columns[:, 1:2]"),
+    # Wrong at one RGB triple only: the full cube finds it, sampling does not.
+    Mutant("one-triple-off-by-one", COLORSPACE,
+           "        clamp_u8_np(a, out=a)\n",
+           "        clamp_u8_np(a, out=a)\n"
+           "        a[0, (s[0] == 37) & (s[1] == 201) & (s[2] == 118)] ^= 1\n"),
     # Blocked batch path and the streamed sweep.
     Mutant("block-drops-last-column", COLORSPACE,
            "for channel, row in enumerate(a):", "for channel, row in enumerate(a[:2]):"),
@@ -148,6 +153,15 @@ MUTANTS = (
     Mutant("body-output-tail-not-zeroed", COLORSPACE,
            "out = np.zeros((invocations, registers * WR_BYTES), dtype=np.uint8)",
            "out = np.empty((invocations, registers * WR_BYTES), dtype=np.uint8)"),
+    # One judge of a (family, mode) pair, for every entry point.
+    Mutant("convert-mode-without-its-family", COLORSPACE,
+           'cycle_model.calibrated_shape("yiq", mode)', "cycle_model.KERNEL_SHAPES[mode]"),
+    Mutant("histeq-mode-without-its-family", "src/scpsim/histeq.py",
+           'cycle_model.calibrated_shape("histeq", mode)', "cycle_model.KERNEL_SHAPES[mode]"),
+    Mutant("matrix-ei-lanes-without-their-family", COLORSPACE,
+           'cycle_model.calibrated_shape("yiq", f"ei{lanes}")', 'cycle_model.KERNEL_SHAPES[f"ei{lanes}"]'),
+    Mutant("unknown-kernel-is-a-key-error", CYCLE_MODEL,
+           "class UnknownKernelConfig(ValueError):", "class UnknownKernelConfig(KeyError):"),
     # Histogram equalization.
     Mutant("build-lut-rounds-up", "src/scpsim/histeq.py",
            "((255 * cum) // n)", "(-(-255 * cum // n))"),
