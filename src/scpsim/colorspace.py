@@ -12,14 +12,13 @@ Two cores compute the same integer sum of products and the same
 truncating divide, so they are bit-identical: ``_affine_px`` on one
 pixel, under the scalar functions (``convert_px`` is the reference), and
 ``_affine_np`` on a ``(3, n)`` int32 sample array (every accumulator is
-below 2^20; see ``OFFSET_LIMIT``), under ``apply_matrix_np`` and the
-round-trip sweep; it is ``_sums_np``, the one vectorized sum of
-products, then the divide.  Both callers feed it at most ``_BLOCK``
-samples at a time, into block-sized arrays made once per call and reused
-for every block; the products are summed, divided and clamped in those
-arrays, so a steady-state block maps no fresh memory and the sweep never
-holds more than one block of its 2^24 triples.  The core's int32 matrix
-and offset columns are built once per matrix, at construction.
+below 2^20; see ``OFFSET_LIMIT``), under ``apply_matrix_np``; it is
+``_sums_np``, the one vectorized sum of products, then the divide.
+``apply_matrix_np`` feeds it at most ``_BLOCK`` samples at a time, into
+block-sized arrays made once per call and reused for every block; the
+products are summed, divided and clamped in those arrays, so a
+steady-state block maps no fresh memory.  The core's int32 matrix and
+offset columns are built once per matrix, at construction.
 ``apply_matrix_np`` is the plain-processor "scalar mode" for images and
 the body of every fabric kernel, which processes 1, 5, or 8 pixels per
 invocation; ``convert_image`` issues a lane mode's invocations one batch
@@ -31,13 +30,18 @@ one-pixel groups move as three channel columns, many wider ones as one
 span-byte item each (``_copy_groups``).
 
 The round-trip sweep draws (RGB block, forward sums before the divide)
-pairs from a block source and finishes each pair in one place
-(``_roundtrip_errors``).  Over the full RGB grid every block is the first
-plus a column (r, g, 0), so its sums are the first block's plus that
-column's, exactly, by linearity (``_rgb_blocks``); sampled and gray
-blocks get theirs from ``_sums_np`` directly.  Each block's errors are
-summed in int32, which its 3 * 8192 errors of at most 255 cannot
-overflow.
+pairs from a block source, at most ``_SWEEP_BLOCK`` triples each, and
+finishes each pair in one place (``_roundtrip_errors``), in arrays made
+once per sweep, so it never holds more than one block of its 2^24
+triples.  Over the full RGB grid every block is the first plus a column
+(r, g, 0), so its sums are the first block's plus that column's, exactly,
+by linearity (``_rgb_blocks``); sampled and gray blocks get theirs from
+``_sums_np`` directly.  Only the I and Q rows take the truncating divide:
+they carry signed chroma with no clamp.  The Y row and the three reverse
+rows are clamped to a byte straight after it, with no offset, so they
+divide with ``div256_clamp_u8_np``'s floor shift, which clamps to the same
+bytes.  Each block's errors are summed in int32, which its
+3 * 16384 errors of at most 255 cannot overflow.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from .fixed_point import (
     check_coefficient,
     clamp_u8,
     clamp_u8_np,
+    div256_clamp_u8_np,
     div256_trunc,
     div256_trunc_np,
     mul_acc3,
@@ -80,9 +85,15 @@ ROUNDTRIP_ARGMAX = (0, 121, 212)
 #: arrays are 96 KiB, under glibc's 128 KiB mmap threshold, so the
 #: allocator serves them and their temporaries from reused heap memory
 #: instead of faulting in fresh pages; 4096 costs more in per-block Python
-#: than it saves.  A multiple of 256, so a sweep block holds whole runs of
-#: the blue channel.
+#: than it saves.
 _BLOCK = 8192
+
+#: Triples per block of the round-trip sweep.  The sweep makes its block
+#: arrays once per sweep, not once per call, so they need not stay under
+#: the mmap threshold, and fewer blocks pay less per-block Python.  Of
+#: 8192, 16384, 32768 and 65536, it was the fastest.  A multiple of 256,
+#: so a grid block holds whole runs of the blue channel.
+_SWEEP_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -183,10 +194,10 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
 
 
 def _sums_np(columns: np.ndarray, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Each matrix row's sum of products with a (3, n) int32 sample array,
-    offset already taken, before the divide: ``mul_acc3`` over the block.
-    Written to ``out``, an int32 array with one row per matrix row, and
-    returned.  ``columns`` is built once per matrix (``ConversionMatrix``).
+    """Each matrix row's sum of products with a (3, n) int32 or uint8
+    sample array, offset already taken, before the divide: ``mul_acc3``
+    over the block.  Written to ``out``, an int32 array with one row per
+    matrix row, and returned.  ``columns`` is built once per matrix (``ConversionMatrix``).
 
     Each column is a (rows, 1) array, so one multiply gives a sample row's
     products for every output row.  The products are summed in ``out``; no
@@ -384,8 +395,9 @@ class SweepResult:
 
 
 def _rgb_blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every RGB triple in ascending (r, g, b) order, as (3, _BLOCK) int32
-    blocks, each with its forward sums (``_sums_np`` of ``RGB2YIQ``).
+    """Every RGB triple in ascending (r, g, b) order, as (3, _SWEEP_BLOCK)
+    uint8 blocks, each with its int32 forward sums (``_sums_np`` of
+    ``RGB2YIQ``).
 
     Block (r, g) is the first block plus the column (r, g, 0).  A sum of
     products before the truncating divide is linear over the integers, so
@@ -395,22 +407,22 @@ def _rgb_blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
     arrays, so a pair holds only until the next one is drawn.
     """
     forward = RGB2YIQ.columns
-    g_step = _BLOCK // 256
-    first = np.indices((1, g_step, 256), dtype=np.int32).reshape(3, _BLOCK)
-    first_sums = _sums_np(forward, first, np.empty_like(first))
-    block, sums = np.empty_like(first), np.empty_like(first)
+    g_step = _SWEEP_BLOCK // 256
+    first = np.indices((1, g_step, 256), dtype=np.uint8).reshape(3, _SWEEP_BLOCK)
+    first_sums = _sums_np(forward, first, np.empty(first.shape, dtype=np.int32))
+    block, sums = np.empty_like(first), np.empty_like(first_sums)
     for r in range(256):
         for g in range(0, 256, g_step):
-            np.add(first, np.array([[r], [g], [0]], dtype=np.int32), out=block)
+            np.add(first, np.array([[r], [g], [0]], dtype=np.uint8), out=block)
             np.add(first_sums, forward[0] * r + forward[1] * g, out=sums)
             yield block, sums
 
 
 def _with_forward_sums(blocks: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each (3, n) int32 RGB block of ``blocks``, n <= _BLOCK, with its
-    forward sums, computed directly.  The sums are written to the same
+    """Each (3, n) int32 RGB block of ``blocks``, n <= _SWEEP_BLOCK, with
+    its forward sums, computed directly.  The sums are written to the same
     array, so each holds only until the next is drawn."""
-    sums = np.empty((3, _BLOCK), dtype=np.int32)
+    sums = np.empty((3, _SWEEP_BLOCK), dtype=np.int32)
     for rgb in blocks:
         yield rgb, _sums_np(RGB2YIQ.columns, rgb, sums[:, : rgb.shape[1]])
 
@@ -418,21 +430,22 @@ def _with_forward_sums(blocks: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarra
 def _roundtrip_errors(
     pairs: Iterable[tuple[np.ndarray, np.ndarray]],
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each (rgb, forward sums) pair of ``pairs``, (3, n) int32 arrays with
-    n <= _BLOCK, as the RGB block with the per-channel |error| of its
-    forward+reverse conversion: the sums are divided, Y is clamped, and
-    the reverse map runs on signed chroma.  Every error is written to the
-    same array, so it holds only until the next is drawn."""
+    """Each (rgb, forward sums) pair of ``pairs``, (3, n) arrays with
+    n <= _SWEEP_BLOCK, the RGB block of any integer dtype and the sums
+    int32, as the RGB block with the int32 per-channel |error| of its
+    forward+reverse conversion.  Y is divided and clamped, I and Q are
+    divided truncating and kept signed, and the reverse map's sums are
+    divided and clamped.  Every error is written to the same array, so it
+    holds only until the next is drawn."""
     reverse = YIQ2RGB.columns
-    yiq = np.empty((3, _BLOCK), dtype=np.int32)
+    yiq = np.empty((3, _SWEEP_BLOCK), dtype=np.int32)
     back = np.empty_like(yiq)
     for rgb, sums in pairs:
         width = rgb.shape[1]
         y, err = yiq[:, :width], back[:, :width]
-        div256_trunc_np(sums, out=y)
-        clamp_u8_np(y[0], out=y[0])
-        _affine_np(reverse, y, err)
-        clamp_u8_np(err, out=err)
+        div256_clamp_u8_np(sums[0], out=y[0])
+        div256_trunc_np(sums[1:], out=y[1:])
+        div256_clamp_u8_np(_sums_np(reverse, y, err), out=err)
         err -= rgb
         yield rgb, np.abs(err, out=err)
 
@@ -445,12 +458,15 @@ def roundtrip_sweep(
     """Forward+reverse conversion error, exhaustively or on a subsample.
 
     The full sweep covers all 2^24 RGB triples in ascending (r, g, b)
-    order, one block at a time, with forward sums by linearity over the
-    grid (``_rgb_blocks``); a sample of ``sample`` seeded triples or the
-    256 gray triples (``gray_only``, which takes no ``sample``) get theirs
-    directly.  It reports the first triple attaining the maximum; chroma
-    is carried signed, without the offset-128 byte encoding.  A negative
-    ``seed`` is rejected in every mode.
+    order, one ``_SWEEP_BLOCK`` at a time, with forward sums by linearity
+    over the grid (``_rgb_blocks``); a sample of ``sample`` seeded triples,
+    drawn a block at a time, or the 256 gray triples (``gray_only``, which
+    takes no ``sample``) get theirs directly.  Each triple takes three
+    forward rows and three reverse rows; only the I and Q rows truncate,
+    the others are divided and clamped together (``div256_clamp_u8_np``).
+    It reports the first triple attaining the maximum; chroma is carried
+    signed, without the offset-128 byte encoding.  A negative ``seed`` is
+    rejected in every mode.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -465,9 +481,9 @@ def roundtrip_sweep(
         # Drawn a block at a time: the generator gives the same triples as one draw.
         rng = np.random.default_rng(seed)
         pairs = _with_forward_sums(
-            rng.integers(0, 256, (min(_BLOCK, sample - s), 3), dtype=np.int64)
+            rng.integers(0, 256, (min(_SWEEP_BLOCK, sample - s), 3), dtype=np.int64)
             .T.astype(np.int32, order="C")
-            for s in range(0, sample, _BLOCK)
+            for s in range(0, sample, _SWEEP_BLOCK)
         )
         total = sample
     else:
@@ -487,7 +503,7 @@ def roundtrip_sweep(
             max_err = m
             argmax = tuple(int(v) for v in rgb[:, int(np.argmax(err.max(axis=0)))])
         # Each |error| is at most 255, so a block's sum is at most
-        # 3 * 8192 * 255 < 2^31 and adds up in int32 without overflow.
+        # 3 * 16384 * 255 < 2^31 and adds up in int32 without overflow.
         err_sum += int(err.sum(dtype=np.int32))
 
     return SweepResult(

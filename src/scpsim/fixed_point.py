@@ -6,6 +6,12 @@ primitives here, in one place, is what makes the scalar reference path,
 the numpy batch path, and the fabric kernels bit-identical: both paths
 divide and saturate with the functions below, and the batch path sums
 the same integer products as ``mul_acc3``, in place.
+
+Truncation matters only where a negative quotient survives.  A quotient
+clamped to a byte straight after the divide may take a floor shift
+instead (``div256_clamp_u8_np``): both forms clamp every negative sum to
+0.  Signed chroma, which is kept unclamped, and a row with a positive
+output offset added before the clamp still need ``div256_trunc_np``.
 """
 
 from __future__ import annotations
@@ -99,3 +105,18 @@ def clamp_u8_np(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     The result is written to ``out``, which may be ``x`` itself, or to a
     new array without one."""
     return x.clip(*_U8_BOUNDS, out=out)
+
+
+def div256_clamp_u8_np(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vectorized ``clamp_u8(div256_trunc(x))`` for int32 or wider signed
+    arrays, in their dtype: a floor shift by 8, then the clamp.
+
+    ``clamp_u8(x >> 8) == clamp_u8(div256_trunc(x))`` for every integer x.
+    The two divides differ only for a negative x that is not a multiple
+    of 256, where truncation gives a quotient <= 0 and the floor one <= -1;
+    both clamp to 0.  No bound on x is needed, and the shift cannot
+    overflow.  The result is written to ``out``, which may be ``x`` itself,
+    or to a new array without one.
+    """
+    out = np.right_shift(x, 8, out=out)
+    return clamp_u8_np(out, out=out)

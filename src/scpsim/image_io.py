@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed_point import clamp_u8_np
+from .fixed_point import div256_clamp_u8_np
 # Unused here; kept for the benchmark tracer, which patches this name.
 from .fixed_point import div256_trunc_np  # noqa: F401
 
@@ -159,13 +159,15 @@ def write_pnm(img: ImageBuffer) -> bytes:
 
 def to_gray(img: ImageBuffer) -> ImageBuffer:
     """Collapse a 3-channel image to its fixed-point luminance channel, the
-    Y channel of ``colorspace.RGB2YIQ``."""
+    Y channel of ``colorspace.RGB2YIQ``.  That row has no output offset and
+    is clamped straight after the divide, so it divides with
+    ``div256_clamp_u8_np``."""
     # Imported here because colorspace imports this module.
-    from .colorspace import RGB2YIQ, _affine_np
+    from .colorspace import RGB2YIQ, _sums_np
 
     if img.channels != 3:
         raise ChannelMismatch(f"to_gray needs 3 channels, got {img.channels}")
     samples = img.samples.reshape(-1, 3).T.astype(np.int32, order="C")
-    luma = _affine_np(RGB2YIQ.columns[:, :1], samples, np.empty_like(samples[:1]))
-    y = clamp_u8_np(luma[0], out=luma[0]).astype(np.uint8)
+    luma = _sums_np(RGB2YIQ.columns[:, :1], samples, np.empty_like(samples[:1]))
+    y = div256_clamp_u8_np(luma[0], out=luma[0]).astype(np.uint8)
     return ImageBuffer(width=img.width, height=img.height, channels=1, samples=y)

@@ -367,18 +367,19 @@ def test_frames_that_span_blocks_match_the_oracle(matrix):
         assert np.array_equal(got, sliced), mode
 
 
-@pytest.mark.parametrize("matrix", [RGB2YIQ, WIDEST_ACCUMULATOR], ids=lambda m: m.name)
-def test_apply_matrix_np_over_every_rgb_triple(matrix):
-    # All 2^24 triples as 256 frames of 256x256, one per red value, against
-    # an oracle that shares no code with colorspace: per-channel tables of
-    # c * (v - offset), summed, divided truncating toward zero, clipped.
+def _cube_frames(matrix):
+    """All 2^24 triples as 256 frames of 256x256, one per red value, each
+    with its conversion by an oracle that shares no code with colorspace:
+    per-channel tables of c * (v - offset), summed, divided truncating
+    toward zero, clipped.  Every (frame, want) pair is written to the same
+    two arrays."""
     v = np.arange(256, dtype=np.int32)
     tables = [[c * (v - off) for c, off in zip(row, matrix.input_offset)] for row in matrix.coeffs]
     # Each output row's (g, b) sums, built once; a frame adds its red term.
     gb_sums = [(g[:, None] + b[None, :]).ravel() for _, g, b in tables]
     frame = np.empty((256 * 256, 3), dtype=np.uint8)
     frame[:, 1:] = np.indices((256, 256), dtype=np.uint8).reshape(2, -1).T
-    want, got = np.empty_like(frame), np.empty_like(frame)
+    want = np.empty_like(frame)
     for r in range(256):
         frame[:, 0] = r
         for row, (red, _, _) in enumerate(tables):
@@ -386,10 +387,31 @@ def test_apply_matrix_np_over_every_rgb_triple(matrix):
             quotient = np.abs(acc) >> 8
             np.negative(quotient, out=quotient, where=acc < 0)
             want[:, row] = np.clip(quotient + matrix.output_offset[row], 0, 255)
+        yield frame, want
+
+
+def _assert_frame_equal(frame, got, want, what):
+    if not np.array_equal(got, want):
+        k = np.flatnonzero((got != want).any(axis=1))[0]
+        pytest.fail(f"{what}: rgb {frame[k]}: got {got[k]}, oracle {want[k]}")
+
+
+@pytest.mark.parametrize("matrix", [RGB2YIQ, WIDEST_ACCUMULATOR], ids=lambda m: m.name)
+def test_apply_matrix_np_over_every_rgb_triple(matrix):
+    got = np.empty((256 * 256, 3), dtype=np.uint8)
+    for frame, want in _cube_frames(matrix):
         apply_matrix_np(frame, matrix, out=got)
-        if not np.array_equal(got, want):
-            k = np.flatnonzero((got != want).any(axis=1))[0]
-            pytest.fail(f"rgb {frame[k]}: got {got[k]}, oracle {want[k]}")
+        _assert_frame_equal(frame, got, want, "apply_matrix_np")
+
+
+def test_lane_modes_over_every_rgb_triple():
+    # Each lane mode's register packing, kernel body and tail over the full
+    # cube; 65536 pixels leave a tail of one pixel in ei5.
+    for frame, want in _cube_frames(RGB2YIQ):
+        img = ImageBuffer(width=256, height=256, channels=3, samples=frame)
+        for mode in ("ei1", "ei5", "ei8"):
+            out, _ = convert_image(img, RGB2YIQ, mode)
+            _assert_frame_equal(frame, out.samples.reshape(-1, 3), want, mode)
 
 
 #: Enough invocations for a kernel body's group copies to leave the 2-D path.
@@ -575,7 +597,7 @@ def test_grid_sums_equal_the_direct_sums_on_every_block():
     # Each grid block's sums come from the first block's by one add; they
     # must equal its sums computed from the block itself, in int64.
     forward = np.array(RGB2YIQ.coeffs, dtype=np.int64)
-    width = colorspace._BLOCK
+    width = colorspace._SWEEP_BLOCK
     blocks = 0
     for k, (rgb, sums) in enumerate(colorspace._rgb_blocks()):
         index = np.arange(k * width, (k + 1) * width)
@@ -585,7 +607,7 @@ def test_grid_sums_equal_the_direct_sums_on_every_block():
     assert blocks == 256**3 // width
 
 
-@pytest.mark.parametrize("size", [1, 8191, 8192, 8193, 20000])
+@pytest.mark.parametrize("size", [1, 8191, 8192, 8193, 16383, 16384, 16385, 20000])
 @pytest.mark.parametrize("seed", range(5))
 def test_sampled_sweep_equals_an_int64_reference(seed, size):
     rgb = np.random.default_rng(seed).integers(0, 256, size=(size, 3), dtype=np.int64)

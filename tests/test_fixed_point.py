@@ -6,6 +6,7 @@ from scpsim.fixed_point import (
     check_coefficient,
     clamp_u8,
     clamp_u8_np,
+    div256_clamp_u8_np,
     div256_trunc,
     div256_trunc_np,
     mul_acc3,
@@ -102,6 +103,40 @@ def test_clamp_u8_np_matches_scalar(values):
         assert arr.tolist() == values
         assert clamp_u8_np(arr, out=arr) is arr
         assert arr.tolist() == want
+
+
+def test_clamped_divide_equals_truncate_then_clamp_on_every_int32_near_zero():
+    # A floor shift differs from truncation only on negative non-multiples
+    # of 256, where both quotients clamp to 0.
+    x = np.arange(-(2**21), 2**21, dtype=np.int32)
+    want = clamp_u8_np(div256_trunc_np(x))
+    got = div256_clamp_u8_np(x)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, want)
+    assert div256_clamp_u8_np(x, out=x) is x
+    np.testing.assert_array_equal(x, want)
+
+
+@given(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=64))
+def test_clamped_divide_matches_the_scalar_oracle(values):
+    values = values + [-(2**31), -257, -256, -255, -1, 0, 255, 65535, 65536, 2**31 - 1]
+    want = [clamp_u8(div256_trunc(v)) for v in values]
+    for dtype in (np.int32, np.int64):
+        got = div256_clamp_u8_np(np.array(values, dtype=dtype))
+        assert got.dtype == dtype and got.tolist() == want
+
+
+def test_an_offset_before_the_clamp_needs_truncation():
+    # With +128 added after the divide, as on the chroma rows of an
+    # offset-128 encoding, a negative quotient survives the clamp and the
+    # floor shift is one too low wherever it differs from truncation.
+    x = np.arange(-(2**21), 2**21, dtype=np.int32)
+    truncated = clamp_u8_np(div256_trunc_np(x) + 128)
+    floored = clamp_u8_np((x >> 8) + 128)
+    differ = np.flatnonzero(truncated != floored)
+    assert len(differ) == 32640
+    assert x[differ[0]] == -32767
+    assert (truncated[differ] - floored[differ] == 1).all()
 
 
 def test_coefficient_limit():

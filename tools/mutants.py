@@ -22,7 +22,7 @@ Run from anywhere, with the test dependencies installed::
 Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
-1.8-12.5 s per mutant and 3 min 47 s in all for 69 on a 2-core host.
+1.4-10.8 s per mutant and 4 min 20 s in all for 72 on a 2-core host.
 Shrinking made one mutant take 6.7-36 s without the profile, and 47
 took 3 min 17 s; running Tier-1 alone on each of 37 took 2.2-108 s and
 7 min 46 s.
@@ -108,6 +108,8 @@ MUTANTS = (
     Mutant("div256-sign-mask-127", "src/scpsim/fixed_point.py", "q &= 255", "q &= 127"),
     Mutant("clamp-passes-256", "src/scpsim/fixed_point.py",
            "(np.int32(0), np.int32(255))", "(np.int32(0), np.int32(256))"),
+    Mutant("clamped-divide-skips-the-clamp", "src/scpsim/fixed_point.py",
+           "    return clamp_u8_np(out, out=out)\n", "    return out\n"),
     # The int32 core, built once per matrix.
     Mutant("compiled-offsets-swapped", COLORSPACE,
            "(self.coeffs, self.input_offset, self.output_offset)",
@@ -128,8 +130,14 @@ MUTANTS = (
            "for g in range(0, 256, g_step):", "for g in range(0, 256 - g_step, g_step):"),
     Mutant("sweep-accepts-a-negative-seed", COLORSPACE, "if seed < 0:", "if False:"),
     Mutant("sampled-sweep-redraws-the-first-block", COLORSPACE,
-           "rng.integers(0, 256, (min(_BLOCK, sample - s), 3)",
-           "np.random.default_rng(seed).integers(0, 256, (min(_BLOCK, sample - s), 3)"),
+           "rng.integers(0, 256, (min(_SWEEP_BLOCK, sample - s), 3)",
+           "np.random.default_rng(seed).integers(0, 256, (min(_SWEEP_BLOCK, sample - s), 3)"),
+    Mutant("sweep-grid-skips-a-block", COLORSPACE,
+           "            yield block, sums\n",
+           "            if (r, g) != (255, 256 - g_step):\n                yield block, sums\n"),
+    # Truncation only where a negative quotient survives: the chroma rows.
+    Mutant("chroma-rows-floor", COLORSPACE,
+           "div256_trunc_np(sums[1:], out=y[1:])", "np.right_shift(sums[1:], 8, out=y[1:])"),
     Mutant("grid-sums-drop-the-g-column", COLORSPACE,
            "forward[0] * r + forward[1] * g", "forward[0] * r"),
     Mutant("block-sum-in-int16", COLORSPACE, "err.sum(dtype=np.int32)", "err.sum(dtype=np.int16)"),
