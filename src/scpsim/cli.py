@@ -108,7 +108,10 @@ def _load_matrix_file(path: str) -> colorspace.ConversionMatrix:
     rows = tuple(ints(f"row{i}") for i in range(3))
     offsets = {key: ints(key) for key in ("input_offset", "output_offset") if key in entries}
     name = entries["name"][1] if "name" in entries else "custom"
-    return colorspace.ConversionMatrix(name=name, coeffs=rows, **offsets)
+    try:
+        return colorspace.ConversionMatrix(name=name, coeffs=rows, **offsets)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _resolve_matrix(target: str) -> colorspace.ConversionMatrix:

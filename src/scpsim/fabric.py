@@ -14,11 +14,12 @@ The fabric owns three things:
   once; a read-modify-write of a single entry counts as one touch.
   The per-entry accessors check the rule touch by touch inside an
   invocation window; the bulk accessors (``add_counters``,
-  ``read_luts``) take every touch of a batch at once and check it per
-  invocation row.  Both apply one statement of each rule, so a violation
-  raises the same ``BankConflict`` either way, in every build of the
-  simulator.  ``LANE_BANKS`` states the layout in which lane j owns bank
-  j; see it for the checks its construction proves.
+  ``read_luts``) take every touch of a batch at once, detect a fault in
+  bulk, and name it by replaying the batch touch by touch through the
+  same rules.  So a violation raises the same ``BankConflict`` either
+  way, in every build of the simulator.  ``LANE_BANKS`` states the
+  layout in which lane j owns bank j; see it for the checks its
+  construction proves.
 * ``ExtensionInstruction`` and its executors.  As on the device, an
   instruction is compiled into the fabric configuration before the
   program runs: the hardware rules (arity limits, the operation
@@ -184,11 +185,12 @@ class IramState:
     the kernel-visible interface of a per-register body and are
     subject to the one-touch-per-bank-per-invocation rule while an
     invocation is open.  ``add_counters``/``read_luts`` are the same
-    accesses for a whole batch of invocations, with the same rule and
-    counter limit checked per invocation row, less what ``LANE_BANKS``
-    proves.  Banks and entries are range-checked, except uint8
-    ``entries``: no uint8 value reaches ``HIST_ENTRIES`` (256), so the
-    dtype proves them in range.  uint8 ``banks`` are still checked,
+    accesses for a whole batch of invocations: they detect a bank-rule
+    or counter-limit fault in bulk, less what ``LANE_BANKS`` proves, and
+    only then replay the batch touch by touch (``_replay``) to name the
+    first fault's invocation and lane.  Banks and entries are
+    range-checked, except uint8 ``entries``: no uint8 value reaches
+    ``HIST_ENTRIES`` (256), so the dtype proves them in range.  uint8 ``banks`` are still checked,
     against ``BANK_COUNT`` (16).  Host helpers (``counters``,
     ``load_luts``) read and write every bank at once; they model
     host-visible fabric plumbing (the composite merge and table upload
@@ -254,9 +256,9 @@ class IramState:
         """Add one to counter (bank, entry) for every touch of every invocation.
 
         ``banks`` and ``entries`` broadcast to ``(invocations, touches)``;
-        row i lists invocation i's touches in lane order.  The bank rule
-        and the 16-bit limit are checked for every row before anything is
-        written, so a faulty batch leaves the counters unchanged.  A bank
+        row i lists invocation i's touches in lane order.  A bank rule or
+        16-bit limit fault anywhere in the batch is detected before anything
+        is written, so a faulty batch leaves the counters unchanged.  A bank
         or entry out of range anywhere in the batch raises IndexError
         first, ahead of any row's fault.
         """
@@ -264,15 +266,17 @@ class IramState:
         before = self._counters.ravel()
         totals = np.bincount(cells.ravel(), minlength=before.size)
         totals += before
-        self._check_rows(cells, banks, before, totals)
+        if totals.max() > COUNTER_MAX or (banks is not LANE_BANKS and self._conflicts(cells)):
+            self._replay(cells, before.tolist())
         self._counters[...] = totals.reshape(self._counters.shape)
 
     def read_luts(self, banks, entries) -> np.ndarray:
         """The 8-bit values at (bank, entry) for every touch of every
         invocation, as an ``(invocations, touches)`` uint8 array; the bank
-        rule is checked per row as in ``add_counters``."""
+        rule is checked as in ``add_counters``."""
         cells = self._cells(banks, entries)
-        self._check_rows(cells, banks)
+        if banks is not LANE_BANKS and self._conflicts(cells):
+            self._replay(cells)
         return np.take(self._mem[:, :HIST_ENTRIES], cells)
 
     def _cells(self, banks, entries) -> np.ndarray:
@@ -292,50 +296,30 @@ class IramState:
         return cells
 
     @staticmethod
-    def _check_rows(cells, banks, before=None, totals=None):
-        """Raise the fault of the first invocation row that breaks the bank
-        rule or, given the flat counter values ``before`` the batch and the
-        ``totals`` it would leave, pushes a counter past ``COUNTER_MAX``.
-        With ``LANE_BANKS`` no row can break the bank rule, and only the
-        counter limit is checked."""
-        faulty = [] if banks is LANE_BANKS else IramState._conflict_rows(cells)
-        if totals is not None and totals.max() > COUNTER_MAX:
-            # The touch that overflows a cell is its (headroom + 1)-th in row-major order.
-            flat = cells.ravel()
-            order = np.argsort(flat, kind="stable")
-            seen = np.arange(flat.size) - np.searchsorted(flat[order], flat[order])
-            overflow = order[seen == COUNTER_MAX - before[flat[order]]].min()
-            faulty.append(int(overflow) // cells.shape[1])
-        if faulty:
-            row = min(faulty)
-            if before is not None:
-                before = before + np.bincount(cells[:row].ravel(), minlength=before.size)
-            IramState._replay(row, cells[row].tolist(), before)
-
-    @staticmethod
-    def _conflict_rows(cells) -> list[int]:
-        """The first row that touches one bank at two entries, as a list of
-        at most one row index; sorts every row."""
+    def _conflicts(cells) -> bool:
+        """Whether any row touches one bank at two entries; sorts every row."""
         ordered = np.sort(cells, axis=1)
         # Neighbours in one bank differ in the entry bits only.
         step = ordered[:, 1:] ^ ordered[:, :-1]
-        return np.flatnonzero(((step > 0) & (step < HIST_ENTRIES)).any(axis=1))[:1].tolist()
+        return bool(((step > 0) & (step < HIST_ENTRIES)).any())
 
     @staticmethod
-    def _replay(row: int, cells: list, counts):
-        """Replay invocation ``row``'s touches through the entry accessors' rules
-        and raise the first fault, naming its invocation and lane; ``counts``
-        (flat counter values before the row, or None for reads) is consumed."""
-        first: dict[int, int] = {}
-        for lane, cell in enumerate(cells):
-            bank, entry = divmod(cell, HIST_ENTRIES)
-            try:
-                _bank_rule(first, bank, entry)
-                if counts is not None:
-                    counts[cell] += 1
-                    _counter_limit(bank, entry, counts[cell])
-            except FabricError as exc:
-                raise type(exc)(f"invocation {row}, lane {lane}: {exc}") from None
+    def _replay(cells, counts=None):
+        """Issue a faulty batch touch by touch, in row-major order, through the
+        entry accessors' rules and raise the first fault, naming its invocation
+        and lane; ``counts`` (flat counter values before the batch, or None for
+        reads) is consumed and carried across rows."""
+        for row, touches in enumerate(cells.tolist()):
+            first: dict[int, int] = {}
+            for lane, cell in enumerate(touches):
+                bank, entry = divmod(cell, HIST_ENTRIES)
+                try:
+                    _bank_rule(first, bank, entry)
+                    if counts is not None:
+                        counts[cell] += 1
+                        _counter_limit(bank, entry, counts[cell])
+                except FabricError as exc:
+                    raise type(exc)(f"invocation {row}, lane {lane}: {exc}") from None
 
     # -- host-visible bulk access ------------------------------------------
 
@@ -534,10 +518,12 @@ def ei_execute_batch(
     invocation's outputs, and ``log`` records ``invocations`` runs.  The
     batch gets every check a single invocation gets: arity, register
     dtype and width, the IRAM handle, and (in the batch accessors) the
-    bank rule and counter limit per invocation.  Identical to issuing the
-    rows one by one through ``ei_execute``, except that a faulty batch
-    raises before it writes IRAM, where one-by-one issue would leave the
-    rows before the fault applied.
+    bank rule and counter limit per invocation.  The batch accessors
+    detect a fault in bulk and name it by replaying the batch touch by
+    touch, so the fault is the one issuing the rows one by one through
+    ``ei_execute`` raises.  The one difference: a faulty batch raises
+    before it writes IRAM, where one-by-one issue would leave the rows
+    before the fault applied.
     """
     if not ei.batched:
         raise TypeError(f"{ei.name}: a per-register body runs one invocation per ei_execute call")

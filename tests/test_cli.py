@@ -175,8 +175,17 @@ def test_malformed_matrix_file_is_a_constraint_error(ppm, tmp_path, text):
         ("--profile", b"\xffname = p\n", "profile file {path}: 'utf-8' codec can't decode byte 0xff"),
         ("--to", b"row0 = 1.5 2 3\n", "matrix file {path} line 1: expected integers, got '1.5 2 3'"),
         ("--to", b"row0 = 1 0 0\nrow1 = 0 1 0\n", "matrix file {path}: missing row2\n"),
+        ("--to", b"row0 = 600 0 0\nrow1 = 0 1 0\nrow2 = 0 0 1\n",
+         "matrix file {path}: scaled coefficient 600 outside [-512, 512]\n"),
+        ("--to", b"row0 = 1 0\nrow1 = 0 1 0\nrow2 = 0 0 1\n",
+         "matrix file {path}: conversion matrix must be 3x3\n"),
+        ("--to", b"row0 = 1 0 0\nrow1 = 0 1 0\nrow2 = 0 0 1\ninput_offset = 0 0 0 0\n",
+         "matrix file {path}: conversion offsets must be three integers in [-255, 255], got (0, 0, 0, 0)\n"),
+        ("--to", b"row0 = 1 0 0\nrow1 = 0 1 0\nrow2 = 0 0 1\noutput_offset = 0 256 0\n",
+         "matrix file {path}: conversion offsets must be three integers in [-255, 255], got (0, 256, 0)\n"),
     ],
-    ids=["matrix-not-utf8", "profile-not-utf8", "matrix-not-integers", "matrix-without-row2"],
+    ids=["matrix-not-utf8", "profile-not-utf8", "matrix-not-integers", "matrix-without-row2",
+         "coefficient-600", "two-value-row", "four-offsets", "offset-256"],
 )
 def test_unreadable_text_file_is_named_in_the_error(ppm, tmp_path, capsys, flag, content, message):
     path = tmp_path / "bin.txt"

@@ -508,6 +508,44 @@ def test_counter_overflow_names_invocation_bank_and_entry():
 
 
 @pytest.mark.parametrize(
+    "overflow_row, conflict_row, error, message",
+    [
+        (2, 5, CounterOverflow,
+         "invocation 2, lane 4: bank 4 entry 200 counter value 65536 outside 16-bit range"),
+        (5, 2, BankConflict, "invocation 2, lane 9: bank 2 touched at entries 0 and 7"),
+    ],
+    ids=["overflow-first", "conflict-first"],
+)
+def test_a_batch_raises_its_first_fault_in_row_order(overflow_row, conflict_row, error, message):
+    # The counter overflows only with the counts of every row before overflow_row.
+    iram = IramState()
+    preset_counter(iram, 4, 200, COUNTER_MAX - overflow_row)
+    banks = np.tile(np.arange(16), (8, 1))
+    entries = np.zeros((8, 16), dtype=np.uint8)
+    entries[: overflow_row + 1, 4] = 200
+    banks[conflict_row, 9], entries[conflict_row, 9] = 2, 7
+    before = iram._mem.copy()
+    with pytest.raises(error, match=f"^{message}$"):
+        iram.add_counters(banks, entries)
+    assert np.array_equal(iram._mem, before)
+
+
+def test_a_fault_in_the_last_row_of_a_long_batch_names_that_row():
+    rows = 4096
+    banks = np.tile(np.arange(16), (rows, 1))
+    entries = np.zeros((rows, 16), dtype=np.uint8)
+    banks[-1, 9], entries[-1, 9] = 2, 7
+    iram = IramState()
+    for accessor in (iram.add_counters, iram.read_luts):
+        with pytest.raises(BankConflict, match="^invocation 4095, lane 9: bank 2 touched at entries 0 and 7$"):
+            accessor(banks, entries)
+    preset_counter(iram, 4, 200, COUNTER_MAX + 1 - rows)
+    entries[:, 4] = 200
+    with pytest.raises(CounterOverflow, match="^invocation 4095, lane 4: bank 4 entry 200 counter value 65536 "):
+        iram.add_counters(LANE_BANKS, entries)
+
+
+@pytest.mark.parametrize(
     "touches, counting, error, bulk_prefix, message",
     [
         ([(2, 5), (2, 6)], True, BankConflict, "invocation 0, lane 1: ",
@@ -695,17 +733,17 @@ def test_lanes_that_own_their_banks_skip_the_row_sort(monkeypatch):
     from scpsim.image_io import ImageBuffer
 
     sorts, range_checks = [], []
-    conflict_rows, check_range = IramState._conflict_rows, fabric._check_range
+    conflicts, check_range = IramState._conflicts, fabric._check_range
 
     def counted(cells):
         sorts.append(cells.shape)
-        return conflict_rows(cells)
+        return conflicts(cells)
 
     def counted_range(what, low, high, limit):
         range_checks.append(what)
         return check_range(what, low, high, limit)
 
-    monkeypatch.setattr(IramState, "_conflict_rows", staticmethod(counted))
+    monkeypatch.setattr(IramState, "_conflicts", staticmethod(counted))
     monkeypatch.setattr(fabric, "_check_range", counted_range)
     gray = ImageBuffer.from_array(np.random.default_rng(4).integers(0, 256, (128, 128), dtype=np.uint8))
     equalized = [histeq.histeq_image(gray, mode)[0].samples for mode in ("isef", "scalar")]

@@ -22,7 +22,7 @@ Run from anywhere, with the test dependencies installed::
 Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
-1.4-10.8 s per mutant and 4 min 20 s in all for 72 on a 2-core host.
+1.4-11.0 s per mutant and 4 min 54 s in all for 75 on a 2-core host.
 Shrinking made one mutant take 6.7-36 s without the profile, and 47
 took 3 min 17 s; running Tier-1 alone on each of 37 took 2.2-108 s and
 7 min 46 s.
@@ -68,9 +68,17 @@ MUTANTS = (
            "-(-ledger.multipliers_used // MULTIPLIERS)", "ledger.multipliers_used // MULTIPLIERS"),
     Mutant("conflict-check-misses-adjacent-entries", FABRIC,
            "((step > 0) & (step < HIST_ENTRIES))", "((step > 1) & (step < HIST_ENTRIES))"),
-    Mutant("counter-limit-fires-at-65535", FABRIC,
-           "totals.max() > COUNTER_MAX", "totals.max() >= COUNTER_MAX"),
+    Mutant("counter-gate-misses-65536", FABRIC,
+           "totals.max() > COUNTER_MAX", "totals.max() > COUNTER_MAX + 1"),
     Mutant("batch-forgets-earlier-counts", FABRIC, "totals += before", "pass"),
+    # A detected fault is named by replaying the batch touch by touch.
+    Mutant("replay-restarts-counts-each-row", FABRIC,
+           "        for row, touches in enumerate(cells.tolist()):\n",
+           "        start = counts\n"
+           "        for row, touches in enumerate(cells.tolist()):\n"
+           "            counts = None if start is None else list(start)\n"),
+    Mutant("replay-numbers-rows-from-one", FABRIC,
+           "enumerate(cells.tolist())", "enumerate(cells.tolist(), 1)"),
     # Range checks skipped only where the dtype proves them.
     Mutant("entry-range-skipped-for-every-dtype", FABRIC,
            "if entries.size and entries.dtype != np.uint8:", "if False:"),
@@ -78,7 +86,10 @@ MUTANTS = (
            "if banks.size:", "if banks.size and banks.dtype != np.uint8:"),
     # Checks skipped only for LANE_BANKS, which proves them by construction.
     Mutant("lane-banks-writable", FABRIC, "LANE_BANKS.flags.writeable = False\n", ""),
-    Mutant("skip-for-any-1d-banks", FABRIC, "banks is LANE_BANKS", "banks.ndim == 1"),
+    Mutant("skip-for-any-1d-banks", FABRIC,
+           "or (banks is not LANE_BANKS and", "or (np.ndim(banks) != 1 and"),
+    Mutant("lut-skip-for-any-1d-banks", FABRIC,
+           "if banks is not LANE_BANKS and", "if np.ndim(banks) != 1 and"),
     Mutant("range-skipped-for-any-1d-banks", FABRIC,
            "if banks is not LANE_BANKS:", "if np.ndim(banks) != 1:"),
     Mutant("input-arity-allows-four", FABRIC,
