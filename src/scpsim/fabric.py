@@ -20,19 +20,19 @@ The fabric owns three things:
   way, in every build of the simulator.  ``LANE_BANKS`` states the
   layout in which lane j owns bank j; see it for the checks its
   construction proves.
-* ``ExtensionInstruction`` and its executors.  As on the device, an
+* ``ExtensionInstruction`` and its one executor.  As on the device, an
   instruction is compiled into the fabric configuration before the
   program runs: the hardware rules (arity limits, the operation
   whitelist, multiplier/ALU/IRAM capacities) are checked once, when the
   instruction is constructed, against its declared resource ledger, and
-  the immutable instruction can then be issued any number of times.
-  Kernel bodies are ordinary host functions, not interpreted bytecode.
-  A batched body runs every invocation of a batch in one call, as the
-  fabric runs an instruction's lanes side by side: ``ei_execute_batch``
-  issues any number of invocations at once (``convert_image`` issues one
-  block of an image's invocations at a time), and ``ei_execute`` issues
-  one invocation as a batch of one.  A per-register body runs one
-  invocation per call, through ``ei_execute`` only.
+  the immutable instruction can then be issued any number of times, one
+  invocation or many at a time: ``ei_execute_batch`` issues every batch,
+  and ``ei_execute`` is a batch of one.  Kernel bodies are ordinary host
+  functions.  A batched body runs a whole batch in one call, as the
+  fabric runs an instruction's lanes side by side; a per-register body
+  runs row by row, each row in its own IRAM window.  On a fault, a
+  per-register batch has already written the rows before it, while a
+  batched body's bulk accessors raise before anything is written.
 
 The fabric is one fixed device, and its capacities are constants:
 ``MULTIPLIERS`` = 64 multiplier units (8x16 bit), ``ALU_OPS`` = 4096
@@ -45,7 +45,7 @@ with the stage count.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -367,23 +367,23 @@ def stage_count(ledger: ResourceLedger) -> int:
 class ExtensionInstruction:
     """A custom instruction: a host-level kernel plus its declared needs.
 
-    With ``batched=True`` the body runs a whole batch of invocations in
-    one call: ``body(registers, iram)`` receives an ``(invocations,
-    n_inputs, 16)`` uint8 array, row i holding invocation i's input
-    registers, and the optional IRAM handle, and returns the
+    Either kind of body can be issued one invocation or many at a time.
+    A batched body (``batched=True``, as every built-in kernel is) runs a
+    whole batch in one call: ``body(registers, iram)`` receives an
+    ``(invocations, n_inputs, 16)`` uint8 array, row i holding invocation
+    i's input registers, and the optional IRAM handle, and returns the
     ``(invocations, n_outputs, 16)`` uint8 array of their outputs.  It
-    must treat the rows as independent invocations and reach IRAM only
-    through the batch accessors (``IramState.add_counters``/``read_luts``),
-    which apply the bank rule to each row; it must handle zero rows.
-    Every built-in kernel is batched.  Otherwise ``body(inputs, iram)``
-    receives one invocation's tuple of ``WideRegister`` inputs and
-    returns its output register(s), using the entry accessors inside the
-    invocation window ``ei_execute`` opens.  ``ops_used`` names the
-    operation kinds the body performs.  Construction runs ``ei_validate``,
-    so an instruction that breaks a fabric rule (arity, an operation
-    outside the whitelist such as floating point, general division or
-    trigonometry, a resource capacity) cannot be built, and an
-    instruction that exists is valid.
+    must treat the rows as independent invocations, handle zero rows and
+    reach IRAM only through the batch accessors, which apply the bank
+    rule to each row.  A per-register body runs once per row:
+    ``body(inputs, iram)`` gets the row's tuple of ``WideRegister``
+    inputs, reaches IRAM through the entry accessors inside the row's
+    window, and returns a register, a sequence of them or None.
+    ``ops_used`` names the operation kinds the body performs.
+    Construction runs ``ei_validate``, so an instruction that breaks a
+    fabric rule (arity, an operation outside the whitelist such as
+    floating point, general division or trigonometry, a resource
+    capacity) cannot be built, and an instruction that exists is valid.
     It is frozen: nothing can change it between validation and issue.
     """
 
@@ -446,18 +446,29 @@ def ei_validate(ei: ExtensionInstruction) -> int:
     return stages
 
 
-def _check_issue(ei: ExtensionInstruction, n: int, iram: Optional[IramState]):
-    """Checks before a body runs: ``n`` input registers, then the IRAM handle."""
-    if n != ei.n_inputs:
-        raise ArityViolation(f"{ei.name}: expected {ei.n_inputs} inputs, got {n}")
-    if ei.uses_iram and iram is None:
-        raise ValueError(f"{ei.name}: kernel accesses IRAM but no IramState was supplied")
-
-
-def _check_outputs(ei: ExtensionInstruction, n: int):
-    """The check after a body runs: ``n`` output registers."""
-    if n != ei.n_outputs:
-        raise ArityViolation(f"{ei.name}: kernel produced {n} outputs, declared {ei.n_outputs}")
+def _run_rows(ei: ExtensionInstruction, registers: np.ndarray, iram: Optional[IramState]) -> np.ndarray:
+    """A per-register body's batch: each row runs as one invocation on
+    ``WideRegister`` inputs, in its own IRAM window, and its outputs,
+    checked to be ``WideRegister``s, are packed as that row of the result.
+    A row whose output count differs from the first row's ends the result
+    there, a row short."""
+    width = registers.shape[1] * WR_BYTES
+    data = registers.tobytes()
+    rows = []
+    for i in range(len(registers)):
+        row = data[i * width : (i + 1) * width]
+        inputs = tuple(WideRegister(row[k : k + WR_BYTES]) for k in range(0, width, WR_BYTES))
+        with nullcontext() if iram is None else iram.invocation():
+            result = ei.body(inputs, iram)
+        outputs = () if result is None else (result,) if isinstance(result, WideRegister) else tuple(result)
+        if not all(isinstance(wr, WideRegister) for wr in outputs):
+            raise TypeError(f"{ei.name}: outputs must be WideRegister")
+        packed = b"".join([wr.data for wr in outputs])
+        if rows and len(packed) != len(rows[0]):
+            break  # no rectangular result: ei_execute_batch rejects the short one
+        rows.append(packed)
+    count = len(rows[0]) // WR_BYTES if rows else ei.n_outputs
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), count, WR_BYTES)
 
 
 def ei_execute(
@@ -466,43 +477,20 @@ def ei_execute(
     iram: Optional[IramState] = None,
     log: Optional[InvocationLog] = None,
 ) -> tuple[WideRegister, ...]:
-    """Run one invocation of an already validated instruction.
+    """Run one invocation of an instruction, of either kind, as a batch of one.
 
-    Deterministic: identical (instruction, inputs, IRAM state) yields
-    identical outputs and identical IRAM end state.  The input and output
-    registers are checked as in ``ei_execute_batch``, but must be
-    ``WideRegister``s.  A batched instruction runs as a batch of one
-    through ``ei_execute_batch``; for a per-register body the IRAM access
-    log is cleared at entry and every entry access inside the body is
-    checked against the one-touch-per-bank rule.
+    The ``WideRegister`` inputs are packed as a ``(1, n_inputs, 16)``
+    batch and issued through ``ei_execute_batch``, which makes every other
+    check and records the run; its one row is unpacked into
+    ``WideRegister`` outputs.  Deterministic: identical (instruction,
+    inputs, IRAM state) yields identical outputs and IRAM end state.
     """
     for wr in inputs:
         if not isinstance(wr, WideRegister):
             raise TypeError(f"{ei.name}: inputs must be WideRegister, got {type(wr).__name__}")
-    if ei.batched:
-        registers = np.frombuffer(b"".join([wr.data for wr in inputs]), dtype=np.uint8)
-        outputs = ei_execute_batch(ei, registers.reshape(1, len(inputs), WR_BYTES), iram, log)
-        return tuple(WideRegister(row.tobytes()) for row in outputs[0])
-    _check_issue(ei, len(inputs), iram)
-    if iram is not None:
-        with iram.invocation():
-            result = ei.body(tuple(inputs), iram)
-    else:
-        result = ei.body(tuple(inputs), None)
-
-    if result is None:
-        outputs: tuple[WideRegister, ...] = ()
-    elif isinstance(result, WideRegister):
-        outputs = (result,)
-    else:
-        outputs = tuple(result)
-    _check_outputs(ei, len(outputs))
-    for wr in outputs:
-        if not isinstance(wr, WideRegister):
-            raise TypeError(f"{ei.name}: outputs must be WideRegister")
-    if log is not None:
-        log.record(ei.name)
-    return outputs
+    registers = np.frombuffer(b"".join([wr.data for wr in inputs]), dtype=np.uint8)
+    outputs = ei_execute_batch(ei, registers.reshape(1, len(inputs), WR_BYTES), iram, log)
+    return tuple(WideRegister(row.tobytes()) for row in outputs[0])
 
 
 def ei_execute_batch(
@@ -511,22 +499,19 @@ def ei_execute_batch(
     iram: Optional[IramState] = None,
     log: Optional[InvocationLog] = None,
 ) -> np.ndarray:
-    """Run ``len(registers)`` invocations of a batched instruction in one call.
+    """Run ``len(registers)`` invocations of an instruction; every issue runs here.
 
     ``registers`` is an ``(invocations, n_inputs, 16)`` uint8 array; the
     result is the ``(invocations, n_outputs, 16)`` uint8 array of every
     invocation's outputs, and ``log`` records ``invocations`` runs.  The
-    batch gets every check a single invocation gets: arity, register
-    dtype and width, the IRAM handle, and (in the batch accessors) the
-    bank rule and counter limit per invocation.  The batch accessors
-    detect a fault in bulk and name it by replaying the batch touch by
-    touch, so the fault is the one issuing the rows one by one through
-    ``ei_execute`` raises.  The one difference: a faulty batch raises
-    before it writes IRAM, where one-by-one issue would leave the rows
-    before the fault applied.
+    registers and the IRAM handle are checked before the body runs, the
+    outputs after it.  A batched body runs the batch in one call, a
+    per-register body row by row, each row in its own IRAM window.  The
+    bank rule and counter limit hold per invocation, and a fault is the
+    one that issuing the rows one by one raises; but a per-register batch
+    has already written the rows before it, while a batched body's bulk
+    accessors raise before anything is written.
     """
-    if not ei.batched:
-        raise TypeError(f"{ei.name}: a per-register body runs one invocation per ei_execute call")
     if not isinstance(registers, np.ndarray) or registers.dtype != np.uint8:
         raise TypeError(f"{ei.name}: registers must be a uint8 array")
     if registers.ndim != 3 or registers.shape[2] != WR_BYTES:
@@ -534,8 +519,11 @@ def ei_execute_batch(
             f"{ei.name}: registers must form an (invocations, inputs, {WR_BYTES}) array, "
             f"got {registers.shape}"
         )
-    _check_issue(ei, registers.shape[1], iram)
-    outputs = ei.body(registers, iram)
+    if registers.shape[1] != ei.n_inputs:
+        raise ArityViolation(f"{ei.name}: expected {ei.n_inputs} inputs, got {registers.shape[1]}")
+    if ei.uses_iram and iram is None:
+        raise ValueError(f"{ei.name}: kernel accesses IRAM but no IramState was supplied")
+    outputs = ei.body(registers, iram) if ei.batched else _run_rows(ei, registers, iram)
     if (
         not isinstance(outputs, np.ndarray)
         or outputs.dtype != np.uint8
@@ -546,7 +534,8 @@ def ei_execute_batch(
         raise TypeError(
             f"{ei.name}: outputs must be a uint8 ({len(registers)}, outputs, {WR_BYTES}) array"
         )
-    _check_outputs(ei, outputs.shape[1])
+    if outputs.shape[1] != ei.n_outputs:
+        raise ArityViolation(f"{ei.name}: kernel produced {outputs.shape[1]} outputs, declared {ei.n_outputs}")
     if log is not None:
         log.record(ei.name, len(registers))
     return outputs

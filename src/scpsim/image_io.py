@@ -161,13 +161,23 @@ def to_gray(img: ImageBuffer) -> ImageBuffer:
     """Collapse a 3-channel image to its fixed-point luminance channel, the
     Y channel of ``colorspace.RGB2YIQ``.  That row has no output offset and
     is clamped straight after the divide, so it divides with
-    ``div256_clamp_u8_np``."""
+    ``div256_clamp_u8_np``.  The frame is converted in passes of
+    ``colorspace._BLOCK`` pixels, in int32 arrays made once per call, and
+    each pass is written straight into the uint8 output, so the working
+    memory is one block's, not the frame's."""
     # Imported here because colorspace imports this module.
-    from .colorspace import RGB2YIQ, _sums_np
+    from .colorspace import _BLOCK, RGB2YIQ, _sums_np
 
     if img.channels != 3:
         raise ChannelMismatch(f"to_gray needs 3 channels, got {img.channels}")
-    samples = img.samples.reshape(-1, 3).T.astype(np.int32, order="C")
-    luma = _sums_np(RGB2YIQ.columns[:, :1], samples, np.empty_like(samples[:1]))
-    y = div256_clamp_u8_np(luma[0], out=luma[0]).astype(np.uint8)
+    flat = img.samples.reshape(-1, 3)
+    y = np.empty(len(flat), dtype=np.uint8)
+    samples = np.empty((3, min(len(flat), _BLOCK)), dtype=np.int32)
+    luma = np.empty_like(samples[:1])
+    for start in range(0, len(flat), _BLOCK):
+        pixels = flat[start : start + _BLOCK]
+        s = samples[:, : len(pixels)]
+        s[...] = pixels.T
+        block = _sums_np(RGB2YIQ.columns[:, :1], s, luma[:, : len(pixels)])[0]
+        y[start : start + len(pixels)] = div256_clamp_u8_np(block, out=block)
     return ImageBuffer(width=img.width, height=img.height, channels=1, samples=y)

@@ -26,6 +26,7 @@ from scpsim.fabric import (
     RangeError,
     ResourceExceeded,
     ResourceLedger,
+    WideRegister,
     ei_execute,
     ei_execute_batch,
     ei_validate,
@@ -482,9 +483,68 @@ def test_batch_requires_iram_when_kernel_uses_it():
         ei_execute_batch(batch_ei(ops=("iram_read",)), np.zeros((1, 1, 16), np.uint8))
 
 
-def test_batch_rejects_a_per_register_body():
-    with pytest.raises(TypeError):
-        ei_execute_batch(make_ei(), np.zeros((1, 1, 16), np.uint8))
+def test_a_per_register_batch_stops_at_a_row_with_another_output_count():
+    ran = []
+
+    def ragged(inputs, iram):
+        ran.append(inputs[0].data[0])
+        return inputs * (1 + inputs[0].data[0])
+
+    registers = np.zeros((3, 1, 16), np.uint8)
+    registers[:, 0, 0] = [0, 1, 0]
+    # Row 1 has two outputs where row 0 has one: no batch result, and row 2 never runs.
+    with pytest.raises(TypeError, match=r"^t: outputs must be a uint8 \(3, outputs, 16\) array$"):
+        ei_execute_batch(make_ei(body=ragged), registers)
+    assert ran == [0, 1]
+
+
+def _count_and_mix(inputs, iram):
+    """Per-register body: one touch of bank a[0] % 16 at entry a[1], a
+    second entry of that bank when b[0] is odd, and two output registers."""
+    a, b = (wr.data for wr in inputs)
+    iram.add_counter(a[0] % BANK_COUNT, a[1])
+    if b[0] % 2:
+        iram.read_counter(a[0] % BANK_COUNT, a[1] ^ 1)
+    return wr_pack(bytes(x ^ y for x, y in zip(a, b))), inputs[0]
+
+
+def _issue_rows_one_by_one(ei, registers, iram, log=None):
+    return [ei_execute(ei, tuple(WideRegister(wr.tobytes()) for wr in row), iram, log) for row in registers]
+
+
+def test_a_per_register_batch_equals_issuing_its_rows_one_by_one():
+    ei = make_ei(name="mix", body=_count_and_mix, n_inputs=2, n_outputs=2,
+                 ops=("add", "iram_read", "iram_write"), ledger=ResourceLedger(iram_bytes_used=8192))
+    registers = np.random.default_rng(25).integers(0, 256, (300, 2, 16), dtype=np.uint8)
+    registers[:, 1, 0] &= 0xFE
+    batch_iram, loop_iram, batch_log, loop_log = IramState(), IramState(), InvocationLog(), InvocationLog()
+    out = ei_execute_batch(ei, registers, batch_iram, batch_log)
+    looped = _issue_rows_one_by_one(ei, registers, loop_iram, loop_log)
+    assert out.shape == (300, 2, 16) and out.dtype == np.uint8
+    assert [tuple(WideRegister(wr.tobytes()) for wr in row) for row in out] == looped
+    assert batch_log.counts == loop_log.counts == Counter(mix=300)
+    assert np.array_equal(batch_iram.counters(), loop_iram.counters())
+    assert batch_iram.counters().sum() == 300
+
+    empty = ei_execute_batch(ei, np.zeros((0, 2, 16), np.uint8), IramState())
+    assert empty.shape == (0, 2, 16) and empty.dtype == np.uint8
+
+    # A bank conflict in row k: the rows before it stay applied, as does
+    # row k's first touch, in the batch and in the loop alike.
+    k = 137
+    registers[k, 1, 0] |= 1
+    expected = IramState()
+    ei_execute_batch(ei, registers[:k], expected)
+    before = expected.counters()
+    before[registers[k, 0, 0] % BANK_COUNT, registers[k, 0, 1]] += 1
+    faults = []
+    for issue in (ei_execute_batch, _issue_rows_one_by_one):
+        iram = IramState()
+        with pytest.raises(BankConflict) as fault:
+            issue(ei, registers, iram)
+        faults.append(str(fault.value))
+        assert np.array_equal(iram.counters(), before)
+    assert faults[0] == faults[1]
 
 
 def test_bank_conflict_names_invocation_lane_bank_and_entries():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,9 +144,39 @@ def test_to_gray_uses_luminance_row():
 def test_to_gray_is_the_forward_luma_row():
     rng = np.random.default_rng(21)
     extremes = np.array(list(itertools.product((0, 1, 254, 255), repeat=3)), dtype=np.uint8)
-    for flat in (rng.integers(0, 256, (500, 3), dtype=np.uint8), extremes):
+    # 8192 pixels is one pass of the vectorized core (colorspace._BLOCK).
+    frames = [rng.integers(0, 256, (n, 3), dtype=np.uint8) for n in (500, 8191, 8192, 8193, 16385)]
+    for flat in (*frames, extremes):
         img = ImageBuffer(width=len(flat), height=1, channels=3, samples=flat.ravel())
         assert to_gray(img).samples.tolist() == [convert_px(RGB2YIQ, p)[0] for p in flat]
+
+
+def test_to_gray_converts_a_block_at_a_time(monkeypatch):
+    from scpsim import image_io
+
+    passes = []
+    divide = image_io.div256_clamp_u8_np
+
+    def counting(x, out):
+        passes.append(x.size)
+        return divide(x, out=out)
+
+    monkeypatch.setattr(image_io, "div256_clamp_u8_np", counting)
+    rgb = np.random.default_rng(5).integers(0, 256, (40, 24, 3), dtype=np.uint8)
+    to_gray(ImageBuffer.from_array(rgb))
+    assert passes == [960]
+    monkeypatch.undo()
+    # A 2048x2048 frame is 12 MiB of samples and 4 MiB of output; the whole
+    # frame's int32 sums would be 64 MiB.
+    img = ImageBuffer.from_array(np.full((2048, 2048, 3), 255, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        gray = to_gray(img)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert gray.samples.min() == 255
 
 
 def test_to_gray_needs_three_channels():

@@ -22,7 +22,7 @@ Run from anywhere, with the test dependencies installed::
 Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
-1.4-11.0 s per mutant and 4 min 54 s in all for 75 on a 2-core host.
+1.5-10.6 s per mutant and 4 min 14 s in all for 79 on a 2-core host.
 Shrinking made one mutant take 6.7-36 s without the profile, and 47
 took 3 min 17 s; running Tier-1 alone on each of 37 took 2.2-108 s and
 7 min 46 s.
@@ -111,9 +111,19 @@ MUTANTS = (
     Mutant("add-counter-bypasses-the-touch", FABRIC,
            "        self._touch(bank, entry)\n        value = self._counters.item(bank, entry) + 1\n",
            "        value = self._counters.item(bank, entry) + 1\n"),
-    Mutant("issue-skips-the-input-count", FABRIC, "if n != ei.n_inputs:", "if False:"),
+    # One executor: every check of an issue made once, in ei_execute_batch.
+    Mutant("issue-skips-the-input-count", FABRIC,
+           "if registers.shape[1] != ei.n_inputs:", "if False:"),
     Mutant("issue-skips-the-iram-handle", FABRIC, "if ei.uses_iram and iram is None:", "if False:"),
-    Mutant("issue-skips-the-output-count", FABRIC, "if n != ei.n_outputs:", "if False:"),
+    Mutant("issue-skips-the-output-count", FABRIC,
+           "if outputs.shape[1] != ei.n_outputs:", "if False:"),
+    # A per-register body runs row by row through one adapter.
+    Mutant("row-adapter-opens-no-window", FABRIC,
+           "nullcontext() if iram is None else iram.invocation()", "nullcontext()"),
+    Mutant("row-adapter-skips-the-output-check", FABRIC,
+           "if not all(isinstance(wr, WideRegister) for wr in outputs):", "if False:"),
+    Mutant("row-adapter-packs-ragged-rows", FABRIC,
+           "if rows and len(packed) != len(rows[0]):", "if False:"),
     # Fixed-point primitives.
     Mutant("div256-floors", "src/scpsim/fixed_point.py", "q &= 255", "q &= 0"),
     Mutant("div256-sign-mask-127", "src/scpsim/fixed_point.py", "q &= 255", "q &= 127"),
@@ -129,6 +139,8 @@ MUTANTS = (
            "np.array(value, dtype=np.int32).T[..., None]", "np.array(value, dtype=np.int32)[..., None]"),
     Mutant("gray-takes-the-i-row", "src/scpsim/image_io.py",
            "RGB2YIQ.columns[:, :1]", "RGB2YIQ.columns[:, 1:2]"),
+    Mutant("gray-walk-skips-last-block", "src/scpsim/image_io.py",
+           "range(0, len(flat), _BLOCK)", "range(0, max(len(flat) - _BLOCK, 1), _BLOCK)"),
     # Wrong at one RGB triple only: the full cube finds it, sampling does not.
     Mutant("one-triple-off-by-one", COLORSPACE,
            "        clamp_u8_np(a, out=a)\n",
