@@ -11,13 +11,12 @@ signed precision.
 Two cores compute the same integer sum of products and the same
 truncating divide, so they are bit-identical: ``_affine_px`` on one
 pixel, under the scalar functions (``convert_px`` is the reference), and
-``_affine_np`` on a ``(3, n)`` int32 sample array (every accumulator is
-below 2^20; see ``OFFSET_LIMIT``), under ``apply_matrix_np``; it is
-``_sums_np``, the one vectorized sum of products, then the divide.
-``apply_matrix_np`` feeds it at most ``_BLOCK`` samples at a time, into
-block-sized arrays made once per call and reused for every block; the
-products are summed, divided and clamped in those arrays, so a
-steady-state block maps no fresh memory.  The core's int32 matrix and
+``apply_matrix_np`` on ``(3, n)`` int32 sample blocks (every accumulator
+is below 2^20; see ``OFFSET_LIMIT``): ``_sums_np``, the one vectorized
+sum of products, then the divide.  Each block holds at most ``_BLOCK``
+samples, in block-sized arrays made once per call and reused for every
+block; the products are summed, divided and clamped in those arrays, so
+a steady-state block maps no fresh memory.  The core's int32 matrix and
 offset columns are built once per matrix, at construction.
 ``apply_matrix_np`` is the plain-processor "scalar mode" for images and
 the body of every fabric kernel, which processes 1, 5, or 8 pixels per
@@ -209,12 +208,6 @@ def _sums_np(columns: np.ndarray, samples: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
-def _affine_np(columns: np.ndarray, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """_affine_px's rows over a (3, n) int32 sample array: ``_sums_np``,
-    then the truncating divide in ``out``; returns ``out``."""
-    return div256_trunc_np(_sums_np(columns, samples, out), out=out)
-
-
 def apply_matrix_np(
     flat: np.ndarray, matrix: ConversionMatrix, *, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -234,7 +227,7 @@ def apply_matrix_np(
         s, a = samples[:, : len(pixels)], acc[:, : len(pixels)]
         s[...] = pixels.T
         s -= matrix.input_column
-        _affine_np(matrix.columns, s, a)
+        div256_trunc_np(_sums_np(matrix.columns, s, a), out=a)
         a += matrix.output_column
         clamp_u8_np(a, out=a)
         for channel, row in enumerate(a):

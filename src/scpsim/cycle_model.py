@@ -456,39 +456,52 @@ def parse_profile(text: str) -> CalibrationProfile:
     of its own to set), a decimal exponent beyond +-4300 or a rate for a
     pair outside ``CALIBRATION_MEASUREMENTS``.
     """
+    return CalibrationProfile(*_profile_fields(text, "profile"))
+
+
+def _profile_fields(text: str, source: str) -> tuple[str, dict[tuple[str, str], Fraction]]:
+    """The name and rates of profile text, for ``CalibrationProfile``;
+    each line error names ``source`` and the line."""
     name = "unnamed"
     rates: dict[tuple[str, str], Fraction] = {}
 
-    for key, (lineno, value) in read_key_values(text, "profile").items():
+    for key, (lineno, value) in read_key_values(text, source).items():
         if key == "name":
             name = value
             continue
+        where = f"{source} line {lineno}"
         exponent = _EXPONENT.search(value)
         # From its nonzero first digit, five digits decide; int() never reads a long string.
         if exponent and int(exponent.group(1).replace("_", "")[:5]) > _EXPONENT_LIMIT:
-            raise ValueError(f"profile line {lineno}: |exponent| > {_EXPONENT_LIMIT} in {value!r}")
+            raise ValueError(f"{where}: |exponent| > {_EXPONENT_LIMIT} in {value!r}")
         try:
             number = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"profile line {lineno}: bad rational {value!r}") from exc
+            raise ValueError(f"{where}: bad rational {value!r}") from exc
         parts = key.split(".")
         if len(parts) != 3:
-            raise ValueError(f"profile line {lineno}: unrecognized key {key!r}")
+            raise ValueError(f"{where}: unrecognized key {key!r}")
         kernel, mode, what = parts
         # A rate the model never charges would be stored and never read.
         try:
             calibrated_shape(kernel, mode)
         except UnknownKernelConfig as exc:
-            raise ValueError(f"profile line {lineno}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
         if what != _rate_name(mode):
-            raise ValueError(f"profile line {lineno}: unrecognized key {key!r}")
+            raise ValueError(f"{where}: unrecognized key {key!r}")
         rates[(kernel, mode)] = number
 
-    return CalibrationProfile(name=name, rates=rates)
+    return name, rates
 
 
 def load_profile(path: Union[str, os.PathLike]) -> CalibrationProfile:
-    return parse_profile(read_text(path, f"profile file {path}"))
+    """``parse_profile`` of a UTF-8 file; every ValueError names the file."""
+    source = f"profile file {path}"
+    fields = _profile_fields(read_text(path, source), source)
+    try:
+        return CalibrationProfile(*fields)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 @cache

@@ -143,10 +143,10 @@ def read_pnm(data: bytes) -> ImageBuffer:
         raise MalformedHeader("missing whitespace after maxval")
     pos += 1
     need = width * height * channels
-    raster = data[pos : pos + need]
-    if len(raster) < need:
-        raise TruncatedData(f"raster holds {len(raster)} of {need} bytes")
-    samples = np.frombuffer(raster, dtype=np.uint8).copy()
+    if len(data) - pos < need:
+        raise TruncatedData(f"raster holds {len(data) - pos} of {need} bytes")
+    # One copy, straight out of the file's bytes; bytes past the raster are ignored.
+    samples = np.frombuffer(data, np.uint8, need, pos).copy()
     return ImageBuffer(width=width, height=height, channels=channels, samples=samples)
 
 

@@ -183,9 +183,16 @@ def test_malformed_matrix_file_is_a_constraint_error(ppm, tmp_path, text):
          "matrix file {path}: conversion offsets must be three integers in [-255, 255], got (0, 0, 0, 0)\n"),
         ("--to", b"row0 = 1 0 0\nrow1 = 0 1 0\nrow2 = 0 0 1\noutput_offset = 0 256 0\n",
          "matrix file {path}: conversion offsets must be three integers in [-255, 255], got (0, 256, 0)\n"),
+        ("--profile", b"name = p\nyiq.scalar.cycles_per_pixel = abc\n",
+         "profile file {path} line 2: bad rational 'abc'\n"),
+        ("--profile", b"name = p\nyiq.ei5.ei_cycles = 3\n",
+         "profile file {path}: profile 'p' rates 'yiq' mode 'ei5' without its scalar rate "
+         "yiq.scalar.cycles_per_pixel\n"),
+        ("--profile", b"yiq.scalar.cycles_per_pixel = 0\n", "profile file {path}: rates must be positive\n"),
     ],
     ids=["matrix-not-utf8", "profile-not-utf8", "matrix-not-integers", "matrix-without-row2",
-         "coefficient-600", "two-value-row", "four-offsets", "offset-256"],
+         "coefficient-600", "two-value-row", "four-offsets", "offset-256",
+         "profile-bad-rational", "profile-lane-rate-alone", "profile-zero-rate"],
 )
 def test_unreadable_text_file_is_named_in_the_error(ppm, tmp_path, capsys, flag, content, message):
     path = tmp_path / "bin.txt"
@@ -293,7 +300,8 @@ def test_profile_text_with_the_old_stall_line_is_a_constraint_error(ppm, tmp_pat
     )
     args = ("--to", "yiq", "--report", str(tmp_path / "r.json"), "--profile", str(profile))
     assert convert(ppm, tmp_path, *args) == cli.EXIT_CONSTRAINT
-    assert "profile line 4: unrecognized key 'stall_penalty_external'" in capsys.readouterr().err
+    message = f"profile file {profile} line 4: unrecognized key 'stall_penalty_external'"
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out.ppm").exists() and not (tmp_path / "r.json").exists()
 
 
@@ -308,7 +316,7 @@ def test_profile_text_with_a_merge_charge_is_a_constraint_error(tmp_path, capsys
     argv = ["histeq", "--in", str(pgm), "--out", str(tmp_path / "out.pgm"), "--mode", "isef",
             "--report", str(tmp_path / "r.json"), "--profile", str(profile)]
     assert cli.main(argv) == cli.EXIT_CONSTRAINT
-    assert "profile line 4: unrecognized key 'merge_cycles'" in capsys.readouterr().err
+    assert f"profile file {profile} line 4: unrecognized key 'merge_cycles'" in capsys.readouterr().err
     assert not (tmp_path / "out.pgm").exists() and not (tmp_path / "r.json").exists()
 
 

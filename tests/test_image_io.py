@@ -102,6 +102,24 @@ def test_read_truncated_raster():
         read_pnm(b"P5 2 2 255 " + bytes(3))
 
 
+def test_read_ignores_bytes_past_the_raster():
+    assert read_pnm(b"P5 2 1 255 " + bytes([1, 2, 3, 4])).samples.tolist() == [1, 2]
+
+
+def test_read_pnm_decodes_with_one_copy():
+    # A 2048x2048 PPM holds 12 MiB of samples; slicing the raster out of
+    # the file's bytes and then copying the slice held 24 MiB.
+    data = write_pnm(ImageBuffer.from_array(np.full((2048, 2048, 3), 7, dtype=np.uint8)))
+    tracemalloc.start()
+    try:
+        img = read_pnm(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert img.samples.size == 2048 * 2048 * 3 and img.samples.min() == 7
+
+
 def test_write_canonical_header():
     img = ImageBuffer(width=1, height=1, channels=1, samples=np.zeros(1, np.uint8))
     assert write_pnm(img) == b"P5\n1 1\n255\n\x00"

@@ -4,7 +4,7 @@ and counter presets for IRAM tests."""
 
 import numpy as np
 
-from scpsim import ImageBuffer
+from scpsim.image_io import ImageBuffer
 from scpsim.fixed_point import clamp_u8
 
 

@@ -22,7 +22,7 @@ Run from anywhere, with the test dependencies installed::
 Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
-1.5-10.6 s per mutant and 4 min 14 s in all for 79 on a 2-core host.
+1.1-7.9 s per mutant and 3 min 8 s in all for 80 on a 2-core host.
 Shrinking made one mutant take 6.7-36 s without the profile, and 47
 took 3 min 17 s; running Tier-1 alone on each of 37 took 2.2-108 s and
 7 min 46 s.
@@ -242,8 +242,10 @@ MUTANTS = (
            'exponent.group(1).replace("_", "")[:5]) >= _EXPONENT_LIMIT'),
     Mutant("profile-accepts-a-repeated-key", CYCLE_MODEL,
            "        if key in entries:\n", "        if False:\n"),
+    Mutant("profile-line-error-drops-the-file", CYCLE_MODEL,
+           'where = f"{source} line {lineno}"', 'where = f"profile line {lineno}"'),
     Mutant("pnm-accepts-short-raster", "src/scpsim/image_io.py",
-           "if len(raster) < need:", "if len(raster) < need - 1:"),
+           "if len(data) - pos < need:", "if len(data) - pos < need - 1:"),
     Mutant("token-pattern-drops-vertical-tab", "src/scpsim/image_io.py",
            "((re.escape(_WHITESPACE),) * 2)",
            '((re.escape(_WHITESPACE.replace(b"\\x0b", b"")),) * 2)'),
