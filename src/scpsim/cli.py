@@ -67,12 +67,11 @@ def _build_parser() -> _Parser:
                        help=f"workload size (default: {defaults})")
     _common_cost_flags(bench)
 
-    rt = sub.add_parser("roundtrip", help="forward+reverse conversion error sweep")
-    rt.add_argument("--sample", type=int, default=None,
-                    help="random subsample size instead of the exhaustive 2^24 sweep")
-    rt.add_argument("--seed", type=int, default=0)
-    rt.add_argument("--gray-only", action="store_true",
-                    help="sweep only the 256 gray triples")
+    rt = sub.add_parser(
+        "roundtrip",
+        help="sweep all 2^24 RGB triples through forward+reverse conversion; "
+             "exit 4 above the frozen error bound",
+    )
     rt.add_argument("--report", default=None)
     rt.add_argument("--format", default="json", choices=("json", "csv"))
     return parser
@@ -216,9 +215,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    result = colorspace.roundtrip_sweep(
-        sample=args.sample, seed=args.seed, gray_only=args.gray_only
-    )
+    result = colorspace.roundtrip_sweep()
     bound = colorspace.ROUNDTRIP_MAX_ERROR
     print(f"samples swept:        {result.samples}")
     print(f"max channel error:    {result.max_error} (frozen bound {bound})")

@@ -28,26 +28,24 @@ copy of a few bytes per row, which numpy makes one row at a time: many
 one-pixel groups move as three channel columns, many wider ones as one
 span-byte item each (``_copy_groups``).
 
-The round-trip sweep draws (RGB block, forward sums before the divide)
-pairs from a block source, at most ``_SWEEP_BLOCK`` triples each, and
-finishes each pair in one place (``_roundtrip_errors``), in arrays made
-once per sweep, so it never holds more than one block of its 2^24
-triples.  Over the full RGB grid every block is the first plus a column
-(r, g, 0), so its sums are the first block's plus that column's, exactly,
-by linearity (``_rgb_blocks``); sampled and gray blocks get theirs from
-``_sums_np`` directly.  Only the I and Q rows take the truncating divide:
-they carry signed chroma with no clamp.  The Y row and the three reverse
-rows are clamped to a byte straight after it, with no offset, so they
-divide with ``div256_clamp_u8_np``'s floor shift, which clamps to the same
-bytes.  Each block's errors are summed in int32, which its
-3 * 16384 errors of at most 255 cannot overflow.
+The round-trip sweep steps through all 2^24 RGB triples in ascending
+(r, g, b) order, one ``_SWEEP_BLOCK`` at a time, and finishes every block
+in one place (``_roundtrip_errors``), in arrays made once per sweep, so it
+never holds more than one block.  Every block of the grid is the first
+plus a column (r, g, 0), so its forward sums are the first block's plus
+that column's, exactly, by linearity (``_rgb_blocks``).  Only the I and Q
+rows take the truncating divide: they carry signed chroma with no clamp.
+The Y row and the three reverse rows are clamped to a byte straight after
+it, with no offset, so they divide with ``div256_clamp_u8_np``'s floor
+shift, which clamps to the same bytes.  Each block's errors are summed in
+int32, which its 3 * 16384 errors of at most 255 cannot overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -91,7 +89,8 @@ _BLOCK = 8192
 #: arrays once per sweep, not once per call, so they need not stay under
 #: the mmap threshold, and fewer blocks pay less per-block Python.  Of
 #: 8192, 16384, 32768 and 65536, it was the fastest.  A multiple of 256,
-#: so a grid block holds whole runs of the blue channel.
+#: so a grid block holds whole runs of the blue channel, and a divisor of
+#: 2^24, so every block is full.
 _SWEEP_BLOCK = 16384
 
 
@@ -411,83 +410,39 @@ def _rgb_blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
             yield block, sums
 
 
-def _with_forward_sums(blocks: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each (3, n) int32 RGB block of ``blocks``, n <= _SWEEP_BLOCK, with
-    its forward sums, computed directly.  The sums are written to the same
-    array, so each holds only until the next is drawn."""
-    sums = np.empty((3, _SWEEP_BLOCK), dtype=np.int32)
-    for rgb in blocks:
-        yield rgb, _sums_np(RGB2YIQ.columns, rgb, sums[:, : rgb.shape[1]])
-
-
-def _roundtrip_errors(
-    pairs: Iterable[tuple[np.ndarray, np.ndarray]],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each (rgb, forward sums) pair of ``pairs``, (3, n) arrays with
-    n <= _SWEEP_BLOCK, the RGB block of any integer dtype and the sums
-    int32, as the RGB block with the int32 per-channel |error| of its
-    forward+reverse conversion.  Y is divided and clamped, I and Q are
-    divided truncating and kept signed, and the reverse map's sums are
-    divided and clamped.  Every error is written to the same array, so it
-    holds only until the next is drawn."""
+def _roundtrip_errors() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each RGB block of ``_rgb_blocks``, with the int32 per-channel
+    |error| of its forward+reverse conversion.  Y is divided and clamped,
+    I and Q are divided truncating and kept signed, and the reverse map's
+    sums are divided and clamped.  Every error is written to the same
+    array, so it holds only until the next is drawn."""
     reverse = YIQ2RGB.columns
     yiq = np.empty((3, _SWEEP_BLOCK), dtype=np.int32)
-    back = np.empty_like(yiq)
-    for rgb, sums in pairs:
-        width = rgb.shape[1]
-        y, err = yiq[:, :width], back[:, :width]
-        div256_clamp_u8_np(sums[0], out=y[0])
-        div256_trunc_np(sums[1:], out=y[1:])
-        div256_clamp_u8_np(_sums_np(reverse, y, err), out=err)
+    err = np.empty_like(yiq)
+    for rgb, sums in _rgb_blocks():
+        div256_clamp_u8_np(sums[0], out=yiq[0])
+        div256_trunc_np(sums[1:], out=yiq[1:])
+        div256_clamp_u8_np(_sums_np(reverse, yiq, err), out=err)
         err -= rgb
         yield rgb, np.abs(err, out=err)
 
 
-def roundtrip_sweep(
-    sample: Optional[int] = None,
-    seed: int = 0,
-    gray_only: bool = False,
-) -> SweepResult:
-    """Forward+reverse conversion error, exhaustively or on a subsample.
+def roundtrip_sweep() -> SweepResult:
+    """Forward+reverse conversion error over all 2^24 RGB triples.
 
-    The full sweep covers all 2^24 RGB triples in ascending (r, g, b)
-    order, one ``_SWEEP_BLOCK`` at a time, with forward sums by linearity
-    over the grid (``_rgb_blocks``); a sample of ``sample`` seeded triples,
-    drawn a block at a time, or the 256 gray triples (``gray_only``, which
-    takes no ``sample``) get theirs directly.  Each triple takes three
-    forward rows and three reverse rows; only the I and Q rows truncate,
-    the others are divided and clamped together (``div256_clamp_u8_np``).
-    It reports the first triple attaining the maximum; chroma is carried
-    signed, without the offset-128 byte encoding.  A negative ``seed`` is
-    rejected in every mode.
+    The triples are swept in ascending (r, g, b) order, one
+    ``_SWEEP_BLOCK`` at a time, with forward sums by linearity over the
+    grid (``_rgb_blocks``).  Each triple takes three forward rows and three
+    reverse rows; only the I and Q rows truncate, the others are divided
+    and clamped together (``div256_clamp_u8_np``).  It reports the first
+    triple attaining the maximum; chroma is carried signed, without the
+    offset-128 byte encoding.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if gray_only and sample is not None:
-        raise ValueError(f"sample cannot be combined with gray_only, got sample={sample}")
-    if gray_only:
-        pairs = _with_forward_sums([np.tile(np.arange(256, dtype=np.int32), (3, 1))])
-        total = 256
-    elif sample is not None:
-        if sample < 1:
-            raise ValueError("sample size must be positive")
-        # Drawn a block at a time: the generator gives the same triples as one draw.
-        rng = np.random.default_rng(seed)
-        pairs = _with_forward_sums(
-            rng.integers(0, 256, (min(_SWEEP_BLOCK, sample - s), 3), dtype=np.int64)
-            .T.astype(np.int32, order="C")
-            for s in range(0, sample, _SWEEP_BLOCK)
-        )
-        total = sample
-    else:
-        pairs = _rgb_blocks()
-        total = 256**3
-
     max_err = -1
     argmax = (0, 0, 0)
     per_ch = np.zeros(3, dtype=np.int32)
     err_sum = 0
-    for rgb, err in _roundtrip_errors(pairs):
+    for rgb, err in _roundtrip_errors():
         block_max = err.max(axis=1)
         np.maximum(per_ch, block_max, out=per_ch)
         m = int(block_max.max())
@@ -501,8 +456,8 @@ def roundtrip_sweep(
 
     return SweepResult(
         max_error=max_err,
-        mean_error=err_sum / (3 * total),
+        mean_error=err_sum / (3 * 256**3),
         argmax_rgb=argmax,
         per_channel_max=tuple(int(v) for v in per_ch),
-        samples=total,
+        samples=256**3,
     )

@@ -86,28 +86,36 @@ BENCH_HISTEQ_CSV = REPORT_HEADER + (
     "s6000_paper\r\n"
 )
 
-ROUNDTRIP_GRAY_JSON = """\
+ROUNDTRIP_STDOUT = """\
+samples swept:        16777216
+max channel error:    5 (frozen bound 5)
+per-channel maxima:   r=3 g=3 b=5
+mean channel error:   1.114066
+first worst triple:   rgb(0, 121, 212)
+"""
+
+ROUNDTRIP_JSON = """\
 {
-  "samples": 256,
-  "max_error": 0,
+  "samples": 16777216,
+  "max_error": 5,
   "per_channel_max": [
-    0,
-    0,
-    0
+    3,
+    3,
+    5
   ],
-  "mean_error": 0.0,
+  "mean_error": 1.1140663027763367,
   "argmax_rgb": [
     0,
-    0,
-    0
+    121,
+    212
   ],
   "frozen_bound": 5
 }
 """
 
-ROUNDTRIP_GRAY_CSV = (
+ROUNDTRIP_CSV = (
     "argmax_rgb,frozen_bound,max_error,mean_error,per_channel_max,samples\r\n"
-    '"[0, 0, 0]",5,0,0.0,"[0, 0, 0]",256\r\n'
+    '"[0, 121, 212]",5,5,1.1140663027763367,"[3, 3, 5]",16777216\r\n'
 )
 
 
@@ -204,28 +212,13 @@ def test_unreadable_text_file_is_named_in_the_error(ppm, tmp_path, capsys, flag,
     assert capsys.readouterr().err.startswith("constraint error: " + message.format(path=path))
 
 
-def test_negative_roundtrip_seed_is_a_constraint_error(capsys):
-    assert cli.main(["roundtrip", "--sample", "5", "--seed", "-3"]) == cli.EXIT_CONSTRAINT
-    assert capsys.readouterr().err == "constraint error: seed must be non-negative, got -3\n"
-
-
-def test_empty_roundtrip_sample_is_a_constraint_error(capsys):
-    assert cli.main(["roundtrip", "--sample", "0"]) == cli.EXIT_CONSTRAINT
-    assert capsys.readouterr().err == "constraint error: sample size must be positive\n"
-
-
 @pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["--gray-only", "--sample", "0"], "sample cannot be combined with gray_only, got sample=0"),
-        (["--gray-only", "--sample", "5", "--seed", "-3"], "seed must be non-negative, got -3"),
-        (["--seed", "-3"], "seed must be non-negative, got -3"),
-    ],
-    ids=["gray-sample-0", "gray-sample-seed", "seed-without-sample"],
+    "argv", [["--sample", "5"], ["--seed", "1"], ["--gray-only"]], ids=["sample", "seed", "gray-only"]
 )
-def test_roundtrip_flags_it_cannot_apply_are_constraint_errors(capsys, argv, message):
-    assert cli.main(["roundtrip", *argv]) == cli.EXIT_CONSTRAINT
-    assert capsys.readouterr().err == f"constraint error: {message}\n"
+def test_removed_roundtrip_flags_are_usage_errors(capsys, argv):
+    # The sweep always covers the whole cube; an old script fails instead of checking less.
+    assert cli.main(["roundtrip", *argv]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage error: unrecognized arguments: {argv[0]}")
 
 
 def test_invocation_mismatch_is_a_constraint_error(monkeypatch, tmp_path):
@@ -356,7 +349,8 @@ def test_help_exits_0_and_names_no_removed_flag(capsys, command):
     assert exited.value.code == 0
     text = capsys.readouterr().out
     assert text.startswith("usage: scpsim")
-    assert "--buffers" not in text and "stall" not in text
+    assert "stall" not in text
+    assert not any(flag in text for flag in ("--buffers", "--sample", "--seed", "--gray-only"))
 
 
 def test_profile_beyond_the_float_range_is_a_constraint_error(ppm, tmp_path):
@@ -420,9 +414,11 @@ def test_convert_with_a_custom_matrix_and_profile_exits_with_a_code(
         assert got == [list(colorspace.convert_px(m, p)) for p in pixels]
 
 
-def test_roundtrip_over_the_frozen_bound_is_a_regression(monkeypatch):
-    monkeypatch.setattr(colorspace, "ROUNDTRIP_MAX_ERROR", -1)
-    assert cli.main(["roundtrip", "--gray-only"]) == cli.EXIT_REGRESSION
+def test_roundtrip_over_the_frozen_bound_is_a_regression(monkeypatch, capsys):
+    # One below the cube's true maximum fails.
+    monkeypatch.setattr(colorspace, "ROUNDTRIP_MAX_ERROR", 4)
+    assert cli.main(["roundtrip"]) == cli.EXIT_REGRESSION
+    assert capsys.readouterr().out.endswith("REGRESSION: max error 5 exceeds frozen bound 4\n")
 
 
 @pytest.mark.parametrize(
@@ -467,11 +463,14 @@ def test_bench_report_file(tmp_path):
     assert report.read_bytes() == BENCH_HISTEQ_CSV.encode()
 
 
-@pytest.mark.parametrize("fmt,golden", [("json", ROUNDTRIP_GRAY_JSON), ("csv", ROUNDTRIP_GRAY_CSV)])
-def test_roundtrip_report_file(tmp_path, fmt, golden):
+@pytest.mark.parametrize(
+    "fmt,golden", [("json", ROUNDTRIP_JSON), ("csv", ROUNDTRIP_CSV)], ids=["json", "csv"]
+)
+def test_roundtrip_report_file(tmp_path, capsys, fmt, golden):
     report = tmp_path / f"r.{fmt}"
-    argv = ["roundtrip", "--gray-only", "--report", str(report), "--format", fmt]
+    argv = ["roundtrip", "--report", str(report), "--format", fmt]
     assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == ROUNDTRIP_STDOUT
     assert report.read_bytes() == golden.encode()
 
 

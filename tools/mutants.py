@@ -11,8 +11,10 @@ Tier-1, less ``tests/test_mutants.py``: that test fails on any mutated
 tree, since the mutant's target is gone, and would count every mutant as
 killed.  A mutant that passes both runs survives.  The unmutated copy is
 run through all of Tier-1 first and must pass, so that a copy that cannot
-run at all does not count as killing every mutant.  The working tree is
-never modified.
+run at all does not count as killing every mutant.  Then the mutants
+are judged two at a time where two CPUs are free (``WORKERS``), each in
+its own copy, and reported in list order.  The working tree is never
+modified.
 
 Run from anywhere, with the test dependencies installed::
 
@@ -22,10 +24,11 @@ Run from anywhere, with the test dependencies installed::
 Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
-1.1-7.9 s per mutant and 3 min 8 s in all for 80 on a 2-core host.
-Shrinking made one mutant take 6.7-36 s without the profile, and 47
-took 3 min 17 s; running Tier-1 alone on each of 37 took 2.2-108 s and
-7 min 46 s.
+
+On a 2-core host, 79 mutants took 1.3-11.6 s each and 1 min 49 s in all,
+against 3 min 25 s for 80 judged one at a time.  Shrinking made one
+mutant take 6.7-36 s without the profile, and 47 took 3 min 17 s;
+running Tier-1 alone on each of 37 took 2.2-108 s and 7 min 46 s.
 """
 
 from __future__ import annotations
@@ -37,10 +40,14 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+#: Mutants judged at once, each in its own copy and pytest process: two
+#: where two CPUs are free, so one mutant's Python overlaps another's.
+WORKERS = min(2, len(os.sched_getaffinity(0)))
 
 
 class Mutant(NamedTuple):
@@ -151,20 +158,18 @@ MUTANTS = (
            "for channel, row in enumerate(a):", "for channel, row in enumerate(a[:2]):"),
     Mutant("sweep-skips-a-g-step", COLORSPACE,
            "for g in range(0, 256, g_step):", "for g in range(0, 256 - g_step, g_step):"),
-    Mutant("sweep-accepts-a-negative-seed", COLORSPACE, "if seed < 0:", "if False:"),
-    Mutant("sampled-sweep-redraws-the-first-block", COLORSPACE,
-           "rng.integers(0, 256, (min(_SWEEP_BLOCK, sample - s), 3)",
-           "np.random.default_rng(seed).integers(0, 256, (min(_SWEEP_BLOCK, sample - s), 3)"),
     Mutant("sweep-grid-skips-a-block", COLORSPACE,
            "            yield block, sums\n",
            "            if (r, g) != (255, 256 - g_step):\n                yield block, sums\n"),
     # Truncation only where a negative quotient survives: the chroma rows.
     Mutant("chroma-rows-floor", COLORSPACE,
-           "div256_trunc_np(sums[1:], out=y[1:])", "np.right_shift(sums[1:], 8, out=y[1:])"),
+           "div256_trunc_np(sums[1:], out=yiq[1:])", "np.right_shift(sums[1:], 8, out=yiq[1:])"),
     Mutant("grid-sums-drop-the-g-column", COLORSPACE,
            "forward[0] * r + forward[1] * g", "forward[0] * r"),
     Mutant("block-sum-in-int16", COLORSPACE, "err.sum(dtype=np.int32)", "err.sum(dtype=np.int16)"),
     Mutant("worst-triple-on-ties", COLORSPACE, "if m > max_err:", "if m >= max_err:"),
+    Mutant("per-channel-max-from-the-last-block", COLORSPACE,
+           "np.maximum(per_ch, block_max, out=per_ch)", "per_ch[...] = block_max"),
     Mutant("tail-skips-its-first-pixel", COLORSPACE,
            "apply_matrix_np(flat[head:], matrix, out=out[head:])",
            "apply_matrix_np(flat[head + 1 :], matrix, out=out[head + 1 :])"),
@@ -293,6 +298,12 @@ def passes(mutant: Optional[Mutant]) -> bool:
         return True
 
 
+def timed_passes(mutant: Mutant) -> tuple[bool, float]:
+    """``passes(mutant)`` and the seconds it took."""
+    start = time.perf_counter()
+    return passes(mutant), time.perf_counter() - start
+
+
 def main(argv: list[str]) -> int:
     problems = stale()
     if problems:
@@ -307,13 +318,11 @@ def main(argv: list[str]) -> int:
         return 2
     chosen = [m for m in MUTANTS if not argv or m.name in argv]
     survivors = []
-    for m in chosen:
-        start = time.perf_counter()
-        alive = passes(m)
-        print(f"{'SURVIVED' if alive else 'killed  '} {m.name} ({time.perf_counter() - start:.1f} s)",
-              flush=True)
-        if alive:
-            survivors.append(m.name)
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for m, (alive, seconds) in zip(chosen, pool.map(timed_passes, chosen)):
+            print(f"{'SURVIVED' if alive else 'killed  '} {m.name} ({seconds:.1f} s)", flush=True)
+            if alive:
+                survivors.append(m.name)
     print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
     return 1 if survivors else 0
 
