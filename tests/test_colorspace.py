@@ -29,7 +29,7 @@ from scpsim.colorspace import (
     roundtrip_sweep,
     yiq_to_rgb_px,
 )
-from scpsim.fixed_point import COEFF_LIMIT, OFFSET_LIMIT
+from scpsim.fixed_point import COEFF_LIMIT, OFFSET_LIMIT, clamp_u8, div256_trunc, mul_acc3
 from scpsim.image_io import ChannelMismatch, ImageBuffer
 from scpsim.fabric import (
     InvocationLog,
@@ -550,6 +550,61 @@ def test_grid_sums_equal_the_direct_sums_on_every_block():
         np.testing.assert_array_equal(sums, forward @ rgb.astype(np.int64))
         blocks += 1
     assert blocks == 256**3 // width
+
+
+@pytest.fixture(scope="module")
+def sweep_errors():
+    # The sweep's per-channel |error| of every triple, as (3, 2^24) uint8,
+    # column r * 65536 + g * 256 + b, placed by the triples each block names.
+    # 255 marks a triple no block reached; no error comes near it.
+    errors = np.full((3, 256**3), 255, dtype=np.uint8)
+    for rgb, err in colorspace._roundtrip_errors():
+        index = rgb[0].astype(np.int32) << 16 | rgb[1].astype(np.int32) << 8 | rgb[2]
+        errors[:, index] = err
+    assert errors.max() < 255
+    return errors
+
+
+def _triple_index(rgb):
+    return rgb @ np.array([65536, 256, 1])
+
+
+def test_roundtrip_sample_matches_scalar_oracle(sweep_errors):
+    # The vectorized sweep and the per-pixel reference must agree
+    # error-for-error on a sample of triples.
+    rng = np.random.default_rng(11)
+    triples = rng.integers(0, 256, size=(300, 3))
+    fwd, rev = RGB2YIQ.coeffs, YIQ2RGB.coeffs
+    expected = []
+    for r, g, b in triples.tolist():
+        y = clamp_u8(div256_trunc(mul_acc3(fwd[0], (r, g, b))))
+        i = div256_trunc(mul_acc3(fwd[1], (r, g, b)))
+        q = div256_trunc(mul_acc3(fwd[2], (r, g, b)))
+        back = (
+            clamp_u8(div256_trunc(mul_acc3(rev[0], (y, i, q)))),
+            clamp_u8(div256_trunc(mul_acc3(rev[1], (y, i, q)))),
+            clamp_u8(div256_trunc(mul_acc3(rev[2], (y, i, q)))),
+        )
+        expected.append((abs(r - back[0]), abs(g - back[1]), abs(b - back[2])))
+    np.testing.assert_array_equal(sweep_errors[:, _triple_index(triples)].T, expected)
+
+
+def test_roundtrip_gray_only_is_exact(sweep_errors):
+    # The 256 gray triples (v, v, v) round-trip with no error on any channel.
+    gray = np.arange(256) * 65793
+    assert not sweep_errors[:, gray].any()
+
+
+@pytest.mark.parametrize("size", [1, 8191, 8192, 8193, 16383, 16384, 16385, 20000])
+@pytest.mark.parametrize("seed", range(5))
+def test_sampled_sweep_equals_an_int64_reference(sweep_errors, seed, size):
+    # The whole-cube reference compares only the sweep's summary; here each
+    # sampled triple's errors must equal an int64 reference, triple by triple.
+    rgb = np.random.default_rng(seed).integers(0, 256, size=(size, 3), dtype=np.int64)
+    yiq = _trunc_div256(rgb @ np.array(RGB2YIQ.coeffs, dtype=np.int64).T)
+    yiq[:, 0] = yiq[:, 0].clip(0, 255)
+    back = _trunc_div256(yiq @ np.array(YIQ2RGB.coeffs, dtype=np.int64).T).clip(0, 255)
+    np.testing.assert_array_equal(sweep_errors[:, _triple_index(rgb)].T, np.abs(back - rgb))
 
 
 # Run in a fresh interpreter: glibc raises its mmap and trim thresholds after
