@@ -30,22 +30,34 @@ span-byte item each (``_copy_groups``).
 
 The round-trip sweep steps through all 2^24 RGB triples in ascending
 (r, g, b) order, one ``_SWEEP_BLOCK`` at a time, and finishes every block
-in one place (``_roundtrip_errors``), in arrays made once per sweep, so it
-never holds more than one block.  Every block of the grid is the first
-plus a column (r, g, 0), so its forward sums are the first block's plus
-that column's, exactly, by linearity (``_rgb_blocks``).  Only the I and Q
-rows take the truncating divide: they carry signed chroma with no clamp.
-The Y row and the three reverse rows are clamped to a byte straight after
-it, with no offset, so they divide with ``div256_clamp_u8_np``'s floor
-shift, which clamps to the same bytes.  Each block's errors are summed in
-int32, which its 3 * 16384 errors of at most 255 cannot overflow.
+in one place (``_roundtrip_errors``), in arrays made once per part, with
+no block-sized temporary in the loop, so a part never holds more than one
+block.  Every block of the grid is the first plus a column (r, g, 0), so
+its forward sums are the first block's plus that column's, exactly, by
+linearity (``_rgb_blocks``); the first block and its sums are built once
+per sweep and shared read-only.  Only the I and Q rows take the
+truncating divide: they carry signed chroma with no clamp.  The Y row and
+the three reverse rows are clamped to a byte straight after it, with no
+offset, so they divide with ``div256_clamp_u8_np``'s floor shift, which
+clamps to the same bytes.  Each block's errors are summed in int32, which
+its 3 * 32768 errors of at most 255 cannot overflow.
+
+The sweep is split by red value into ``min(2, CPUs this process may run
+on)`` contiguous parts, part 0 in the calling thread and each other part
+in a helper thread (``_sweep``); numpy releases the GIL inside its loops,
+so two parts run at once.  The parts are combined in ascending red order
+(``_combined``): the largest maximum, the argmax of the first part that
+reaches it, the per-channel maxima and the integer error sum, so the
+result does not depend on the part count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -85,13 +97,19 @@ ROUNDTRIP_ARGMAX = (0, 121, 212)
 #: than it saves.
 _BLOCK = 8192
 
-#: Triples per block of the round-trip sweep.  The sweep makes its block
-#: arrays once per sweep, not once per call, so they need not stay under
-#: the mmap threshold, and fewer blocks pay less per-block Python.  Of
-#: 8192, 16384, 32768 and 65536, it was the fastest.  A multiple of 256,
-#: so a grid block holds whole runs of the blue channel, and a divisor of
-#: 2^24, so every block is full.
-_SWEEP_BLOCK = 16384
+#: Triples per block of the round-trip sweep.  Each part makes its block
+#: arrays once, so they need not stay under the mmap threshold, and fewer
+#: blocks pay less per-block Python.  On a 2-CPU host (medians of 5
+#: sweeps in each of 4 fresh processes), two parts took 139-166 ms a
+#: sweep at 16384 (the threads spend their time handing the GIL back and
+#: forth), 91-123 ms at 32768 and 82-90 ms at 65536, against 126-133 ms
+#: for the one-part sweep at 16384; one part took 119-124 ms at 32768.
+#: Over that one-part sweep, two parts cost 2.0-2.2 MB of peak RSS at
+#: 32768 and 5.4-5.8 MB at 65536, a seventh of a 38 MB sweep process.  A
+#: multiple of 256, so a grid block holds whole runs of the blue channel,
+#: and a divisor of 65536, so every block is full and lies within one red
+#: value.
+_SWEEP_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -191,19 +209,22 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _sums_np(columns: np.ndarray, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _sums_np(
+    columns: np.ndarray, samples: np.ndarray, out: np.ndarray, product: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Each matrix row's sum of products with a (3, n) int32 or uint8
     sample array, offset already taken, before the divide: ``mul_acc3``
     over the block.  Written to ``out``, an int32 array with one row per
     matrix row, and returned.  ``columns`` is built once per matrix (``ConversionMatrix``).
 
     Each column is a (rows, 1) array, so one multiply gives a sample row's
-    products for every output row.  The products are summed in ``out``; no
-    temporary outlives the statement that makes it.
+    products for every output row.  The products are summed in ``out``.
+    The one temporary, a product of ``out``'s shape, is built in
+    ``product`` where one is given, and otherwise outlives no statement.
     """
     np.multiply(columns[0], samples[0], out=out)
-    out += columns[1] * samples[1]
-    out += columns[2] * samples[2]
+    out += np.multiply(columns[1], samples[1], out=product)
+    out += np.multiply(columns[2], samples[2], out=product)
     return out
 
 
@@ -220,13 +241,14 @@ def apply_matrix_np(
         out = np.empty((n, 3), dtype=np.uint8)
     samples = np.empty((3, min(n, _BLOCK)), dtype=np.int32)
     acc = np.empty_like(samples)
+    product = np.empty_like(samples)
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
         pixels = flat[block]
-        s, a = samples[:, : len(pixels)], acc[:, : len(pixels)]
+        s, a, p = samples[:, : len(pixels)], acc[:, : len(pixels)], product[:, : len(pixels)]
         s[...] = pixels.T
         s -= matrix.input_column
-        div256_trunc_np(_sums_np(matrix.columns, s, a), out=a)
+        div256_trunc_np(_sums_np(matrix.columns, s, a, product=p), out=a, mask=p)
         a += matrix.output_column
         clamp_u8_np(a, out=a)
         for channel, row in enumerate(a):
@@ -386,45 +408,139 @@ class SweepResult:
     samples: int
 
 
-def _rgb_blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every RGB triple in ascending (r, g, b) order, as (3, _SWEEP_BLOCK)
-    uint8 blocks, each with its int32 forward sums (``_sums_np`` of
-    ``RGB2YIQ``).
+class _PartResult(NamedTuple):
+    """One part's share of the sweep, over the reds it was given."""
+
+    max_error: int
+    argmax_rgb: tuple[int, int, int]
+    per_channel_max: np.ndarray
+    error_sum: int
+
+
+def _first_block() -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's first block, every (0, g, b) with g < ``_SWEEP_BLOCK //
+    256``, as a read-only (3, _SWEEP_BLOCK) uint8 array, and its read-only
+    int32 forward sums (``_sums_np`` of ``RGB2YIQ``)."""
+    first = np.indices((1, _SWEEP_BLOCK // 256, 256), dtype=np.uint8).reshape(3, _SWEEP_BLOCK)
+    sums = _sums_np(RGB2YIQ.columns, first, np.empty(first.shape, dtype=np.int32))
+    first.flags.writeable = sums.flags.writeable = False
+    return first, sums
+
+
+def _rgb_blocks(
+    reds: range = range(256), first: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every RGB triple with its red in ``reds``, in ascending (r, g, b)
+    order, as (3, _SWEEP_BLOCK) uint8 blocks, each with its int32 forward
+    sums (``_sums_np`` of ``RGB2YIQ``).
 
     Block (r, g) is the first block plus the column (r, g, 0).  A sum of
     products before the truncating divide is linear over the integers, so
     its sums are the first block's plus ``C·(r, g, 0)`` exactly: the first
-    block's sums are computed once and every block after costs one
-    broadcast add.  Every block and its sums are written to the same two
-    arrays, so a pair holds only until the next one is drawn.
+    block's sums are computed once, or taken from ``first``
+    (``_first_block``), and every block costs one broadcast add.  Every
+    block and its sums are written to the same two arrays, so a pair holds
+    only until the next one is drawn.
     """
     forward = RGB2YIQ.columns
     g_step = _SWEEP_BLOCK // 256
-    first = np.indices((1, g_step, 256), dtype=np.uint8).reshape(3, _SWEEP_BLOCK)
-    first_sums = _sums_np(forward, first, np.empty(first.shape, dtype=np.int32))
+    first, first_sums = _first_block() if first is None else first
     block, sums = np.empty_like(first), np.empty_like(first_sums)
-    for r in range(256):
+    for r in reds:
         for g in range(0, 256, g_step):
             np.add(first, np.array([[r], [g], [0]], dtype=np.uint8), out=block)
             np.add(first_sums, forward[0] * r + forward[1] * g, out=sums)
             yield block, sums
 
 
-def _roundtrip_errors() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each RGB block of ``_rgb_blocks``, with the int32 per-channel
-    |error| of its forward+reverse conversion.  Y is divided and clamped,
-    I and Q are divided truncating and kept signed, and the reverse map's
-    sums are divided and clamped.  Every error is written to the same
-    array, so it holds only until the next is drawn."""
+def _roundtrip_errors(
+    reds: range = range(256), first: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each RGB block of ``_rgb_blocks(reds, first)``, with the int32
+    per-channel |error| of its forward+reverse conversion.  Y is divided
+    and clamped, I and Q are divided truncating and kept signed, and the
+    reverse map's sums are divided and clamped.  Every error is written to
+    the same array, so it holds only until the next is drawn.
+
+    No block-sized temporary is made in the loop: the I and Q sign mask
+    is built in the error array, not yet written, and the reverse map's
+    product in the forward sums, already divided.
+    """
     reverse = YIQ2RGB.columns
     yiq = np.empty((3, _SWEEP_BLOCK), dtype=np.int32)
     err = np.empty_like(yiq)
-    for rgb, sums in _rgb_blocks():
+    for rgb, sums in _rgb_blocks(reds, first):
         div256_clamp_u8_np(sums[0], out=yiq[0])
-        div256_trunc_np(sums[1:], out=yiq[1:])
-        div256_clamp_u8_np(_sums_np(reverse, yiq, err), out=err)
+        div256_trunc_np(sums[1:], out=yiq[1:], mask=err[1:])
+        div256_clamp_u8_np(_sums_np(reverse, yiq, err, product=sums), out=err)
         err -= rgb
         yield rgb, np.abs(err, out=err)
+
+
+def _sweep_part(reds: range, first: tuple[np.ndarray, np.ndarray]) -> _PartResult:
+    """The sweep over the triples whose red is in ``reds``."""
+    max_err = -1
+    argmax = (0, 0, 0)
+    per_ch = np.zeros(3, dtype=np.int32)
+    err_sum = 0
+    for rgb, err in _roundtrip_errors(reds, first):
+        block_max = err.max(axis=1)
+        np.maximum(per_ch, block_max, out=per_ch)
+        m = int(block_max.max())
+        # Only a block that beats the maximum is searched for its first worst triple.
+        if m > max_err:
+            max_err = m
+            argmax = tuple(int(v) for v in rgb[:, int(np.argmax(err.max(axis=0)))])
+        # Each |error| is at most 255, so a block's sum is at most
+        # 3 * _SWEEP_BLOCK * 255 < 2^31 and adds up in int32 without overflow.
+        err_sum += int(err.sum(dtype=np.int32))
+    return _PartResult(max_err, argmax, per_ch, err_sum)
+
+
+def _combined(parts: list[_PartResult]) -> SweepResult:
+    """The whole sweep from its parts, given in ascending red order."""
+    max_err = max(p.max_error for p in parts)
+    return SweepResult(
+        max_error=max_err,
+        mean_error=sum(p.error_sum for p in parts) / (3 * 256**3),
+        argmax_rgb=next(p.argmax_rgb for p in parts if p.max_error == max_err),
+        per_channel_max=tuple(int(v) for v in np.max([p.per_channel_max for p in parts], axis=0)),
+        samples=256**3,
+    )
+
+
+def _sweep(parts: int) -> SweepResult:
+    """The sweep in ``parts`` parts by red value, part 0 in the calling
+    thread and each other part in a helper thread of its own.
+
+    The first block and its sums are built once and shared read-only.  A
+    part's exception reaches the caller as itself, once every helper has
+    been joined.
+    """
+    first = _first_block()
+    reds = [range(k * 256 // parts, (k + 1) * 256 // parts) for k in range(parts)]
+    results: list = [None] * parts
+
+    def run(k: int) -> None:
+        try:
+            results[k] = _sweep_part(reds[k], first)
+        except BaseException as exc:  # re-raised in the calling thread
+            results[k] = exc
+
+    started = []
+    try:
+        for k in range(1, parts):
+            helper = threading.Thread(target=run, args=(k,), name=f"roundtrip-sweep-{k}")
+            helper.start()
+            started.append(helper)
+        results[0] = _sweep_part(reds[0], first)
+    finally:
+        for helper in started:
+            helper.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return _combined(results)
 
 
 def roundtrip_sweep() -> SweepResult:
@@ -437,27 +553,16 @@ def roundtrip_sweep() -> SweepResult:
     and clamped together (``div256_clamp_u8_np``).  It reports the first
     triple attaining the maximum; chroma is carried signed, without the
     offset-128 byte encoding.
-    """
-    max_err = -1
-    argmax = (0, 0, 0)
-    per_ch = np.zeros(3, dtype=np.int32)
-    err_sum = 0
-    for rgb, err in _roundtrip_errors():
-        block_max = err.max(axis=1)
-        np.maximum(per_ch, block_max, out=per_ch)
-        m = int(block_max.max())
-        # Only a block that beats the maximum is searched for its first worst triple.
-        if m > max_err:
-            max_err = m
-            argmax = tuple(int(v) for v in rgb[:, int(np.argmax(err.max(axis=0)))])
-        # Each |error| is at most 255, so a block's sum is at most
-        # 3 * 16384 * 255 < 2^31 and adds up in int32 without overflow.
-        err_sum += int(err.sum(dtype=np.int32))
 
-    return SweepResult(
-        max_error=max_err,
-        mean_error=err_sum / (3 * 256**3),
-        argmax_rgb=argmax,
-        per_channel_max=tuple(int(v) for v in per_ch),
-        samples=256**3,
-    )
+    The reds are split into ``min(2, CPUs this process may run on)``
+    contiguous parts, each swept in its own thread (``_sweep``).  The
+    parts are combined in ascending red order: the largest maximum, the
+    argmax of the first part that reaches it, the per-channel maxima and
+    the integer error sum.  So the result does not depend on the part
+    count.  On a 2-CPU host (Python 3.11, numpy 2.4), in one interpreter,
+    two parts of ``_SWEEP_BLOCK`` blocks took 0.67 times as long as the
+    one-part sweep of 16384-triple blocks they replace (93 against 136 ms);
+    pinned to one CPU, the sweep runs one part, at 0.93 times (121 against
+    131 ms).
+    """
+    return _sweep(min(2, len(os.sched_getaffinity(0))))

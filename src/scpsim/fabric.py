@@ -490,7 +490,8 @@ def ei_execute(
             raise TypeError(f"{ei.name}: inputs must be WideRegister, got {type(wr).__name__}")
     registers = np.frombuffer(b"".join([wr.data for wr in inputs]), dtype=np.uint8)
     outputs = ei_execute_batch(ei, registers.reshape(1, len(inputs), WR_BYTES), iram, log)
-    return tuple(WideRegister(row.tobytes()) for row in outputs[0])
+    data = outputs[0].tobytes()
+    return tuple(WideRegister(data[k : k + WR_BYTES]) for k in range(0, len(data), WR_BYTES))
 
 
 def ei_execute_batch(

@@ -65,18 +65,21 @@ def div256_trunc(x: int) -> int:
     return -((-x) >> 8)
 
 
-def div256_trunc_np(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def div256_trunc_np(
+    x: np.ndarray, out: Optional[np.ndarray] = None, mask: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Vectorized div256_trunc for signed integer arrays, in their dtype.
 
     The arithmetic shift floors; adding 255 to a negative value first
     turns that into truncation.  The sign mask ``x >> (bits - 1)`` is -1
     for a negative value and 0 otherwise, so this is exact over the whole
     range of every signed dtype: nothing is added to a value that could
-    overflow.  The mask is the one temporary of ``x``'s size.  The quotient
-    is written to ``out``, which may be ``x`` itself, and returned; without
-    ``out`` it is built in the mask's array.
+    overflow.  The mask is the one temporary of ``x``'s size; it is built
+    in ``mask``, an array of ``x``'s shape and dtype, where one is given.
+    The quotient is written to ``out``, which may be ``x`` itself, and
+    returned; without ``out`` it is built in the mask's array.
     """
-    q = x >> (8 * x.dtype.itemsize - 1)
+    q = np.right_shift(x, 8 * x.dtype.itemsize - 1, out=mask)
     q &= 255
     if out is None:
         out = q

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -677,6 +679,79 @@ def _roundtrip_reference() -> colorspace.SweepResult:
         total += int(err.sum(dtype=np.int64))
     return colorspace.SweepResult(
         worst, total / (3 * 256**3), argmax, tuple(per_channel.tolist()), 256**3
+    )
+
+
+SHIPPED_SWEEP = colorspace.SweepResult(5, 1.1140663027763367, (0, 121, 212), (3, 3, 5), 256**3)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_sweep_result_does_not_depend_on_the_part_count(parts):
+    # Three parts hold 85, 85 and 86 reds: their bounds, 85 and 170, fall
+    # neither at a power of two nor at equal shares of the cube.
+    before = threading.active_count()
+    assert colorspace._sweep(parts) == SHIPPED_SWEEP
+    assert threading.active_count() == before
+
+
+def test_sweep_parts_under_a_short_switch_interval():
+    # More threads than cores, handing the GIL over every few microseconds:
+    # each part writes only its own arrays and result slot.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert colorspace._sweep(4) == SHIPPED_SWEEP
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _fake_part(reds, first):
+    return colorspace._PartResult(0, (reds.start, 0, 0), np.zeros(3, dtype=np.int32), 0)
+
+
+@pytest.mark.parametrize(
+    "cpus, reds", [({0}, [range(256)]), ({0, 1, 2, 3}, [range(128), range(128, 256)])]
+)
+def test_part_count_follows_the_affinity(monkeypatch, cpus, reds):
+    swept = []
+
+    def part(reds, first):
+        swept.append(reds)
+        return _fake_part(reds, first)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(colorspace, "_sweep_part", part)
+    roundtrip_sweep()
+    assert sorted(swept, key=lambda r: r.start) == reds
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_part_error_reaches_the_caller_after_every_join(monkeypatch, failing):
+    # A part's own exception reaches the caller, whichever thread raised
+    # it, and no helper thread outlives the call.
+    def part(reds, first):
+        if reds.start == 128 * failing:
+            raise MemoryError(f"part {failing}")
+        time.sleep(0.05)
+        return _fake_part(reds, first)
+
+    monkeypatch.setattr(colorspace, "_sweep_part", part)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match=f"part {failing}"):
+        colorspace._sweep(2)
+    assert threading.active_count() == before
+
+
+def test_parts_combine_in_ascending_red_order():
+    # The largest maximum, the first part's argmax that reaches it, the
+    # per-channel maxima of every part and the sum of every part's errors.
+    parts = [
+        colorspace._PartResult(4, (0, 1, 2), np.array([4, 1, 0], dtype=np.int32), 10),
+        colorspace._PartResult(5, (100, 0, 0), np.array([1, 5, 2], dtype=np.int32), 20),
+        colorspace._PartResult(5, (200, 0, 0), np.array([0, 2, 3], dtype=np.int32), 30),
+    ]
+    assert colorspace._combined(parts) == colorspace.SweepResult(
+        5, 60 / (3 * 256**3), (100, 0, 0), (4, 5, 3), 256**3
     )
 
 

@@ -88,6 +88,9 @@ def test_div256_trunc_np_matches_scalar(values):
         assert got.dtype == dtype
         assert got.tolist() == want, dtype
         assert arr.tolist() == values + extremes
+        mask = np.empty_like(arr)
+        assert div256_trunc_np(arr, mask=mask) is mask
+        assert mask.tolist() == want, dtype
         assert div256_trunc_np(arr, out=arr) is arr
         assert arr.tolist() == want, dtype
 

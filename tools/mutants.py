@@ -25,8 +25,9 @@ Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
 
-On a 2-core host, 79 mutants took 1.3-11.6 s each and 1 min 49 s in all,
-against 3 min 25 s for 80 judged one at a time.  Shrinking made one
+On a 2-core host, 87 mutants took 1.1-9.1 s each and 2 min 20 s in all,
+where 79 had taken 1 min 55 s on the same host, against 3 min 25 s for 80
+judged one at a time.  Shrinking made one
 mutant take 6.7-36 s without the profile, and 47 took 3 min 17 s;
 running Tier-1 alone on each of 37 took 2.2-108 s and 7 min 46 s.
 """
@@ -163,13 +164,33 @@ MUTANTS = (
            "            if (r, g) != (255, 256 - g_step):\n                yield block, sums\n"),
     # Truncation only where a negative quotient survives: the chroma rows.
     Mutant("chroma-rows-floor", COLORSPACE,
-           "div256_trunc_np(sums[1:], out=yiq[1:])", "np.right_shift(sums[1:], 8, out=yiq[1:])"),
+           "div256_trunc_np(sums[1:], out=yiq[1:], mask=err[1:])",
+           "np.right_shift(sums[1:], 8, out=yiq[1:])"),
     Mutant("grid-sums-drop-the-g-column", COLORSPACE,
            "forward[0] * r + forward[1] * g", "forward[0] * r"),
     Mutant("block-sum-in-int16", COLORSPACE, "err.sum(dtype=np.int32)", "err.sum(dtype=np.int16)"),
     Mutant("worst-triple-on-ties", COLORSPACE, "if m > max_err:", "if m >= max_err:"),
     Mutant("per-channel-max-from-the-last-block", COLORSPACE,
            "np.maximum(per_ch, block_max, out=per_ch)", "per_ch[...] = block_max"),
+    # Scratch arrays reused in the block loops: each must be dead where it is written.
+    Mutant("apply-product-overwrites-the-samples", COLORSPACE,
+           "_sums_np(matrix.columns, s, a, product=p)", "_sums_np(matrix.columns, s, a, product=s)"),
+    Mutant("sweep-product-overwrites-the-yiq-rows", COLORSPACE,
+           "_sums_np(reverse, yiq, err, product=sums)", "_sums_np(reverse, yiq, err, product=yiq)"),
+    # The sweep's parts by red value, combined in ascending red order.
+    Mutant("argmax-from-the-last-part", COLORSPACE,
+           "next(p.argmax_rgb for p in parts if", "next(p.argmax_rgb for p in reversed(parts) if"),
+    Mutant("part-reds-overlap", COLORSPACE,
+           "range(k * 256 // parts, (k + 1) * 256 // parts)",
+           "range(k * 256 // parts, -(-(k + 1) * 256 // parts))"),
+    Mutant("per-channel-max-from-one-part", COLORSPACE,
+           "np.max([p.per_channel_max for p in parts], axis=0)", "parts[0].per_channel_max"),
+    Mutant("error-sum-from-the-first-part", COLORSPACE,
+           "sum(p.error_sum for p in parts)", "parts[0].error_sum"),
+    Mutant("helper-error-dropped", COLORSPACE,
+           "        if isinstance(result, BaseException):\n            raise result\n", "        pass\n"),
+    Mutant("helpers-not-joined", COLORSPACE,
+           "        for helper in started:\n            helper.join()\n", "        pass\n"),
     Mutant("tail-skips-its-first-pixel", COLORSPACE,
            "apply_matrix_np(flat[head:], matrix, out=out[head:])",
            "apply_matrix_np(flat[head + 1 :], matrix, out=out[head + 1 :])"),
