@@ -14,19 +14,24 @@ pixel, under the scalar functions (``convert_px`` is the reference), and
 ``apply_matrix_np`` on ``(3, n)`` int32 sample blocks (every accumulator
 is below 2^20; see ``OFFSET_LIMIT``): ``_sums_np``, the one vectorized
 sum of products, then the divide.  Each block holds at most ``_BLOCK``
-samples, in block-sized arrays made once per call and reused for every
-block; the products are summed, divided and clamped in those arrays, so
-a steady-state block maps no fresh memory.  The core's int32 matrix and
-offset columns are built once per matrix, at construction.
+samples, in compact arrays carved from the calling thread's block
+workspace (``_Workspace``); the products are summed, divided and clamped
+in those arrays, so no block-sized array is made per call or per batch,
+and threads that convert at once each carve their own.  The core's int32
+matrix and offset columns are built once per matrix, at construction.
 ``apply_matrix_np`` is the plain-processor "scalar mode" for images and
 the body of every fabric kernel, which processes 1, 5, or 8 pixels per
 invocation; ``convert_image`` issues a lane mode's invocations one batch
-per block of ``_BLOCK // lanes`` groups.  The kernel body of a one-pixel
+per ``_BLOCK // lanes`` groups, or fewer where a batch's registers would
+reach 128 KiB (``_batch_groups``).  The kernel body of a one-pixel
 register converts straight from the input-register view into the
-output-register view.  Lane groups are packed and unpacked without a 2-D
-copy of a few bytes per row, which numpy makes one row at a time: many
-one-pixel groups move as three channel columns, many wider ones as one
-span-byte item each (``_copy_groups``).
+output-register view; a wider one gathers its pixels into the workspace
+and converts them there.  So the arrays a conversion makes are its
+result image, its input registers and each batch's output registers,
+which the body contract gives to the caller.  Lane groups are packed and
+unpacked without a 2-D copy of a few bytes per row, which numpy makes one
+row at a time: many one-pixel groups move as three channel columns, many
+wider ones as one span-byte item each (``_copy_groups``).
 
 The round-trip sweep steps through all 2^24 RGB triples in ascending
 (r, g, b) order, one ``_SWEEP_BLOCK`` at a time, and finishes every block
@@ -90,12 +95,56 @@ from .image_io import ChannelMismatch, ImageBuffer
 ROUNDTRIP_MAX_ERROR = 5
 ROUNDTRIP_ARGMAX = (0, 121, 212)
 
-#: Samples per pass of the vectorized core.  A block's (3, _BLOCK) int32
-#: arrays are 96 KiB, under glibc's 128 KiB mmap threshold, so the
-#: allocator serves them and their temporaries from reused heap memory
-#: instead of faulting in fresh pages; 4096 costs more in per-block Python
-#: than it saves.
-_BLOCK = 8192
+#: Samples per pass of the vectorized core.  A block's arrays live in the
+#: thread's workspace, not in arrays made per call, so they need not stay
+#: under glibc's 128 KiB mmap threshold, as the 96 KiB per-call arrays of
+#: 8192-sample blocks had to; larger blocks pay less per-block Python.  In
+#: alternating 5 s ``paper-convert`` runs on a 2-vCPU host (Python 3.11.7,
+#: numpy 2.4.6; medians of 4 pairs), 32768 took 85.0-86.2M px/s, 16384
+#: 83.3M (scalar mode 0.553 against 0.530 ms) and 65536 83.5M (scalar
+#: 0.582 against 0.536 ms, and 1.3 MB more peak RSS).
+_BLOCK = 32768
+
+#: A lane batch makes two register arrays, its input registers and the
+#: kernel body's fresh output; each stays below this many bytes, glibc's
+#: default mmap threshold, so that neither is mapped afresh per batch.
+_REGISTER_LIMIT = 128 * 1024
+
+
+class _Workspace(threading.local):
+    """One thread's block arrays for the convert path: one flat int32
+    buffer, from which a call carves a block's compact (3, k) int32
+    samples, sums and product (``_block_arrays``) and, past them, a lane
+    body's two uint8 staging arrays (``_staging``), all disjoint.
+
+    Each thread gets its own buffer when it first touches the workspace,
+    the importing thread at import; a page of it is touched only when a
+    conversion first writes there.  A buffer is 1.31 MiB and lives as
+    long as its thread.
+    """
+
+    def __init__(self):
+        self.buffer = np.empty(9 * _BLOCK + 6 * _BLOCK // 4, dtype=np.int32)
+
+
+_workspace = _Workspace()
+
+
+def _block_arrays(k: int) -> list[np.ndarray]:
+    """This thread's compact (3, k) int32 samples, sums and product for a
+    block of ``k <= _BLOCK`` samples, carved one after another from its
+    workspace."""
+    buffer = _workspace.buffer
+    return [buffer[start : start + 3 * k].reshape(3, k) for start in (0, 3 * k, 6 * k)]
+
+
+def _staging(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two disjoint uint8 arrays of ``size <= 3 * _BLOCK`` bytes from this
+    thread's workspace, past the block arrays: a lane body's gathered
+    pixels and their conversion."""
+    staged = _workspace.buffer[9 * _BLOCK :].view(np.uint8)
+    return staged[:size], staged[3 * _BLOCK : 3 * _BLOCK + size]
+
 
 #: Triples per block of the round-trip sweep.  Each part makes its block
 #: arrays once, so they need not stay under the mmap threshold, and fewer
@@ -235,17 +284,17 @@ def apply_matrix_np(
 
     The result goes to ``out``, an (n, 3) uint8 array of any strides, such
     as the pixel bytes of a register view, or to a new array without one.
+    The samples pass ``_BLOCK`` at a time through int32 arrays carved from
+    the calling thread's workspace (``_block_arrays``), so no other array
+    is made, and ``out`` must not lie in the workspace's block arrays.
     """
     n = flat.shape[0]
     if out is None:
         out = np.empty((n, 3), dtype=np.uint8)
-    samples = np.empty((3, min(n, _BLOCK)), dtype=np.int32)
-    acc = np.empty_like(samples)
-    product = np.empty_like(samples)
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
         pixels = flat[block]
-        s, a, p = samples[:, : len(pixels)], acc[:, : len(pixels)], product[:, : len(pixels)]
+        s, a, p = _block_arrays(len(pixels))
         s[...] = pixels.T
         s -= matrix.input_column
         div256_trunc_np(_sums_np(matrix.columns, s, a, product=p), out=a, mask=p)
@@ -299,16 +348,19 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
     the last pixel ignored on input and zero on output.  The body converts
     a one-pixel register's bytes in place, reading the input-register view
     and writing the zero-filled output-register view; wider registers are
-    gathered into one contiguous (pixels, 3) array, converted, and stored
-    back, both by ``_copy_groups``.  Kernels are not
-    cached: building one costs a few microseconds, far less than the
-    smallest image run it serves, and a cache would keep every custom
-    matrix's kernel alive.  A lane count without a calibrated ``ei<lanes>``
-    mode raises UnknownKernelConfig.
+    gathered, up to ``_BLOCK`` pixels at a time, into one contiguous
+    (pixels, 3) array in the thread's workspace (``_staging``), converted
+    into the other, and stored back, both by ``_copy_groups``.  The output
+    is a fresh array, which the caller owns.  Kernels are not cached:
+    building one costs a few microseconds, far less than the smallest
+    image run it serves, and a cache would keep every custom matrix's
+    kernel alive.  A lane count without a calibrated ``ei<lanes>`` mode
+    raises UnknownKernelConfig.
     """
     (ledger,) = cycle_model.calibrated_shape("yiq", f"ei{lanes}").ledgers
     span = 3 * lanes
     registers = -(-span // WR_BYTES)
+    step = _BLOCK // lanes
 
     def body(inputs, iram):
         invocations = len(inputs)
@@ -317,10 +369,13 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
         if lanes == 1:
             apply_matrix_np(pixels, matrix, out=out[:, :span])
         else:
-            flat = np.empty((invocations, span), dtype=np.uint8)
-            _copy_groups(flat, pixels)
-            converted = apply_matrix_np(flat.reshape(-1, 3), matrix)
-            _copy_groups(out[:, :span], converted.reshape(invocations, span))
+            for start in range(0, invocations, step):
+                chunk = slice(start, start + step)
+                count = len(pixels[chunk])
+                flat, converted = _staging(count * span)
+                _copy_groups(flat.reshape(count, span), pixels[chunk])
+                apply_matrix_np(flat.reshape(-1, 3), matrix, out=converted.reshape(-1, 3))
+                _copy_groups(out[chunk, :span], converted.reshape(count, span))
         return out.reshape(invocations, registers, WR_BYTES)
 
     return ExtensionInstruction(
@@ -337,6 +392,14 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
 CONVERT_MODES = cycle_model.FAMILY_MODES["yiq"]
 
 
+def _batch_groups(ei: ExtensionInstruction, lanes: int) -> int:
+    """Lane groups per batch of a conversion: a block's ``_BLOCK // lanes``,
+    but fewer where a batch's input or output registers would reach
+    ``_REGISTER_LIMIT`` bytes."""
+    widest = max(ei.n_inputs, ei.n_outputs) * WR_BYTES
+    return min(_BLOCK // lanes, (_REGISTER_LIMIT - 1) // widest)
+
+
 def convert_image(
     img: ImageBuffer,
     matrix: ConversionMatrix,
@@ -347,8 +410,9 @@ def convert_image(
     """Convert a 3-channel image; optionally cost the run.
 
     Output samples are identical across all modes.  Every mode issues its
-    whole lane groups (``KernelShape.split``) and converts the tail on the
-    batch path; without lanes the tail is the whole image.  With a profile
+    whole lane groups (``KernelShape.split``), ``_batch_groups`` at a time,
+    and converts the tail on the batch path; without lanes the tail is the
+    whole image.  With a profile
     the cycle report is filled from the cost model, which must agree with
     the invocations executed (``cycle_model.checked_report``); without one
     the report is None.
@@ -372,7 +436,7 @@ def convert_image(
     if groups:
         ei = matrix_ei(matrix, lanes)
         span = 3 * lanes
-        step = _BLOCK // lanes
+        step = _batch_groups(ei, lanes)
         pixels = flat[:head].reshape(groups, span)
         results = out[:head].reshape(groups, span)
         # Bytes past the last pixel are never written, so they stay zero.
@@ -382,8 +446,8 @@ def convert_image(
             count = len(pixels[block])
             _copy_groups(registers[:count, :span], pixels[block])
             batch = registers[:count].reshape(count, ei.n_inputs, WR_BYTES)
-            outputs = ei_execute_batch(ei, batch, log=log)
-            _copy_groups(results[block], outputs.reshape(count, ei.n_outputs * WR_BYTES)[:, :span])
+            # Bound to no name, a batch's outputs are freed before the next batch makes its own.
+            _copy_groups(results[block], ei_execute_batch(ei, batch, log=log).reshape(count, -1)[:, :span])
     if tail:
         apply_matrix_np(flat[head:], matrix, out=out[head:])
 

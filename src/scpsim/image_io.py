@@ -162,22 +162,21 @@ def to_gray(img: ImageBuffer) -> ImageBuffer:
     Y channel of ``colorspace.RGB2YIQ``.  That row has no output offset and
     is clamped straight after the divide, so it divides with
     ``div256_clamp_u8_np``.  The frame is converted in passes of
-    ``colorspace._BLOCK`` pixels, in int32 arrays made once per call, and
-    each pass is written straight into the uint8 output, so the working
-    memory is one block's, not the frame's."""
+    ``colorspace._BLOCK`` pixels, in int32 arrays carved from the calling
+    thread's block workspace (``colorspace._block_arrays``), and each pass
+    is written straight into the uint8 output, so the only array made per
+    call is the output."""
     # Imported here because colorspace imports this module.
-    from .colorspace import _BLOCK, RGB2YIQ, _sums_np
+    from .colorspace import _BLOCK, RGB2YIQ, _block_arrays, _sums_np
 
     if img.channels != 3:
         raise ChannelMismatch(f"to_gray needs 3 channels, got {img.channels}")
     flat = img.samples.reshape(-1, 3)
     y = np.empty(len(flat), dtype=np.uint8)
-    samples = np.empty((3, min(len(flat), _BLOCK)), dtype=np.int32)
-    luma = np.empty_like(samples[:1])
     for start in range(0, len(flat), _BLOCK):
         pixels = flat[start : start + _BLOCK]
-        s = samples[:, : len(pixels)]
-        s[...] = pixels.T
-        block = _sums_np(RGB2YIQ.columns[:, :1], s, luma[:, : len(pixels)])[0]
+        samples, sums, _ = _block_arrays(len(pixels))
+        samples[...] = pixels.T
+        block = _sums_np(RGB2YIQ.columns[:, :1], samples, sums[:1])[0]
         y[start : start + len(pixels)] = div256_clamp_u8_np(block, out=block)
     return ImageBuffer(width=img.width, height=img.height, channels=1, samples=y)

@@ -32,7 +32,7 @@ from scpsim.colorspace import (
     yiq_to_rgb_px,
 )
 from scpsim.fixed_point import COEFF_LIMIT, OFFSET_LIMIT, clamp_u8, div256_trunc, mul_acc3
-from scpsim.image_io import ChannelMismatch, ImageBuffer
+from scpsim.image_io import ChannelMismatch, ImageBuffer, to_gray
 from scpsim.fabric import (
     InvocationLog,
     WideRegister,
@@ -398,7 +398,8 @@ def _assert_frame_equal(frame, got, want, what):
         pytest.fail(f"{what}: rgb {frame[k]}: got {got[k]}, oracle {want[k]}")
 
 
-@pytest.mark.parametrize("matrix", [RGB2YIQ, WIDEST_ACCUMULATOR], ids=lambda m: m.name)
+# YIQ2RGB is the one built-in matrix with input offsets.
+@pytest.mark.parametrize("matrix", [RGB2YIQ, YIQ2RGB, WIDEST_ACCUMULATOR], ids=lambda m: m.name)
 def test_apply_matrix_np_over_every_rgb_triple(matrix):
     got = np.empty((256 * 256, 3), dtype=np.uint8)
     for frame, want in _cube_frames(matrix):
@@ -408,12 +409,14 @@ def test_apply_matrix_np_over_every_rgb_triple(matrix):
 
 def test_lane_modes_over_every_rgb_triple():
     # Each lane mode's register packing, kernel body and tail over the full
-    # cube; 65536 pixels leave a tail of one pixel in ei5.
-    for frame, want in _cube_frames(RGB2YIQ):
-        img = ImageBuffer(width=256, height=256, channels=3, samples=frame)
-        for mode in ("ei1", "ei5", "ei8"):
-            out, _ = convert_image(img, RGB2YIQ, mode)
-            _assert_frame_equal(frame, out.samples.reshape(-1, 3), want, mode)
+    # cube; 65536 pixels leave a tail of one pixel in ei5.  YIQ2RGB, with
+    # its input offsets, runs in ei8, whose body stages its pixels.
+    for matrix, modes in ((RGB2YIQ, ("ei1", "ei5", "ei8")), (YIQ2RGB, ("ei8",))):
+        for frame, want in _cube_frames(matrix):
+            img = ImageBuffer(width=256, height=256, channels=3, samples=frame)
+            for mode in modes:
+                out, _ = convert_image(img, matrix, mode)
+                _assert_frame_equal(frame, out.samples.reshape(-1, 3), want, f"{matrix.name} {mode}")
 
 
 #: Enough invocations for a kernel body's group copies to leave the 2-D path.
@@ -483,6 +486,114 @@ def test_images_smaller_than_a_lane_group_take_the_scalar_tail(mode):
         out, _ = convert_image(ImageBuffer.from_array(pixels[None]), RGB2YIQ, mode, log=log)
         assert out.samples.reshape(-1, 3).tolist() == [list(convert_px(RGB2YIQ, p)) for p in pixels]
         assert log.total == n // lanes
+
+
+# ------------------------------------------------------------ block workspace
+
+
+def _batch_step(mode):
+    """A mode's lanes, and its groups per batch; without lanes, pixels per block."""
+    lanes = cycle_model.mode_lanes(mode)
+    return lanes, colorspace._batch_groups(matrix_ei(RGB2YIQ, lanes), lanes) if lanes else colorspace._BLOCK
+
+
+@pytest.mark.parametrize("mode", CONVERT_MODES)
+def test_batches_of_one_step_either_side_match_the_oracle(mode):
+    # Frames of step - 1, step and step + 1 groups (pixels, without lanes),
+    # with a tail pixel where a group holds more than one: the last batch
+    # is one group short, exactly full, or holds one group.
+    lanes, step = _batch_step(mode)
+    per_group = max(lanes, 1)
+    rng = np.random.default_rng(step)
+    for groups in (step - 1, step, step + 1):
+        n = groups * per_group + (lanes > 1)
+        flat = rng.integers(0, 256, (n, 3), dtype=np.uint8)
+        edges = sorted({k for edge in (0, step * per_group, n) for k in range(edge - 4, edge + 4) if 0 <= k < n})
+        log = InvocationLog()
+        out, _ = convert_image(ImageBuffer(width=n, height=1, channels=3, samples=flat), YIQ2RGB, mode, log=log)
+        got = out.samples.reshape(-1, 3)
+        assert got[edges].tolist() == [list(convert_px(YIQ2RGB, flat[k])) for k in edges]
+        sliced = np.concatenate([apply_matrix_np(flat[s : s + 4099], YIQ2RGB) for s in range(0, n, 4099)])
+        assert np.array_equal(got, sliced)
+        assert log.total == (groups if lanes else 0)
+
+
+@pytest.mark.parametrize("mode", ["ei1", "ei5", "ei8"])
+def test_lane_batches_stay_under_the_register_limit(monkeypatch, mode):
+    # A batch holds _BLOCK // lanes groups unless its input or output
+    # registers would reach 128 KiB, glibc's default mmap threshold: at 16
+    # bytes a group, ei1 reaches it, and at 32 bytes, ei8 does.
+    lanes = cycle_model.mode_lanes(mode)
+    width = 16 * matrix_ei(RGB2YIQ, lanes).n_inputs
+    step = min(colorspace._BLOCK // lanes, (128 * 1024 - 1) // width)
+    batches = []
+    issue = colorspace.ei_execute_batch
+
+    def recording(ei, registers, log=None):
+        outputs = issue(ei, registers, log=log)
+        batches.append((registers.nbytes, outputs.nbytes))
+        return outputs
+
+    monkeypatch.setattr(colorspace, "ei_execute_batch", recording)
+    n = 3 * colorspace._BLOCK
+    img = ImageBuffer(width=n, height=1, channels=3, samples=np.zeros(3 * n, dtype=np.uint8))
+    convert_image(img, RGB2YIQ, mode)
+    groups = n // lanes
+    want = [step * width] * (groups // step) + [groups % step * width] * (groups % step > 0)
+    assert batches == [(nbytes, nbytes) for nbytes in want]
+    assert max(max(batch) for batch in batches) < 128 * 1024
+
+
+@pytest.mark.parametrize("mode", CONVERT_MODES)
+def test_a_steady_conversion_allocates_only_its_result_and_one_batch(mode):
+    # Every block array lives in the thread's workspace, made once per
+    # thread; a second call makes only the result image and, in a lane
+    # mode, one batch's input and output registers at a time.
+    img = ImageBuffer.from_array(np.random.default_rng(7).integers(0, 256, (200, 320, 3), dtype=np.uint8))
+    lanes, step = _batch_step(mode)
+    registers = 2 * 16 * matrix_ei(RGB2YIQ, lanes).n_inputs * step if lanes else 0
+    convert_image(img, RGB2YIQ, mode)
+    tracemalloc.start()
+    try:
+        convert_image(img, RGB2YIQ, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < img.samples.nbytes + registers + 16 * 1024
+
+
+def test_each_thread_converts_in_its_own_workspace():
+    # Three threads convert different frames at once, handing the GIL over
+    # every few microseconds; with one workspace for all of them, one
+    # thread's block arrays would be overwritten by another's.
+    palette = np.random.default_rng(29).integers(0, 256, (256, 3), dtype=np.uint8)
+    want = {m: np.array([convert_px(m, p) for p in palette], dtype=np.uint8) for m in (RGB2YIQ, YIQ2RGB)}
+    n = colorspace._BLOCK + colorspace._BLOCK // 2 + 3
+    wrong = []
+
+    def convert(seed):
+        index = np.random.default_rng(seed).integers(0, 256, n)
+        img = ImageBuffer(width=n, height=1, channels=3, samples=palette[index])
+        for _ in range(2):
+            for matrix in (RGB2YIQ, YIQ2RGB):
+                for mode in CONVERT_MODES:
+                    out, _ = convert_image(img, matrix, mode)
+                    if not np.array_equal(out.samples.reshape(-1, 3), want[matrix][index]):
+                        wrong.append((seed, matrix.name, mode))
+            if not np.array_equal(to_gray(img).samples, want[RGB2YIQ][index, 0]):
+                wrong.append((seed, "gray"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=convert, args=(seed,)) for seed in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_convert_image_report_fields():
@@ -653,8 +764,10 @@ def test_steady_state_blocks_do_not_page_fault():
     )
     sweep, *calls = map(int, run.stdout.split())
     assert sweep < 4 * 64
-    # A 320x200 frame is 8 ei1 blocks, which take about 300 faults a call;
-    # one batch per image, with 1 MB register arrays, took about 750.
+    # A 320x200 frame is 8 ei1 batches, each under 128 KiB, with their
+    # block arrays in the workspace: on a 2-vCPU Linux host a steady call
+    # took no fault, against 136 with three 96 KiB block arrays per batch
+    # and about 750 with one batch of 1 MB register arrays per image.
     assert max(calls[1:]) < 500
 
 

@@ -825,7 +825,7 @@ def test_lanes_that_own_their_banks_skip_the_row_sort(monkeypatch):
 
 def test_each_image_runs_each_kernel_body_once_per_batch(monkeypatch):
     # A kernel that fell back to one body call per invocation would show here, not in a timing.
-    # A conversion issues one batch per lane block of colorspace._BLOCK // lanes groups.
+    # A conversion issues one batch per colorspace._batch_groups of lane groups.
     from scpsim import colorspace, cycle_model, histeq
     from scpsim.image_io import ImageBuffer
 
@@ -852,7 +852,8 @@ def test_each_image_runs_each_kernel_body_once_per_batch(monkeypatch):
 
     def convert(lanes):
         groups = rgb.width * rgb.height // lanes
-        lane_blocks = -(-groups // (colorspace._BLOCK // lanes))
+        step = colorspace._batch_groups(build(colorspace.RGB2YIQ, lanes), lanes)
+        lane_blocks = -(-groups // step)
         run = partial(colorspace.convert_image, rgb, colorspace.RGB2YIQ, f"ei{lanes}")
         return run, {f"rgb2yiq_x{lanes}": lane_blocks}
 

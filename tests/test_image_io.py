@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scpsim import colorspace
 from scpsim.colorspace import RGB2YIQ, convert_px
 from scpsim.image_io import (
     ChannelMismatch,
@@ -162,8 +163,10 @@ def test_to_gray_uses_luminance_row():
 def test_to_gray_is_the_forward_luma_row():
     rng = np.random.default_rng(21)
     extremes = np.array(list(itertools.product((0, 1, 254, 255), repeat=3)), dtype=np.uint8)
-    # 8192 pixels is one pass of the vectorized core (colorspace._BLOCK).
-    frames = [rng.integers(0, 256, (n, 3), dtype=np.uint8) for n in (500, 8191, 8192, 8193, 16385)]
+    # One pass of the vectorized core is colorspace._BLOCK pixels.
+    block = colorspace._BLOCK
+    sizes = (500, block - 1, block, block + 1, 2 * block + 1)
+    frames = [rng.integers(0, 256, (n, 3), dtype=np.uint8) for n in sizes]
     for flat in (*frames, extremes):
         img = ImageBuffer(width=len(flat), height=1, channels=3, samples=flat.ravel())
         assert to_gray(img).samples.tolist() == [convert_px(RGB2YIQ, p)[0] for p in flat]

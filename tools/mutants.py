@@ -25,7 +25,7 @@ Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
 
-On a 2-core host, 87 mutants took 1.1-9.1 s each and 2 min 20 s in all,
+On a 2-core host, 90 mutants took 1.1-11.5 s each and 2 min 27 s in all,
 where 79 had taken 1 min 55 s on the same host, against 3 min 25 s for 80
 judged one at a time.  Shrinking made one
 mutant take 6.7-36 s without the profile, and 47 took 3 min 17 s;
@@ -197,9 +197,16 @@ MUTANTS = (
     Mutant("lane-walk-skips-last-block", COLORSPACE,
            "for start in range(0, groups, step):", "for start in range(0, groups - step, step):"),
     Mutant("lane-block-drops-last-group", COLORSPACE,
-           "_copy_groups(results[block], outputs.reshape(count, ei.n_outputs * WR_BYTES)[:, :span])",
+           "_copy_groups(results[block], ei_execute_batch(ei, batch, log=log).reshape(count, -1)[:, :span])",
            "_copy_groups(results[start : start + count - 1], "
-           "outputs.reshape(count, ei.n_outputs * WR_BYTES)[:-1, :span])"),
+           "ei_execute_batch(ei, batch, log=log).reshape(count, -1)[:-1, :span])"),
+    Mutant("lane-batch-crosses-the-register-cap", COLORSPACE,
+           "min(_BLOCK // lanes, (_REGISTER_LIMIT - 1) // widest)", "_BLOCK // lanes"),
+    # One block workspace per thread, carved into disjoint arrays.
+    Mutant("workspace-shared-by-threads", COLORSPACE,
+           "class _Workspace(threading.local):", "class _Workspace:"),
+    Mutant("workspace-arrays-overlap", COLORSPACE,
+           "for start in (0, 3 * k, 6 * k)]", "for start in (0, 3 * k, 0)]"),
     # Register traffic: group copies and the kernel body's output.
     Mutant("one-pixel-copy-skips-a-channel", COLORSPACE,
            "for c in range(3):", "for c in range(2):"),
