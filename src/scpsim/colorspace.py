@@ -8,30 +8,38 @@ unsigned bytes: luma/chroma images and wide registers store i and q
 offset by 128, while the scalar conversion functions keep them at full
 signed precision.
 
-Two cores compute the same integer sum of products and the same
-truncating divide, so they are bit-identical: ``_affine_px`` on one
-pixel, under the scalar functions (``convert_px`` is the reference), and
-``apply_matrix_np`` on ``(3, n)`` int32 sample blocks (every accumulator
-is below 2^20; see ``OFFSET_LIMIT``): ``_sums_np``, the one vectorized
-sum of products, then the divide.  Each block holds at most ``_BLOCK``
-samples, in compact arrays carved from the calling thread's block
-workspace (``_Workspace``); the products are summed, divided and clamped
-in those arrays, so no block-sized array is made per call or per batch,
-and threads that convert at once each carve their own.  The core's int32
-matrix and offset columns are built once per matrix, at construction.
-``apply_matrix_np`` is the plain-processor "scalar mode" for images and
-the body of every fabric kernel, which processes 1, 5, or 8 pixels per
-invocation; ``convert_image`` issues a lane mode's invocations one batch
-per ``_BLOCK // lanes`` groups, or fewer where a batch's registers would
-reach 128 KiB (``_batch_groups``).  The kernel body of a one-pixel
-register converts straight from the input-register view into the
-output-register view; a wider one gathers its pixels into the workspace
-and converts them there.  So the arrays a conversion makes are its
-result image, its input registers and each batch's output registers,
-which the body contract gives to the caller.  Lane groups are packed and
-unpacked without a 2-D copy of a few bytes per row, which numpy makes one
-row at a time: many one-pixel groups move as three channel columns, many
-wider ones as one span-byte item each (``_copy_groups``).
+Two cores give every pixel the same quotients, so they are bit-identical.
+``_affine_px``, under the scalar functions (``convert_px`` is the
+reference), sums one pixel's integer products (``mul_acc3``) and divides
+by 256 truncating (``div256_trunc``).  ``apply_matrix_np`` converts
+``(3, n)`` sample blocks: one float32 ``np.matmul`` of the matrix's
+``coeffs / 256`` (``ConversionMatrix.scaled``) with the samples, less
+their input offset, then a cast to int32, which truncates toward zero.
+The product is exact, not rounded: every coefficient over 256 is a
+multiple of 2^-8 below 2^2 in magnitude and every sample an integer
+below 2^9, so each product and partial sum is a multiple of 2^-8 below
+2^12 (every accumulator is below 2^20; see ``OFFSET_LIMIT``).  That is at
+most 20 significant bits, float32 has 24, so the sum is exactly the
+accumulator over 256 in any order of summation.  Each block holds at most
+``_BLOCK`` samples, in compact arrays carved from the calling thread's
+block workspace (``_Workspace``); the samples are multiplied, cast and
+clamped in those arrays, so no block-sized array is made per call or per
+batch, and threads that convert at once each carve their own.  The
+core's matrices and offset columns are built once per matrix, at
+construction.  ``apply_matrix_np`` is the plain-processor "scalar mode"
+for images and the body of every fabric kernel, which processes 1, 5, or
+8 pixels per invocation; ``convert_image`` issues a lane mode's
+invocations one batch per ``_BLOCK // lanes`` groups, or fewer where a
+batch's registers would reach 128 KiB (``_batch_groups``).  The kernel
+body of a one-pixel register converts straight from the input-register
+view into the output-register view; a wider one gathers its pixels into
+the workspace and converts them there.  So the arrays a conversion makes
+are its result image, its input registers and each batch's output
+registers, which the body contract gives to the caller.  Lane groups are
+packed and unpacked without a 2-D copy of a few bytes per row, which
+numpy makes one row at a time: many one-pixel groups move as three
+channel columns, many wider ones as one span-byte item each
+(``_copy_groups``).
 
 The round-trip sweep steps through all 2^24 RGB triples in ascending
 (r, g, b) order, one ``_SWEEP_BLOCK`` at a time, and finishes every block
@@ -113,9 +121,9 @@ _REGISTER_LIMIT = 128 * 1024
 
 class _Workspace(threading.local):
     """One thread's block arrays for the convert path: one flat int32
-    buffer, from which a call carves a block's compact (3, k) int32
-    samples, sums and product (``_block_arrays``) and, past them, a lane
-    body's two uint8 staging arrays (``_staging``), all disjoint.
+    buffer, from which a call carves a block's three compact (3, k) int32
+    arrays (``_block_arrays``) and, past them, a lane body's two uint8
+    staging arrays (``_staging``), all disjoint.
 
     Each thread gets its own buffer when it first touches the workspace,
     the importing thread at import; a page of it is touched only when a
@@ -131,9 +139,12 @@ _workspace = _Workspace()
 
 
 def _block_arrays(k: int) -> list[np.ndarray]:
-    """This thread's compact (3, k) int32 samples, sums and product for a
-    block of ``k <= _BLOCK`` samples, carved one after another from its
-    workspace."""
+    """This thread's three compact (3, k) int32 arrays for a block of
+    ``k <= _BLOCK`` samples, carved one after another from its workspace:
+    the samples and two more.  ``apply_matrix_np`` views those two as
+    float32, for its float samples and its quotients, and casts the
+    quotients back into the first of them; ``image_io.to_gray`` sums luma
+    in it."""
     buffer = _workspace.buffer
     return [buffer[start : start + 3 * k].reshape(3, k) for start in (0, 3 * k, 6 * k)]
 
@@ -167,8 +178,13 @@ class ConversionMatrix:
 
     ``coeffs`` are scaled by 256.  ``input_offset`` is subtracted from
     each incoming byte before the multiply; ``output_offset`` is added
-    after the truncating divide, before saturation.  The read-only int32
-    ``columns``, ``input_column`` and ``output_column`` are built from them.
+    after the truncating divide, before saturation.  Built from them, once
+    per matrix and read-only: the int32 ``columns``, ``input_column`` and
+    ``output_column``; ``scaled``, the float32 matrix ``coeffs / 256``,
+    which holds every coefficient exactly (a multiple of 2^-8 of magnitude
+    at most 2); and ``shifts_input`` and ``shifts_output``, whether an
+    offset is non-zero, so that ``apply_matrix_np`` skips the pass of an
+    all-zero one.
     """
 
     name: str
@@ -178,6 +194,9 @@ class ConversionMatrix:
     columns: np.ndarray = field(init=False, repr=False, compare=False)
     input_column: np.ndarray = field(init=False, repr=False, compare=False)
     output_column: np.ndarray = field(init=False, repr=False, compare=False)
+    scaled: np.ndarray = field(init=False, repr=False, compare=False)
+    shifts_input: bool = field(init=False, repr=False, compare=False)
+    shifts_output: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != 3 or any(len(row) != 3 for row in self.coeffs):
@@ -198,6 +217,11 @@ class ConversionMatrix:
             array = np.array(value, dtype=np.int32).T[..., None]
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        scaled = np.array(self.coeffs, dtype=np.float32) / 256
+        scaled.flags.writeable = False
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "shifts_input", any(self.input_offset))
+        object.__setattr__(self, "shifts_output", any(self.output_offset))
 
 
 RGB2YIQ = ConversionMatrix(
@@ -284,9 +308,25 @@ def apply_matrix_np(
 
     The result goes to ``out``, an (n, 3) uint8 array of any strides, such
     as the pixel bytes of a register view, or to a new array without one.
-    The samples pass ``_BLOCK`` at a time through int32 arrays carved from
-    the calling thread's workspace (``_block_arrays``), so no other array
-    is made, and ``out`` must not lie in the workspace's block arrays.
+    The samples pass ``_BLOCK`` at a time through arrays carved from the
+    calling thread's workspace (``_block_arrays``), so no other array is
+    made, and ``out`` must not lie in the workspace's block arrays.
+
+    A block's int32 samples, less the input offset, are cast to float32
+    in the second block array and multiplied by ``matrix.scaled`` in one
+    ``np.matmul``, into the third; the quotients are cast back into the
+    second, as int32.  Each row's quotient is exactly its ``mul_acc3``
+    sum over 256: a coefficient over 256 is a multiple of 2^-8 below 2^2
+    in magnitude and a sample is an integer below 2^9, so each product
+    and partial sum is a multiple of 2^-8 below 2^12 (|acc| < 2^20, see
+    ``OFFSET_LIMIT``), at most 20 significant bits, and float32 holds 24.
+    So the product is exact in any order of summation, with or without
+    fused multiply-adds, and the cast, which truncates toward zero, is
+    ``div256_trunc``.  An all-zero offset's pass is skipped, as the
+    matrix decides once (``shifts_input``, ``shifts_output``).  A block's
+    product is too small for the BLAS to split it over threads: over 300
+    steady scalar conversions of a 320x200 frame, process time over wall
+    time read 0.97-1.00 (2-CPU host, numpy 2.4 with OpenBLAS 0.3.31).
     """
     n = flat.shape[0]
     if out is None:
@@ -296,9 +336,14 @@ def apply_matrix_np(
         pixels = flat[block]
         s, a, p = _block_arrays(len(pixels))
         s[...] = pixels.T
-        s -= matrix.input_column
-        div256_trunc_np(_sums_np(matrix.columns, s, a, product=p), out=a, mask=p)
-        a += matrix.output_column
+        if matrix.shifts_input:
+            s -= matrix.input_column
+        samples, quotients = a.view(np.float32), p.view(np.float32)
+        samples[...] = s
+        np.matmul(matrix.scaled, samples, out=quotients)
+        a[...] = quotients
+        if matrix.shifts_output:
+            a += matrix.output_column
         clamp_u8_np(a, out=a)
         for channel, row in enumerate(a):
             out[block, channel] = row

@@ -1,11 +1,18 @@
 """Integer-only arithmetic primitives shared by every conversion kernel.
 
 All pixel math in this package runs on signed integers scaled by 256,
-with C-style division that truncates toward zero.  Keeping the
-primitives here, in one place, is what makes the scalar reference path,
-the numpy batch path, and the fabric kernels bit-identical: both paths
-divide and saturate with the functions below, and the batch path sums
-the same integer products as ``mul_acc3``, in place.
+with C-style division that truncates toward zero.  The scalar reference
+path sums its products with ``mul_acc3`` and divides with
+``div256_trunc``.  The batch path under the fabric kernels
+(``colorspace.apply_matrix_np``) takes the same quotients from one
+float32 matrix product of ``coeffs / 256`` with the samples, which is
+exact because ``COEFF_LIMIT`` and ``OFFSET_LIMIT`` keep every product and
+partial sum a multiple of 2^-8 below 2^12, within float32's 24-bit
+significand, and from a cast to int32, which truncates toward zero as
+``div256_trunc`` does.  Both paths saturate with the clamps below.  The
+round-trip sweep and ``image_io.to_gray`` sum integer products as
+``mul_acc3`` does and divide with ``div256_trunc_np`` or
+``div256_clamp_u8_np``.
 
 Truncation matters only where a negative quotient survives.  A quotient
 clamped to a byte straight after the divide may take a floor shift
@@ -24,8 +31,9 @@ import numpy as np
 COEFF_LIMIT = 512
 #: Largest magnitude of a per-channel input or output offset: enough to
 #: move any byte anywhere in [0, 255].  With it a sample less its offset
-#: has |s| <= 510, so an accumulator has |acc| <= 3 * 512 * 510 < 2^20 and
-#: the int32 batch path cannot overflow.
+#: has |s| <= 510, so an accumulator has |acc| <= 3 * 512 * 510 < 2^20:
+#: int32 sums cannot overflow, and acc / 256, a multiple of 2^-8 below
+#: 2^12, is exact in float32.
 OFFSET_LIMIT = 255
 
 

@@ -156,9 +156,31 @@ def test_compiled_core_is_read_only():
     assert RGB2YIQ.columns[:, :, 0].T.tolist() == [list(row) for row in RGB2YIQ.coeffs]
     assert YIQ2RGB.input_column[:, 0].tolist() == [0, 128, 128]
     assert YIQ2RGB.output_column[:, 0].tolist() == [0, 0, 0]
-    for array in (RGB2YIQ.columns, RGB2YIQ.input_column, RGB2YIQ.output_column):
+    assert RGB2YIQ.scaled.dtype == np.float32 and RGB2YIQ.scaled.flags.c_contiguous
+    for array in (RGB2YIQ.columns, RGB2YIQ.input_column, RGB2YIQ.output_column, RGB2YIQ.scaled):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
+
+
+def test_offset_passes_are_skipped_only_for_all_zero_offsets():
+    passes = {m.name: (m.shifts_input, m.shifts_output) for m in (RGB2YIQ, YIQ2RGB, RGB2CMY)}
+    assert passes == {"rgb2yiq": (False, True), "yiq2rgb": (True, False), "rgb2cmy": (False, True)}
+    one_each = ConversionMatrix("one", RGB2YIQ.coeffs, input_offset=(0, 0, -1), output_offset=(1, 0, 0))
+    assert (one_each.shifts_input, one_each.shifts_output) == (True, True)
+
+
+def test_the_float32_core_is_exact():
+    # A coefficient over 256 is a multiple of 2^-8; so is every product
+    # with an integer sample, and every partial sum of three.  The widest
+    # such sum the limits allow, over 256, must keep its 2^-8 bit inside
+    # float32's 24-bit significand: below 2^(24 - 8).
+    widest = 3 * COEFF_LIMIT * (255 + OFFSET_LIMIT)
+    assert widest < 2**20 and widest / 256 < 2 ** (24 - 8)
+    for acc in (widest, widest - 1, -widest + 1, COEFF_LIMIT * (255 + OFFSET_LIMIT) - 1):
+        assert float(np.float32(acc / 256)) * 256 == acc
+    for matrix in (RGB2YIQ, YIQ2RGB, RGB2CMY):
+        assert matrix.scaled.dtype == np.float32
+        assert (matrix.scaled.astype(np.float64) * 256).tolist() == [list(row) for row in matrix.coeffs]
 
 
 def test_matrices_equal_by_their_fields_are_equal_and_hash_alike():
@@ -398,8 +420,9 @@ def _assert_frame_equal(frame, got, want, what):
         pytest.fail(f"{what}: rgb {frame[k]}: got {got[k]}, oracle {want[k]}")
 
 
-# YIQ2RGB is the one built-in matrix with input offsets.
-@pytest.mark.parametrize("matrix", [RGB2YIQ, YIQ2RGB, WIDEST_ACCUMULATOR], ids=lambda m: m.name)
+# YIQ2RGB is the one built-in matrix with input offsets; RGB2CMY has
+# negative coefficients on the diagonal and a 255 output offset.
+@pytest.mark.parametrize("matrix", [RGB2YIQ, YIQ2RGB, RGB2CMY, WIDEST_ACCUMULATOR], ids=lambda m: m.name)
 def test_apply_matrix_np_over_every_rgb_triple(matrix):
     got = np.empty((256 * 256, 3), dtype=np.uint8)
     for frame, want in _cube_frames(matrix):

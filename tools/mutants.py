@@ -145,6 +145,17 @@ MUTANTS = (
            "(self.coeffs, self.output_offset, self.input_offset)"),
     Mutant("compiled-columns-are-rows", COLORSPACE,
            "np.array(value, dtype=np.int32).T[..., None]", "np.array(value, dtype=np.int32)[..., None]"),
+    # The exact float32 core: coeffs / 256 in one matmul, truncated by the cast.
+    Mutant("scaled-matrix-transposed", COLORSPACE,
+           "np.array(self.coeffs, dtype=np.float32) / 256", "np.array(self.coeffs, dtype=np.float32).T / 256"),
+    Mutant("scaled-by-255", COLORSPACE,
+           "np.array(self.coeffs, dtype=np.float32) / 256", "np.array(self.coeffs, dtype=np.float32) / 255"),
+    Mutant("quotient-floors", COLORSPACE, "a[...] = quotients", "a[...] = np.floor(quotients)"),
+    # An offset's pass is skipped only where the matrix's offset is all zero.
+    Mutant("input-offset-pass-skipped", COLORSPACE,
+           '"shifts_input", any(self.input_offset)', '"shifts_input", False'),
+    Mutant("output-offset-pass-skipped", COLORSPACE,
+           '"shifts_output", any(self.output_offset)', '"shifts_output", False'),
     Mutant("gray-takes-the-i-row", "src/scpsim/image_io.py",
            "RGB2YIQ.columns[:, :1]", "RGB2YIQ.columns[:, 1:2]"),
     Mutant("gray-walk-skips-last-block", "src/scpsim/image_io.py",
@@ -174,7 +185,7 @@ MUTANTS = (
            "np.maximum(per_ch, block_max, out=per_ch)", "per_ch[...] = block_max"),
     # Scratch arrays reused in the block loops: each must be dead where it is written.
     Mutant("apply-product-overwrites-the-samples", COLORSPACE,
-           "_sums_np(matrix.columns, s, a, product=p)", "_sums_np(matrix.columns, s, a, product=s)"),
+           "np.matmul(matrix.scaled, samples, out=quotients)", "np.matmul(matrix.scaled, samples, out=samples)"),
     Mutant("sweep-product-overwrites-the-yiq-rows", COLORSPACE,
            "_sums_np(reverse, yiq, err, product=sums)", "_sums_np(reverse, yiq, err, product=yiq)"),
     # The sweep's parts by red value, combined in ascending red order.
@@ -206,7 +217,7 @@ MUTANTS = (
     Mutant("workspace-shared-by-threads", COLORSPACE,
            "class _Workspace(threading.local):", "class _Workspace:"),
     Mutant("workspace-arrays-overlap", COLORSPACE,
-           "for start in (0, 3 * k, 6 * k)]", "for start in (0, 3 * k, 0)]"),
+           "for start in (0, 3 * k, 6 * k)]", "for start in (0, 3 * k, 3 * k)]"),
     # Register traffic: group copies and the kernel body's output.
     Mutant("one-pixel-copy-skips-a-channel", COLORSPACE,
            "for c in range(3):", "for c in range(2):"),
