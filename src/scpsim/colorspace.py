@@ -11,49 +11,51 @@ signed precision.
 Two cores give every pixel the same quotients, so they are bit-identical.
 ``_affine_px``, under the scalar functions (``convert_px`` is the
 reference), sums one pixel's integer products (``mul_acc3``) and divides
-by 256 truncating (``div256_trunc``).  ``apply_matrix_np`` converts
-``(3, n)`` sample blocks: one float32 ``np.matmul`` of the matrix's
-``coeffs / 256`` (``ConversionMatrix.scaled``) with the samples, less
-their input offset, then a cast to int32, which truncates toward zero.
-The product is exact, not rounded: every coefficient over 256 is a
-multiple of 2^-8 below 2^2 in magnitude and every sample an integer
-below 2^9, so each product and partial sum is a multiple of 2^-8 below
-2^12 (every accumulator is below 2^20; see ``OFFSET_LIMIT``).  That is at
-most 20 significant bits, float32 has 24, so the sum is exactly the
-accumulator over 256 in any order of summation.  Each block holds at most
-``_BLOCK`` samples, in compact arrays carved from the calling thread's
-block workspace (``_Workspace``); the samples are multiplied, cast and
-clamped in those arrays, so no block-sized array is made per call or per
-batch, and threads that convert at once each carve their own.  The
-core's matrices and offset columns are built once per matrix, at
-construction.  ``apply_matrix_np`` is the plain-processor "scalar mode"
-for images and the body of every fabric kernel, which processes 1, 5, or
-8 pixels per invocation; ``convert_image`` issues a lane mode's
-invocations one batch per ``_BLOCK // lanes`` groups, or fewer where a
-batch's registers would reach 128 KiB (``_batch_groups``).  The kernel
-body of a one-pixel register converts straight from the input-register
-view into the output-register view; a wider one gathers its pixels into
-the workspace and converts them there.  So the arrays a conversion makes
-are its result image, its input registers and each batch's output
-registers, which the body contract gives to the caller.  Lane groups are
-packed and unpacked without a 2-D copy of a few bytes per row, which
-numpy makes one row at a time: many one-pixel groups move as three
-channel columns, many wider ones as one span-byte item each
-(``_copy_groups``).
+by 256 truncating (``div256_trunc``).  The vectorized core is one float32
+``np.matmul`` of the matrix's ``coeffs / 256`` (``ConversionMatrix.scaled``)
+with a block of samples, less their input offset; a cast to an integer
+dtype truncates the quotients toward zero, and a clip to [0, 255] before
+that cast is the byte clamp.  The product is exact, not rounded: every
+coefficient over 256 is a multiple of 2^-8 below 2^2 in magnitude and
+every sample an integer below 2^9, so each product and partial sum is a
+multiple of 2^-8 below 2^12 (every accumulator is below 2^20; see
+``OFFSET_LIMIT``).  That is at most 20 significant bits, float32 has 24,
+so the sum is exactly the accumulator over 256 in any order of summation.
+It serves every vectorized map: ``apply_matrix_np``, the round-trip sweep
+and ``image_io.to_gray``.
+
+``apply_matrix_np`` converts ``(n, 3)`` byte samples, ``_BLOCK`` at a
+time, in compact arrays carved from the calling thread's block workspace
+(``_Workspace``); the samples are multiplied, cast and clamped in those
+arrays, so no block-sized array is made per call or per batch, and
+threads that convert at once each carve their own.  The core's matrices
+and offset columns are built once per matrix, at construction.
+``apply_matrix_np`` is the plain-processor "scalar mode" for images and
+the body of every fabric kernel, which processes 1, 5, or 8 pixels per
+invocation; ``convert_image`` issues a lane mode's invocations one batch
+per ``_BLOCK // lanes`` groups, or fewer where a batch's registers would
+reach 128 KiB (``_batch_groups``).  The kernel body of a one-pixel
+register converts straight from the input-register view into the
+output-register view; a wider one gathers its pixels into the workspace
+and converts them there.  So the arrays a conversion makes are its result
+image, its input registers and each batch's output registers, which the
+body contract gives to the caller.  Lane groups are packed and unpacked
+without a 2-D copy of a few bytes per row, which numpy makes one row at a
+time: many one-pixel groups move as three channel columns, many wider
+ones as one span-byte item each (``_copy_groups``).
 
 The round-trip sweep steps through all 2^24 RGB triples in ascending
 (r, g, b) order, one ``_SWEEP_BLOCK`` at a time, and finishes every block
 in one place (``_roundtrip_errors``), in arrays made once per part, with
 no block-sized temporary in the loop, so a part never holds more than one
 block.  Every block of the grid is the first plus a column (r, g, 0), so
-its forward sums are the first block's plus that column's, exactly, by
-linearity (``_rgb_blocks``); the first block and its sums are built once
-per sweep and shared read-only.  Only the I and Q rows take the
-truncating divide: they carry signed chroma with no clamp.  The Y row and
-the three reverse rows are clamped to a byte straight after it, with no
-offset, so they divide with ``div256_clamp_u8_np``'s floor shift, which
-clamps to the same bytes.  Each block's errors are summed in int32, which
-its 3 * 32768 errors of at most 255 cannot overflow.
+its forward quotients are the first block's plus that column's, exactly,
+by linearity (``_rgb_blocks``); the first block and its quotients are
+built once per sweep and shared read-only.  One ``np.trunc`` divides all
+three forward rows; the I and Q rows stay signed, the Y row and the three
+reverse rows are clipped to [0, 255] in float, and the reverse quotients
+are cast into the int32 error array.  Each block's errors are summed in
+int32, which its 3 * 32768 errors of at most 255 cannot overflow.
 
 The sweep is split by red value into ``min(2, CPUs this process may run
 on)`` contiguous parts, part 0 in the calling thread and each other part
@@ -81,18 +83,10 @@ from .fabric import (
     InvocationLog,
     ei_execute_batch,
 )
+from .fixed_point import OFFSET_LIMIT, check_coefficient, clamp_u8, clamp_u8_np, div256_trunc, mul_acc3
 # Unused here; kept for the benchmark tracer, which patches these names.
 from .fabric import ei_execute, ei_validate, wr_pack, wr_unpack  # noqa: F401
-from .fixed_point import (
-    OFFSET_LIMIT,
-    check_coefficient,
-    clamp_u8,
-    clamp_u8_np,
-    div256_clamp_u8_np,
-    div256_trunc,
-    div256_trunc_np,
-    mul_acc3,
-)
+from .fixed_point import div256_trunc_np  # noqa: F401
 from .image_io import ChannelMismatch, ImageBuffer
 
 #: Frozen regression constant: the exact maximum per-channel error of
@@ -143,8 +137,8 @@ def _block_arrays(k: int) -> list[np.ndarray]:
     ``k <= _BLOCK`` samples, carved one after another from its workspace:
     the samples and two more.  ``apply_matrix_np`` views those two as
     float32, for its float samples and its quotients, and casts the
-    quotients back into the first of them; ``image_io.to_gray`` sums luma
-    in it."""
+    quotients back into the first of them; ``image_io.to_gray`` views them
+    the same way for its float samples and luma."""
     buffer = _workspace.buffer
     return [buffer[start : start + 3 * k].reshape(3, k) for start in (0, 3 * k, 6 * k)]
 
@@ -179,7 +173,7 @@ class ConversionMatrix:
     ``coeffs`` are scaled by 256.  ``input_offset`` is subtracted from
     each incoming byte before the multiply; ``output_offset`` is added
     after the truncating divide, before saturation.  Built from them, once
-    per matrix and read-only: the int32 ``columns``, ``input_column`` and
+    per matrix and read-only: the (3, 1) int32 ``input_column`` and
     ``output_column``; ``scaled``, the float32 matrix ``coeffs / 256``,
     which holds every coefficient exactly (a multiple of 2^-8 of magnitude
     at most 2); and ``shifts_input`` and ``shifts_output``, whether an
@@ -191,7 +185,6 @@ class ConversionMatrix:
     coeffs: tuple[tuple[int, int, int], ...]
     input_offset: tuple[int, int, int] = (0, 0, 0)
     output_offset: tuple[int, int, int] = (0, 0, 0)
-    columns: np.ndarray = field(init=False, repr=False, compare=False)
     input_column: np.ndarray = field(init=False, repr=False, compare=False)
     output_column: np.ndarray = field(init=False, repr=False, compare=False)
     scaled: np.ndarray = field(init=False, repr=False, compare=False)
@@ -212,9 +205,8 @@ class ConversionMatrix:
                     f"conversion offsets must be three integers in "
                     f"[-{OFFSET_LIMIT}, {OFFSET_LIMIT}], got {offset!r}"
                 )
-        names = ("columns", "input_column", "output_column")
-        for name, value in zip(names, (self.coeffs, self.input_offset, self.output_offset)):
-            array = np.array(value, dtype=np.int32).T[..., None]
+        for name, value in (("input_column", self.input_offset), ("output_column", self.output_offset)):
+            array = np.array(value, dtype=np.int32)[:, None]
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         scaled = np.array(self.coeffs, dtype=np.float32) / 256
@@ -280,25 +272,6 @@ def convert_px(matrix: ConversionMatrix, p) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # Batch path (plain-processor "scalar mode" for whole images)
 # ---------------------------------------------------------------------------
-
-
-def _sums_np(
-    columns: np.ndarray, samples: np.ndarray, out: np.ndarray, product: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Each matrix row's sum of products with a (3, n) int32 or uint8
-    sample array, offset already taken, before the divide: ``mul_acc3``
-    over the block.  Written to ``out``, an int32 array with one row per
-    matrix row, and returned.  ``columns`` is built once per matrix (``ConversionMatrix``).
-
-    Each column is a (rows, 1) array, so one multiply gives a sample row's
-    products for every output row.  The products are summed in ``out``.
-    The one temporary, a product of ``out``'s shape, is built in
-    ``product`` where one is given, and otherwise outlives no statement.
-    """
-    np.multiply(columns[0], samples[0], out=out)
-    out += np.multiply(columns[1], samples[1], out=product)
-    out += np.multiply(columns[2], samples[2], out=product)
-    return out
 
 
 def apply_matrix_np(
@@ -529,59 +502,65 @@ class _PartResult(NamedTuple):
 def _first_block() -> tuple[np.ndarray, np.ndarray]:
     """The sweep's first block, every (0, g, b) with g < ``_SWEEP_BLOCK //
     256``, as a read-only (3, _SWEEP_BLOCK) uint8 array, and its read-only
-    int32 forward sums (``_sums_np`` of ``RGB2YIQ``)."""
+    float32 forward quotients, the product ``RGB2YIQ.scaled @ first``:
+    each row's ``mul_acc3`` sum over 256, exactly."""
     first = np.indices((1, _SWEEP_BLOCK // 256, 256), dtype=np.uint8).reshape(3, _SWEEP_BLOCK)
-    sums = _sums_np(RGB2YIQ.columns, first, np.empty(first.shape, dtype=np.int32))
-    first.flags.writeable = sums.flags.writeable = False
-    return first, sums
+    quotients = np.matmul(RGB2YIQ.scaled, first.astype(np.float32))
+    first.flags.writeable = quotients.flags.writeable = False
+    return first, quotients
 
 
 def _rgb_blocks(
     reds: range = range(256), first: Optional[tuple[np.ndarray, np.ndarray]] = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every RGB triple with its red in ``reds``, in ascending (r, g, b)
-    order, as (3, _SWEEP_BLOCK) uint8 blocks, each with its int32 forward
-    sums (``_sums_np`` of ``RGB2YIQ``).
+    order, as (3, _SWEEP_BLOCK) uint8 blocks, each with its float32
+    forward quotients (``RGB2YIQ.scaled`` times the block, before any
+    truncation).
 
-    Block (r, g) is the first block plus the column (r, g, 0).  A sum of
-    products before the truncating divide is linear over the integers, so
-    its sums are the first block's plus ``C·(r, g, 0)`` exactly: the first
-    block's sums are computed once, or taken from ``first``
+    Block (r, g) is the first block plus the column (r, g, 0), so by
+    linearity its quotients are the first block's plus ``scaled[:, 0] * r
+    + scaled[:, 1] * g``.  That is exact: every term and partial sum is a
+    multiple of 2^-8 below 2^11, within float32's significand.  The first
+    block's quotients are computed once, or taken from ``first``
     (``_first_block``), and every block costs one broadcast add.  Every
-    block and its sums are written to the same two arrays, so a pair holds
-    only until the next one is drawn.
+    block and its quotients are written to the same two arrays, so a pair
+    holds only until the next one is drawn.
     """
-    forward = RGB2YIQ.columns
+    scaled = RGB2YIQ.scaled
     g_step = _SWEEP_BLOCK // 256
-    first, first_sums = _first_block() if first is None else first
-    block, sums = np.empty_like(first), np.empty_like(first_sums)
+    first, first_quotients = _first_block() if first is None else first
+    block, quotients = np.empty_like(first), np.empty_like(first_quotients)
     for r in reds:
         for g in range(0, 256, g_step):
             np.add(first, np.array([[r], [g], [0]], dtype=np.uint8), out=block)
-            np.add(first_sums, forward[0] * r + forward[1] * g, out=sums)
-            yield block, sums
+            np.add(first_quotients, scaled[:, 0:1] * r + scaled[:, 1:2] * g, out=quotients)
+            yield block, quotients
 
 
 def _roundtrip_errors(
     reds: range = range(256), first: Optional[tuple[np.ndarray, np.ndarray]] = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each RGB block of ``_rgb_blocks(reds, first)``, with the int32
-    per-channel |error| of its forward+reverse conversion.  Y is divided
-    and clamped, I and Q are divided truncating and kept signed, and the
-    reverse map's sums are divided and clamped.  Every error is written to
-    the same array, so it holds only until the next is drawn.
+    per-channel |error| of its forward+reverse conversion.  Every error is
+    written to the same array, so it holds only until the next is drawn.
 
-    No block-sized temporary is made in the loop: the I and Q sign mask
-    is built in the error array, not yet written, and the reverse map's
-    product in the forward sums, already divided.
+    One ``np.trunc`` divides the three forward rows; Y is clipped to
+    [0, 255] and I and Q stay signed.  The reverse product, with signed
+    chroma and no offset, is clipped to [0, 255] and cast into the error
+    array, which truncates: ``clamp_u8(trunc(x)) == trunc(clip(x, 0,
+    255))`` for every real x.  No block-sized temporary is made in the
+    loop: the reverse product goes into the forward quotients, already
+    truncated into ``yiq``.
     """
-    reverse = YIQ2RGB.columns
-    yiq = np.empty((3, _SWEEP_BLOCK), dtype=np.int32)
-    err = np.empty_like(yiq)
-    for rgb, sums in _rgb_blocks(reds, first):
-        div256_clamp_u8_np(sums[0], out=yiq[0])
-        div256_trunc_np(sums[1:], out=yiq[1:], mask=err[1:])
-        div256_clamp_u8_np(_sums_np(reverse, yiq, err, product=sums), out=err)
+    yiq = np.empty((3, _SWEEP_BLOCK), dtype=np.float32)
+    err = np.empty(yiq.shape, dtype=np.int32)
+    for rgb, quotients in _rgb_blocks(reds, first):
+        np.trunc(quotients, out=yiq)
+        np.clip(yiq[0], 0, 255, out=yiq[0])
+        np.matmul(YIQ2RGB.scaled, yiq, out=quotients)
+        np.clip(quotients, 0, 255, out=quotients)
+        err[...] = quotients
         err -= rgb
         yield rgb, np.abs(err, out=err)
 
@@ -622,9 +601,9 @@ def _sweep(parts: int) -> SweepResult:
     """The sweep in ``parts`` parts by red value, part 0 in the calling
     thread and each other part in a helper thread of its own.
 
-    The first block and its sums are built once and shared read-only.  A
-    part's exception reaches the caller as itself, once every helper has
-    been joined.
+    The first block and its quotients are built once and shared
+    read-only.  A part's exception reaches the caller as itself, once
+    every helper has been joined.
     """
     first = _first_block()
     reds = [range(k * 256 // parts, (k + 1) * 256 // parts) for k in range(parts)]
@@ -656,11 +635,12 @@ def roundtrip_sweep() -> SweepResult:
     """Forward+reverse conversion error over all 2^24 RGB triples.
 
     The triples are swept in ascending (r, g, b) order, one
-    ``_SWEEP_BLOCK`` at a time, with forward sums by linearity over the
-    grid (``_rgb_blocks``).  Each triple takes three forward rows and three
-    reverse rows; only the I and Q rows truncate, the others are divided
-    and clamped together (``div256_clamp_u8_np``).  It reports the first
-    triple attaining the maximum; chroma is carried signed, without the
+    ``_SWEEP_BLOCK`` at a time, with float32 forward quotients by
+    linearity over the grid (``_rgb_blocks``).  Each triple takes three
+    forward rows and three reverse rows from the exact float32 product;
+    only the I and Q rows stay unclamped, the others are clipped to
+    [0, 255] (``_roundtrip_errors``).  It reports the first triple
+    attaining the maximum; chroma is carried signed, without the
     offset-128 byte encoding.
 
     The reds are split into ``min(2, CPUs this process may run on)``
@@ -668,10 +648,10 @@ def roundtrip_sweep() -> SweepResult:
     parts are combined in ascending red order: the largest maximum, the
     argmax of the first part that reaches it, the per-channel maxima and
     the integer error sum.  So the result does not depend on the part
-    count.  On a 2-CPU host (Python 3.11, numpy 2.4), in one interpreter,
-    two parts of ``_SWEEP_BLOCK`` blocks took 0.67 times as long as the
-    one-part sweep of 16384-triple blocks they replace (93 against 136 ms);
-    pinned to one CPU, the sweep runs one part, at 0.93 times (121 against
-    131 ms).
+    count.  On a 2-CPU host (Python 3.11, numpy 2.4; medians of 5 sweeps
+    in each of 6 alternating fresh processes), two parts on the float32
+    product took 76-102 ms a sweep, against 94-127 ms for the integer
+    sums and shifts they replace; pinned to one CPU, one part took 93-125
+    against 131-161 ms.
     """
     return _sweep(min(2, len(os.sched_getaffinity(0))))

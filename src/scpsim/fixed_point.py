@@ -1,24 +1,21 @@
-"""Integer-only arithmetic primitives shared by every conversion kernel.
+"""Integer arithmetic primitives shared by every conversion kernel.
 
 All pixel math in this package runs on signed integers scaled by 256,
 with C-style division that truncates toward zero.  The scalar reference
-path sums its products with ``mul_acc3`` and divides with
-``div256_trunc``.  The batch path under the fabric kernels
-(``colorspace.apply_matrix_np``) takes the same quotients from one
-float32 matrix product of ``coeffs / 256`` with the samples, which is
-exact because ``COEFF_LIMIT`` and ``OFFSET_LIMIT`` keep every product and
-partial sum a multiple of 2^-8 below 2^12, within float32's 24-bit
-significand, and from a cast to int32, which truncates toward zero as
-``div256_trunc`` does.  Both paths saturate with the clamps below.  The
-round-trip sweep and ``image_io.to_gray`` sum integer products as
-``mul_acc3`` does and divide with ``div256_trunc_np`` or
-``div256_clamp_u8_np``.
-
-Truncation matters only where a negative quotient survives.  A quotient
-clamped to a byte straight after the divide may take a floor shift
-instead (``div256_clamp_u8_np``): both forms clamp every negative sum to
-0.  Signed chroma, which is kept unclamped, and a row with a positive
-output offset added before the clamp still need ``div256_trunc_np``.
+path sums its products with ``mul_acc3``, divides with ``div256_trunc``
+and saturates with ``clamp_u8``.  Every vectorized map
+(``colorspace.apply_matrix_np``, the round-trip sweep and
+``image_io.to_gray``) takes the same quotients from one float32 matrix
+product of ``coeffs / 256`` with the samples, which is exact because
+``COEFF_LIMIT`` and ``OFFSET_LIMIT`` keep every product and partial sum a
+multiple of 2^-8 below 2^12, within float32's 24-bit significand.  A cast
+to an integer dtype truncates toward zero as ``div256_trunc`` does, and a
+clip to [0, 255] before the cast saturates as ``clamp_u8`` does after it:
+``clamp_u8(trunc(x)) == trunc(clip(x, 0, 255))`` for every real x.
+``clamp_u8_np`` clamps the int32 quotients of ``apply_matrix_np``, whose
+output offset is added after the divide.  ``div256_trunc_np`` is the
+vectorized ``div256_trunc`` on integer arrays; no conversion calls it,
+and it stays for the benchmark tracer, which patches it by name.
 """
 
 from __future__ import annotations
@@ -73,27 +70,20 @@ def div256_trunc(x: int) -> int:
     return -((-x) >> 8)
 
 
-def div256_trunc_np(
-    x: np.ndarray, out: Optional[np.ndarray] = None, mask: Optional[np.ndarray] = None
-) -> np.ndarray:
+def div256_trunc_np(x: np.ndarray) -> np.ndarray:
     """Vectorized div256_trunc for signed integer arrays, in their dtype.
 
     The arithmetic shift floors; adding 255 to a negative value first
     turns that into truncation.  The sign mask ``x >> (bits - 1)`` is -1
     for a negative value and 0 otherwise, so this is exact over the whole
     range of every signed dtype: nothing is added to a value that could
-    overflow.  The mask is the one temporary of ``x``'s size; it is built
-    in ``mask``, an array of ``x``'s shape and dtype, where one is given.
-    The quotient is written to ``out``, which may be ``x`` itself, and
-    returned; without ``out`` it is built in the mask's array.
+    overflow.  The quotient is built in the mask's array and returned.
     """
-    q = np.right_shift(x, 8 * x.dtype.itemsize - 1, out=mask)
+    q = np.right_shift(x, 8 * x.dtype.itemsize - 1)
     q &= 255
-    if out is None:
-        out = q
-    np.add(x, q, out=out)
-    out >>= 8
-    return out
+    q += x
+    q >>= 8
+    return q
 
 
 def clamp_u8(x: int) -> int:
@@ -116,18 +106,3 @@ def clamp_u8_np(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     The result is written to ``out``, which may be ``x`` itself, or to a
     new array without one."""
     return x.clip(*_U8_BOUNDS, out=out)
-
-
-def div256_clamp_u8_np(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vectorized ``clamp_u8(div256_trunc(x))`` for int32 or wider signed
-    arrays, in their dtype: a floor shift by 8, then the clamp.
-
-    ``clamp_u8(x >> 8) == clamp_u8(div256_trunc(x))`` for every integer x.
-    The two divides differ only for a negative x that is not a multiple
-    of 256, where truncation gives a quotient <= 0 and the floor one <= -1;
-    both clamp to 0.  No bound on x is needed, and the shift cannot
-    overflow.  The result is written to ``out``, which may be ``x`` itself,
-    or to a new array without one.
-    """
-    out = np.right_shift(x, 8, out=out)
-    return clamp_u8_np(out, out=out)

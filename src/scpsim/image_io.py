@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed_point import div256_clamp_u8_np
 # Unused here; kept for the benchmark tracer, which patches this name.
 from .fixed_point import div256_trunc_np  # noqa: F401
 
@@ -159,15 +158,16 @@ def write_pnm(img: ImageBuffer) -> bytes:
 
 def to_gray(img: ImageBuffer) -> ImageBuffer:
     """Collapse a 3-channel image to its fixed-point luminance channel, the
-    Y channel of ``colorspace.RGB2YIQ``.  That row has no output offset and
-    is clamped straight after the divide, so it divides with
-    ``div256_clamp_u8_np``.  The frame is converted in passes of
-    ``colorspace._BLOCK`` pixels, in int32 arrays carved from the calling
-    thread's block workspace (``colorspace._block_arrays``), and each pass
-    is written straight into the uint8 output, so the only array made per
-    call is the output."""
+    Y channel of ``colorspace.RGB2YIQ``, from the same exact float32
+    product as every vectorized map: the one-row product of
+    ``RGB2YIQ.scaled[:1]`` with the samples, clipped to [0, 255] and cast
+    into the uint8 output, which truncates.  The frame is converted in
+    passes of ``colorspace._BLOCK`` pixels, in arrays carved from the
+    calling thread's block workspace (``colorspace._block_arrays``), and
+    each pass is written straight into the output, so the only array made
+    per call is the output."""
     # Imported here because colorspace imports this module.
-    from .colorspace import _BLOCK, RGB2YIQ, _block_arrays, _sums_np
+    from .colorspace import _BLOCK, RGB2YIQ, _block_arrays
 
     if img.channels != 3:
         raise ChannelMismatch(f"to_gray needs 3 channels, got {img.channels}")
@@ -175,8 +175,10 @@ def to_gray(img: ImageBuffer) -> ImageBuffer:
     y = np.empty(len(flat), dtype=np.uint8)
     for start in range(0, len(flat), _BLOCK):
         pixels = flat[start : start + _BLOCK]
-        samples, sums, _ = _block_arrays(len(pixels))
+        _, a, p = _block_arrays(len(pixels))
+        samples, luma = a.view(np.float32), p[:1].view(np.float32)
         samples[...] = pixels.T
-        block = _sums_np(RGB2YIQ.columns[:, :1], samples, sums[:1])[0]
-        y[start : start + len(pixels)] = div256_clamp_u8_np(block, out=block)
+        np.matmul(RGB2YIQ.scaled[:1], samples, out=luma)
+        np.clip(luma, 0, 255, out=luma)
+        y[start : start + len(pixels)] = luma[0]
     return ImageBuffer(width=img.width, height=img.height, channels=1, samples=y)

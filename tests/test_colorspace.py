@@ -153,11 +153,11 @@ def test_matrix_validation():
 
 
 def test_compiled_core_is_read_only():
-    assert RGB2YIQ.columns[:, :, 0].T.tolist() == [list(row) for row in RGB2YIQ.coeffs]
+    assert (RGB2YIQ.scaled * 256).tolist() == [list(row) for row in RGB2YIQ.coeffs]
     assert YIQ2RGB.input_column[:, 0].tolist() == [0, 128, 128]
     assert YIQ2RGB.output_column[:, 0].tolist() == [0, 0, 0]
     assert RGB2YIQ.scaled.dtype == np.float32 and RGB2YIQ.scaled.flags.c_contiguous
-    for array in (RGB2YIQ.columns, RGB2YIQ.input_column, RGB2YIQ.output_column, RGB2YIQ.scaled):
+    for array in (RGB2YIQ.input_column, RGB2YIQ.output_column, RGB2YIQ.scaled):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
 
@@ -181,13 +181,29 @@ def test_the_float32_core_is_exact():
     for matrix in (RGB2YIQ, YIQ2RGB, RGB2CMY):
         assert matrix.scaled.dtype == np.float32
         assert (matrix.scaled.astype(np.float64) * 256).tolist() == [list(row) for row in matrix.coeffs]
+    # The sweep's forward quotients are the first block's plus the r and g
+    # columns' share, by linearity; with every sample at most 255, each
+    # term and partial sum is below the widest row's sum of |coefficient|
+    # times 255, over 256.
+    forward = np.abs(np.array(RGB2YIQ.coeffs, dtype=np.int64))
+    grid = int(forward.sum(axis=1).max()) * 255
+    assert grid / 256 < 2 ** (24 - 8)
+    # Its truncated chroma lies within +-255, as the reverse map's bound takes.
+    chroma = np.array(RGB2YIQ.coeffs[1:], dtype=np.int64)
+    most = max(chroma.clip(0).sum(axis=1).max(), (-chroma).clip(0).sum(axis=1).max())
+    assert most * 255 // 256 <= 255
+    # The reverse map takes integer Y in [0, 255] and |I|, |Q| <= 255.
+    reverse = int(np.abs(np.array(YIQ2RGB.coeffs, dtype=np.int64)).sum(axis=1).max()) * 255
+    assert reverse < 2**19 and reverse / 256 < 2 ** (24 - 8)
+    for acc in (grid, -grid, reverse, -reverse, reverse - 1):
+        assert float(np.float32(acc / 256)) * 256 == acc
 
 
 def test_matrices_equal_by_their_fields_are_equal_and_hash_alike():
     twin = ConversionMatrix(RGB2YIQ.name, RGB2YIQ.coeffs, RGB2YIQ.input_offset, RGB2YIQ.output_offset)
-    assert twin.columns is not RGB2YIQ.columns
+    assert twin.scaled is not RGB2YIQ.scaled
     assert twin == RGB2YIQ and hash(twin) == hash(RGB2YIQ)
-    assert repr(twin) == repr(RGB2YIQ) and "columns" not in repr(twin)
+    assert repr(twin) == repr(RGB2YIQ) and "scaled" not in repr(twin)
     assert twin != ConversionMatrix("other", RGB2YIQ.coeffs, RGB2YIQ.input_offset, RGB2YIQ.output_offset)
 
 
@@ -675,15 +691,17 @@ def _trunc_div256(x):
 
 
 def test_grid_sums_equal_the_direct_sums_on_every_block():
-    # Each grid block's sums come from the first block's by one add; they
-    # must equal its sums computed from the block itself, in int64.
+    # Each grid block's float32 quotients come from the first block's by
+    # one add; they must equal its int64 sums computed from the block
+    # itself, over 256, which float64 holds exactly.
     forward = np.array(RGB2YIQ.coeffs, dtype=np.int64)
     width = colorspace._SWEEP_BLOCK
     blocks = 0
-    for k, (rgb, sums) in enumerate(colorspace._rgb_blocks()):
+    for k, (rgb, quotients) in enumerate(colorspace._rgb_blocks()):
         index = np.arange(k * width, (k + 1) * width)
         np.testing.assert_array_equal(rgb, [index >> 16, (index >> 8) & 255, index & 255])
-        np.testing.assert_array_equal(sums, forward @ rgb.astype(np.int64))
+        assert quotients.dtype == np.float32
+        np.testing.assert_array_equal(quotients.astype(np.float64), (forward @ rgb.astype(np.int64)) / 256)
         blocks += 1
     assert blocks == 256**3 // width
 

@@ -6,7 +6,6 @@ from scpsim.fixed_point import (
     check_coefficient,
     clamp_u8,
     clamp_u8_np,
-    div256_clamp_u8_np,
     div256_trunc,
     div256_trunc_np,
     mul_acc3,
@@ -88,11 +87,6 @@ def test_div256_trunc_np_matches_scalar(values):
         assert got.dtype == dtype
         assert got.tolist() == want, dtype
         assert arr.tolist() == values + extremes
-        mask = np.empty_like(arr)
-        assert div256_trunc_np(arr, mask=mask) is mask
-        assert mask.tolist() == want, dtype
-        assert div256_trunc_np(arr, out=arr) is arr
-        assert arr.tolist() == want, dtype
 
 
 @given(st.lists(st.integers(-(2**20), 2**20), min_size=1, max_size=64))
@@ -108,25 +102,33 @@ def test_clamp_u8_np_matches_scalar(values):
         assert arr.tolist() == want
 
 
-def test_clamped_divide_equals_truncate_then_clamp_on_every_int32_near_zero():
-    # A floor shift differs from truncation only on negative non-multiples
-    # of 256, where both quotients clamp to 0.
-    x = np.arange(-(2**21), 2**21, dtype=np.int32)
-    want = clamp_u8_np(div256_trunc_np(x))
-    got = div256_clamp_u8_np(x)
-    assert got.dtype == np.int32
-    np.testing.assert_array_equal(got, want)
-    assert div256_clamp_u8_np(x, out=x) is x
-    np.testing.assert_array_equal(x, want)
+@pytest.fixture(scope="module")
+def near_zero():
+    # Every accumulator in [-2^21, 2^21), its quotient as an exact float32,
+    # and the scalar oracle's truncated and clamped quotients.
+    acc = range(-(2**21), 2**21)
+    oracle = list(map(div256_trunc, acc))
+    quotients = np.arange(acc.start, acc.stop, dtype=np.int32).astype(np.float32) / 256
+    assert quotients.dtype == np.float32
+    np.testing.assert_array_equal(quotients * 256, acc)
+    return quotients, np.array(oracle), np.array(list(map(clamp_u8, oracle)))
 
 
-@given(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=64))
-def test_clamped_divide_matches_the_scalar_oracle(values):
-    values = values + [-(2**31), -257, -256, -255, -1, 0, 255, 65535, 65536, 2**31 - 1]
-    want = [clamp_u8(div256_trunc(v)) for v in values]
-    for dtype in (np.int32, np.int64):
-        got = div256_clamp_u8_np(np.array(values, dtype=dtype))
-        assert got.dtype == dtype and got.tolist() == want
+def test_float_quotients_truncate_as_the_scalar_oracle_divides(near_zero):
+    # The sweep's forward rows: one np.trunc, kept signed on I and Q and
+    # clipped on Y.
+    quotients, truncated, clamped = near_zero
+    np.testing.assert_array_equal(np.trunc(quotients).astype(np.int32), truncated)
+    np.testing.assert_array_equal(np.trunc(quotients).clip(0, 255).astype(np.int32), clamped)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8], ids=lambda dtype: dtype.__name__)
+def test_float_quotients_clip_and_cast_as_the_scalar_oracle_clamps(near_zero, dtype):
+    # A clip before the cast, which truncates, is the clamp after the
+    # divide: clamp_u8(trunc(x)) == trunc(clip(x, 0, 255)) for every real
+    # x.  The sweep's reverse rows cast into int32, to_gray into uint8.
+    quotients, _, clamped = near_zero
+    np.testing.assert_array_equal(quotients.clip(0, 255).astype(dtype), clamped)
 
 
 def test_an_offset_before_the_clamp_needs_truncation():

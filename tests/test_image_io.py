@@ -173,16 +173,14 @@ def test_to_gray_is_the_forward_luma_row():
 
 
 def test_to_gray_converts_a_block_at_a_time(monkeypatch):
-    from scpsim import image_io
-
     passes = []
-    divide = image_io.div256_clamp_u8_np
+    carve = colorspace._block_arrays
 
-    def counting(x, out):
-        passes.append(x.size)
-        return divide(x, out=out)
+    def counting(k):
+        passes.append(k)
+        return carve(k)
 
-    monkeypatch.setattr(image_io, "div256_clamp_u8_np", counting)
+    monkeypatch.setattr(colorspace, "_block_arrays", counting)
     rgb = np.random.default_rng(5).integers(0, 256, (40, 24, 3), dtype=np.uint8)
     to_gray(ImageBuffer.from_array(rgb))
     assert passes == [960]

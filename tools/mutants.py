@@ -25,11 +25,10 @@ Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
 
-On a 2-core host, 90 mutants took 1.1-11.5 s each and 2 min 27 s in all,
-where 79 had taken 1 min 55 s on the same host, against 3 min 25 s for 80
-judged one at a time.  Shrinking made one
-mutant take 6.7-36 s without the profile, and 47 took 3 min 17 s;
-running Tier-1 alone on each of 37 took 2.2-108 s and 7 min 46 s.
+On a 2-core host, 97 mutants took 1.4-11.2 s each and 3 min 17 s in all,
+two at a time, against 3 min 25 s for 80 judged one at a time.  Shrinking
+made one mutant take 6.7-36 s without the profile, and 47 took 3 min 17
+s; running Tier-1 alone on each of 37 took 2.2-108 s and 7 min 46 s.
 """
 
 from __future__ import annotations
@@ -61,6 +60,9 @@ class Mutant(NamedTuple):
 FABRIC = "src/scpsim/fabric.py"
 CYCLE_MODEL = "src/scpsim/cycle_model.py"
 COLORSPACE = "src/scpsim/colorspace.py"
+IMAGE_IO = "src/scpsim/image_io.py"
+FIXED_POINT = "src/scpsim/fixed_point.py"
+HISTEQ = "src/scpsim/histeq.py"
 
 MUTANTS = (
     # Fabric rules.
@@ -133,18 +135,14 @@ MUTANTS = (
     Mutant("row-adapter-packs-ragged-rows", FABRIC,
            "if rows and len(packed) != len(rows[0]):", "if False:"),
     # Fixed-point primitives.
-    Mutant("div256-floors", "src/scpsim/fixed_point.py", "q &= 255", "q &= 0"),
-    Mutant("div256-sign-mask-127", "src/scpsim/fixed_point.py", "q &= 255", "q &= 127"),
-    Mutant("clamp-passes-256", "src/scpsim/fixed_point.py",
+    Mutant("div256-floors", FIXED_POINT, "q &= 255", "q &= 0"),
+    Mutant("div256-sign-mask-127", FIXED_POINT, "q &= 255", "q &= 127"),
+    Mutant("clamp-passes-256", FIXED_POINT,
            "(np.int32(0), np.int32(255))", "(np.int32(0), np.int32(256))"),
-    Mutant("clamped-divide-skips-the-clamp", "src/scpsim/fixed_point.py",
-           "    return clamp_u8_np(out, out=out)\n", "    return out\n"),
-    # The int32 core, built once per matrix.
+    # The offset columns, built once per matrix.
     Mutant("compiled-offsets-swapped", COLORSPACE,
-           "(self.coeffs, self.input_offset, self.output_offset)",
-           "(self.coeffs, self.output_offset, self.input_offset)"),
-    Mutant("compiled-columns-are-rows", COLORSPACE,
-           "np.array(value, dtype=np.int32).T[..., None]", "np.array(value, dtype=np.int32)[..., None]"),
+           '(("input_column", self.input_offset), ("output_column", self.output_offset))',
+           '(("input_column", self.output_offset), ("output_column", self.input_offset))'),
     # The exact float32 core: coeffs / 256 in one matmul, truncated by the cast.
     Mutant("scaled-matrix-transposed", COLORSPACE,
            "np.array(self.coeffs, dtype=np.float32) / 256", "np.array(self.coeffs, dtype=np.float32).T / 256"),
@@ -156,9 +154,11 @@ MUTANTS = (
            '"shifts_input", any(self.input_offset)', '"shifts_input", False'),
     Mutant("output-offset-pass-skipped", COLORSPACE,
            '"shifts_output", any(self.output_offset)', '"shifts_output", False'),
-    Mutant("gray-takes-the-i-row", "src/scpsim/image_io.py",
-           "RGB2YIQ.columns[:, :1]", "RGB2YIQ.columns[:, 1:2]"),
-    Mutant("gray-walk-skips-last-block", "src/scpsim/image_io.py",
+    Mutant("gray-takes-the-i-row", IMAGE_IO,
+           "np.matmul(RGB2YIQ.scaled[:1],", "np.matmul(RGB2YIQ.scaled[1:2],"),
+    Mutant("gray-clip-bound-254", IMAGE_IO,
+           "np.clip(luma, 0, 255, out=luma)", "np.clip(luma, 0, 254, out=luma)"),
+    Mutant("gray-walk-skips-last-block", IMAGE_IO,
            "range(0, len(flat), _BLOCK)", "range(0, max(len(flat) - _BLOCK, 1), _BLOCK)"),
     # Wrong at one RGB triple only: the full cube finds it, sampling does not.
     Mutant("one-triple-off-by-one", COLORSPACE,
@@ -171,14 +171,19 @@ MUTANTS = (
     Mutant("sweep-skips-a-g-step", COLORSPACE,
            "for g in range(0, 256, g_step):", "for g in range(0, 256 - g_step, g_step):"),
     Mutant("sweep-grid-skips-a-block", COLORSPACE,
-           "            yield block, sums\n",
-           "            if (r, g) != (255, 256 - g_step):\n                yield block, sums\n"),
-    # Truncation only where a negative quotient survives: the chroma rows.
+           "            yield block, quotients\n",
+           "            if (r, g) != (255, 256 - g_step):\n                yield block, quotients\n"),
+    # The sweep on the float32 product: truncate, clip Y, reverse, clip, cast.
     Mutant("chroma-rows-floor", COLORSPACE,
-           "div256_trunc_np(sums[1:], out=yiq[1:], mask=err[1:])",
-           "np.right_shift(sums[1:], 8, out=yiq[1:])"),
+           "np.trunc(quotients, out=yiq)", "np.floor(quotients, out=yiq)"),
+    Mutant("sweep-clip-before-trunc-on-i", COLORSPACE,
+           "np.clip(yiq[0], 0, 255, out=yiq[0])", "np.clip(yiq[:2], 0, 255, out=yiq[:2])"),
+    Mutant("reverse-uses-the-forward-matrix", COLORSPACE,
+           "np.matmul(YIQ2RGB.scaled, yiq,", "np.matmul(RGB2YIQ.scaled, yiq,"),
+    Mutant("sweep-reverse-clip-skipped", COLORSPACE,
+           "        np.clip(quotients, 0, 255, out=quotients)\n", ""),
     Mutant("grid-sums-drop-the-g-column", COLORSPACE,
-           "forward[0] * r + forward[1] * g", "forward[0] * r"),
+           "scaled[:, 0:1] * r + scaled[:, 1:2] * g", "scaled[:, 0:1] * r"),
     Mutant("block-sum-in-int16", COLORSPACE, "err.sum(dtype=np.int32)", "err.sum(dtype=np.int16)"),
     Mutant("worst-triple-on-ties", COLORSPACE, "if m > max_err:", "if m >= max_err:"),
     Mutant("per-channel-max-from-the-last-block", COLORSPACE,
@@ -187,7 +192,7 @@ MUTANTS = (
     Mutant("apply-product-overwrites-the-samples", COLORSPACE,
            "np.matmul(matrix.scaled, samples, out=quotients)", "np.matmul(matrix.scaled, samples, out=samples)"),
     Mutant("sweep-product-overwrites-the-yiq-rows", COLORSPACE,
-           "_sums_np(reverse, yiq, err, product=sums)", "_sums_np(reverse, yiq, err, product=yiq)"),
+           "yiq, out=quotients)", "yiq, out=yiq)"),
     # The sweep's parts by red value, combined in ascending red order.
     Mutant("argmax-from-the-last-part", COLORSPACE,
            "next(p.argmax_rgb for p in parts if", "next(p.argmax_rgb for p in reversed(parts) if"),
@@ -231,18 +236,18 @@ MUTANTS = (
     # One judge of a (family, mode) pair, for every entry point.
     Mutant("convert-mode-without-its-family", COLORSPACE,
            'cycle_model.calibrated_shape("yiq", mode)', "cycle_model.KERNEL_SHAPES[mode]"),
-    Mutant("histeq-mode-without-its-family", "src/scpsim/histeq.py",
+    Mutant("histeq-mode-without-its-family", HISTEQ,
            'cycle_model.calibrated_shape("histeq", mode)', "cycle_model.KERNEL_SHAPES[mode]"),
     Mutant("matrix-ei-lanes-without-their-family", COLORSPACE,
            'cycle_model.calibrated_shape("yiq", f"ei{lanes}")', 'cycle_model.KERNEL_SHAPES[f"ei{lanes}"]'),
     Mutant("unknown-kernel-is-a-key-error", CYCLE_MODEL,
            "class UnknownKernelConfig(ValueError):", "class UnknownKernelConfig(KeyError):"),
     # Histogram equalization.
-    Mutant("build-lut-rounds-up", "src/scpsim/histeq.py",
+    Mutant("build-lut-rounds-up", HISTEQ,
            "((255 * cum) // n)", "(-(-255 * cum // n))"),
-    Mutant("histeq-tail-not-counted", "src/scpsim/histeq.py",
+    Mutant("histeq-tail-not-counted", HISTEQ,
            "cum += np.cumsum(scalar_histogram(flat[head:]))", "pass"),
-    Mutant("lut-replicate-casts-its-table", "src/scpsim/histeq.py",
+    Mutant("lut-replicate-casts-its-table", HISTEQ,
            "np.asarray(lut)[None]", "np.asarray(lut, dtype=np.uint8)[None]"),
     # The group/tail split and the peak ledger, each stated once.
     Mutant("split-drops-the-tail", CYCLE_MODEL,
@@ -288,9 +293,9 @@ MUTANTS = (
            "        if key in entries:\n", "        if False:\n"),
     Mutant("profile-line-error-drops-the-file", CYCLE_MODEL,
            'where = f"{source} line {lineno}"', 'where = f"profile line {lineno}"'),
-    Mutant("pnm-accepts-short-raster", "src/scpsim/image_io.py",
+    Mutant("pnm-accepts-short-raster", IMAGE_IO,
            "if len(data) - pos < need:", "if len(data) - pos < need - 1:"),
-    Mutant("token-pattern-drops-vertical-tab", "src/scpsim/image_io.py",
+    Mutant("token-pattern-drops-vertical-tab", IMAGE_IO,
            "((re.escape(_WHITESPACE),) * 2)",
            '((re.escape(_WHITESPACE.replace(b"\\x0b", b"")),) * 2)'),
 )
