@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
 
 def _common_cost_flags(cmd):
     cmd.add_argument("--profile", default="s6000_paper",
-                     help="builtin name, SCPSIM_PROFILE_DIR entry, or file path")
+                     help="s6000_paper (builtin) or a profile file path")
     cmd.add_argument("--report", default=None)
     cmd.add_argument("--format", default="json", choices=("json", "csv"))
 

@@ -116,17 +116,17 @@ _REGISTER_LIMIT = 128 * 1024
 class _Workspace(threading.local):
     """One thread's block arrays for the convert path: one flat int32
     buffer, from which a call carves a block's three compact (3, k) int32
-    arrays (``_block_arrays``) and, past them, a lane body's two uint8
-    staging arrays (``_staging``), all disjoint.
+    arrays (``_block_arrays``) and, past them, a lane body's staging
+    array (``_staging``), converted in place, all disjoint.
 
     Each thread gets its own buffer when it first touches the workspace,
     the importing thread at import; a page of it is touched only when a
-    conversion first writes there.  A buffer is 1.31 MiB and lives as
+    conversion first writes there.  A buffer is 1.22 MiB and lives as
     long as its thread.
     """
 
     def __init__(self):
-        self.buffer = np.empty(9 * _BLOCK + 6 * _BLOCK // 4, dtype=np.int32)
+        self.buffer = np.empty(9 * _BLOCK + 3 * _BLOCK // 4, dtype=np.int32)
 
 
 _workspace = _Workspace()
@@ -143,12 +143,11 @@ def _block_arrays(k: int) -> list[np.ndarray]:
     return [buffer[start : start + 3 * k].reshape(3, k) for start in (0, 3 * k, 6 * k)]
 
 
-def _staging(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two disjoint uint8 arrays of ``size <= 3 * _BLOCK`` bytes from this
-    thread's workspace, past the block arrays: a lane body's gathered
-    pixels and their conversion."""
-    staged = _workspace.buffer[9 * _BLOCK :].view(np.uint8)
-    return staged[:size], staged[3 * _BLOCK : 3 * _BLOCK + size]
+def _staging(size: int) -> np.ndarray:
+    """A uint8 array of ``size <= 3 * _BLOCK`` bytes from this thread's
+    workspace, past the block arrays: a lane body's gathered pixels,
+    which ``apply_matrix_np`` converts in place (``out`` is ``flat``)."""
+    return _workspace.buffer[9 * _BLOCK :].view(np.uint8)[:size]
 
 
 #: Triples per block of the round-trip sweep.  Each part makes its block
@@ -283,7 +282,8 @@ def apply_matrix_np(
     as the pixel bytes of a register view, or to a new array without one.
     The samples pass ``_BLOCK`` at a time through arrays carved from the
     calling thread's workspace (``_block_arrays``), so no other array is
-    made, and ``out`` must not lie in the workspace's block arrays.
+    made.  ``out`` must not lie in those arrays, but may be ``flat``
+    itself: each block is copied into them before its rows are written.
 
     A block's int32 samples, less the input offset, are cast to float32
     in the second block array and multiplied by ``matrix.scaled`` in one
@@ -368,7 +368,7 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
     and writing the zero-filled output-register view; wider registers are
     gathered, up to ``_BLOCK`` pixels at a time, into one contiguous
     (pixels, 3) array in the thread's workspace (``_staging``), converted
-    into the other, and stored back, both by ``_copy_groups``.  The output
+    there in place, and stored back, both by ``_copy_groups``.  The output
     is a fresh array, which the caller owns.  Kernels are not cached:
     building one costs a few microseconds, far less than the smallest
     image run it serves, and a cache would keep every custom matrix's
@@ -389,11 +389,10 @@ def matrix_ei(matrix: ConversionMatrix, lanes: int) -> ExtensionInstruction:
         else:
             for start in range(0, invocations, step):
                 chunk = slice(start, start + step)
-                count = len(pixels[chunk])
-                flat, converted = _staging(count * span)
-                _copy_groups(flat.reshape(count, span), pixels[chunk])
-                apply_matrix_np(flat.reshape(-1, 3), matrix, out=converted.reshape(-1, 3))
-                _copy_groups(out[chunk, :span], converted.reshape(count, span))
+                staged = _staging(pixels[chunk].size).reshape(-1, span)
+                _copy_groups(staged, pixels[chunk])
+                apply_matrix_np(staged.reshape(-1, 3), matrix, out=staged.reshape(-1, 3))
+                _copy_groups(out[chunk, :span], staged)
         return out.reshape(invocations, registers, WR_BYTES)
 
     return ExtensionInstruction(

@@ -3,11 +3,12 @@
 The model knows exactly the workloads it is calibrated on: the (kernel,
 mode) pairs of ``CALIBRATION_MEASUREMENTS``.  It is throughput-style,
 with one fitted rate per pair (cycles per pixel for a mode without
-lanes, cycles per group of lanes for a lane mode).  A profile holds
-exactly what ``fit_profile`` produces: each family's ``scalar`` rate and
-any of its lane rates.  Every lane rate comes with its family's scalar
-rate, so every report has a speedup over the plain processor.  Register
-pack/unpack traffic and buffer placement are free.
+lanes, cycles per group of lanes for a lane mode).  A profile, the
+builtin fit or one read from a file the caller names (``resolve_profile``),
+holds exactly what ``fit_profile`` produces: each family's ``scalar``
+rate and any of its lane rates.  Every lane rate comes with its family's
+scalar rate, so every report has a speedup over the plain processor.
+Register pack/unpack traffic and buffer placement are free.
 
 All parameters are exact rationals so that the calibration points are
 reproduced exactly, not approximately: fitting the bundled
@@ -158,6 +159,7 @@ KERNEL_SHAPES = {
 }
 
 
+# Unused in this package; kept for the benchmark's workloads (perfbench/workloads.py).
 def mode_lanes(mode: str) -> int:
     """Pixels per vector group for a mode name; 0 for the scalar path."""
     shape = KERNEL_SHAPES.get(mode)
@@ -398,18 +400,8 @@ def fit_profile(
 
 
 # ---------------------------------------------------------------------------
-# Profile persistence: flat key-value text, exact-rational values
+# Profile files: flat key-value text, exact-rational values
 # ---------------------------------------------------------------------------
-
-
-def format_profile(profile: CalibrationProfile) -> str:
-    """Serialize as '<key> = <num>[/<den>]' lines, per-pixel rates first."""
-    lines = [f"name = {profile.name}"]
-    for kernel, mode in sorted(profile.rates, key=lambda pair: (mode_lanes(pair[1]) > 0, pair)):
-        lines.append(
-            f"{kernel}.{mode}.{_rate_name(mode)} = {_ratio_str(profile.rates[(kernel, mode)])}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def read_text(path: Union[str, os.PathLike], source: str) -> str:
@@ -448,24 +440,20 @@ _EXPONENT_LIMIT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?[0_]*([1-9][\d_]*)$")
 
 
-def parse_profile(text: str) -> CalibrationProfile:
-    """Parse the flat key-value profile format.
+def load_profile(path: Union[str, os.PathLike]) -> CalibrationProfile:
+    """Read a profile from a UTF-8 file of flat ``key = value`` lines.
 
-    Raises ValueError naming the line for a malformed line, a key given
-    twice, a key other than ``name`` and the rates (a merge has no charge
-    of its own to set), a decimal exponent beyond +-4300 or a rate for a
-    pair outside ``CALIBRATION_MEASUREMENTS``.
+    Raises ValueError naming the file, and the line if any, for non-UTF-8
+    bytes, a malformed line, a key given twice, a key other than ``name``
+    and the rates (a merge has no charge of its own to set), a decimal
+    exponent beyond +-4300, a rate for a pair outside
+    ``CALIBRATION_MEASUREMENTS``, or rates ``CalibrationProfile`` rejects.
     """
-    return CalibrationProfile(*_profile_fields(text, "profile"))
-
-
-def _profile_fields(text: str, source: str) -> tuple[str, dict[tuple[str, str], Fraction]]:
-    """The name and rates of profile text, for ``CalibrationProfile``;
-    each line error names ``source`` and the line."""
+    source = f"profile file {path}"
     name = "unnamed"
     rates: dict[tuple[str, str], Fraction] = {}
 
-    for key, (lineno, value) in read_key_values(text, source).items():
+    for key, (lineno, value) in read_key_values(read_text(path, source), source).items():
         if key == "name":
             name = value
             continue
@@ -491,15 +479,8 @@ def _profile_fields(text: str, source: str) -> tuple[str, dict[tuple[str, str], 
             raise ValueError(f"{where}: unrecognized key {key!r}")
         rates[(kernel, mode)] = number
 
-    return name, rates
-
-
-def load_profile(path: Union[str, os.PathLike]) -> CalibrationProfile:
-    """``parse_profile`` of a UTF-8 file; every ValueError names the file."""
-    source = f"profile file {path}"
-    fields = _profile_fields(read_text(path, source), source)
     try:
-        return CalibrationProfile(*fields)
+        return CalibrationProfile(name, rates)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 
@@ -511,15 +492,10 @@ def builtin_profile() -> CalibrationProfile:
 
 
 def resolve_profile(spec: str) -> CalibrationProfile:
-    """Resolve a profile by builtin name, SCPSIM_PROFILE_DIR entry, or path."""
+    """The builtin profile for ``s6000_paper``, otherwise the profile in
+    the file at ``spec``; FileNotFoundError if there is no such file."""
     if spec == "s6000_paper":
         return builtin_profile()
-    profile_dir = os.environ.get("SCPSIM_PROFILE_DIR")
-    if profile_dir:
-        candidate = os.path.join(profile_dir, f"{spec}.profile")
-        if os.path.exists(candidate):
-            return load_profile(candidate)
     if os.path.exists(spec):
         return load_profile(spec)
     raise FileNotFoundError(f"cannot resolve profile {spec!r}")
-

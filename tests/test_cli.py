@@ -350,7 +350,9 @@ def test_help_exits_0_and_names_no_removed_flag(capsys, command):
     text = capsys.readouterr().out
     assert text.startswith("usage: scpsim")
     assert "stall" not in text
-    assert not any(flag in text for flag in ("--buffers", "--sample", "--seed", "--gray-only"))
+    assert not any(
+        name in text for name in ("--buffers", "--sample", "--seed", "--gray-only", "SCPSIM_PROFILE_DIR")
+    )
 
 
 def test_profile_beyond_the_float_range_is_a_constraint_error(ppm, tmp_path):

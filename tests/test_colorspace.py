@@ -515,6 +515,22 @@ def test_apply_matrix_np_writes_only_its_destination():
     assert (canvas == 0xA5).all()
 
 
+@pytest.mark.parametrize("matrix", [RGB2YIQ, YIQ2RGB, RGB2CMY], ids=lambda m: m.name)
+def test_apply_matrix_np_converts_in_place(matrix):
+    # A lane body's staging array is both the samples and the destination.
+    n = colorspace._BLOCK + 5
+    flat = np.random.default_rng(n).integers(0, 256, (n, 3), dtype=np.uint8)
+    want = apply_matrix_np(flat, matrix)
+    assert apply_matrix_np(flat, matrix, out=flat) is flat
+    assert np.array_equal(flat, want)
+
+
+def test_staging_lies_past_the_block_arrays():
+    staged = colorspace._staging(3 * colorspace._BLOCK)
+    assert staged.nbytes == 3 * colorspace._BLOCK
+    assert not any(np.shares_memory(staged, a) for a in colorspace._block_arrays(colorspace._BLOCK))
+
+
 @pytest.mark.parametrize("mode", ["ei1", "ei5", "ei8"])
 def test_images_smaller_than_a_lane_group_take_the_scalar_tail(mode):
     lanes = cycle_model.mode_lanes(mode)

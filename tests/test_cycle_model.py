@@ -1,4 +1,6 @@
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,8 @@ from scpsim.cycle_model import (
     builtin_profile,
     estimate,
     fit_profile,
-    format_profile,
     load_profile,
     mode_lanes,
-    parse_profile,
     resolve_profile,
 )
 from scpsim.histeq import histeq_image
@@ -324,63 +324,68 @@ yiq.ei8.ei_cycles = 72517/8000
 """
 
 
+def load(text):
+    """``load_profile`` of ``text`` written to a temporary file; a
+    hypothesis test cannot take a function-scoped ``tmp_path``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "test.profile")
+        path.write_text(text, encoding="utf-8")
+        return load_profile(path)
+
+
 def test_builtin_profile_text(profile):
-    assert format_profile(profile) == BUILTIN_PROFILE_TEXT
+    assert load(BUILTIN_PROFILE_TEXT) == profile
 
 
 def test_profile_text_with_the_old_stall_line_is_rejected():
     # a profile file that still carries the external-buffer stall line
     with pytest.raises(ValueError, match="line 8: unrecognized key 'stall_penalty_external'"):
-        parse_profile(BUILTIN_PROFILE_TEXT + "stall_penalty_external = 0\n")
+        load(BUILTIN_PROFILE_TEXT + "stall_penalty_external = 0\n")
 
 
 def test_profile_text_with_a_merge_charge_is_rejected():
     # a merge costs one step of its mode's rate, so no profile key sets it
     with pytest.raises(ValueError, match="line 8: unrecognized key 'merge_cycles'"):
-        parse_profile(BUILTIN_PROFILE_TEXT + "merge_cycles = 0\n")
-
-
-def test_profile_text_round_trip(profile):
-    assert parse_profile(format_profile(profile)) == profile
+        load(BUILTIN_PROFILE_TEXT + "merge_cycles = 0\n")
 
 
 def test_parse_profile_errors():
     with pytest.raises(ValueError):
-        parse_profile("nonsense line")
+        load("nonsense line")
     with pytest.raises(ValueError):
-        parse_profile("yiq.ei5.ei_cycles = a/b")
+        load("yiq.ei5.ei_cycles = a/b")
     with pytest.raises(ValueError):
-        parse_profile("what.ever = 3")
+        load("what.ever = 3")
     # exponents past the int-string limit, rejected before Fraction() expands them
     for value in ("1e1000000", "1e-1000000"):
         with pytest.raises(ValueError, match="line 2"):
-            parse_profile(f"name = big\nyiq.scalar.cycles_per_pixel = {value}\n")
+            load(f"name = big\nyiq.scalar.cycles_per_pixel = {value}\n")
     # rates no mode would charge: an unknown mode, and a per-group cost without lanes
     with pytest.raises(ValueError):
-        parse_profile("yiq.ei3.ei_cycles = 5")
+        load("yiq.ei3.ei_cycles = 5")
     with pytest.raises(ValueError):
-        parse_profile("yiq.scalar.ei_cycles = 7")
+        load("yiq.scalar.ei_cycles = 7")
     # rates for pairs outside the calibrated workloads, and the removed overhead key
     for key in ("cmy.ei5.ei_cycles", "yiq.isef.ei_cycles", "histeq.ei5.ei_cycles",
                 "yiq.ei5.fixed_overhead"):
         with pytest.raises(ValueError, match="line 2"):
-            parse_profile(f"yiq.scalar.cycles_per_pixel = 2\n{key} = 4\n")
+            load(f"yiq.scalar.cycles_per_pixel = 2\n{key} = 4\n")
 
 
 def test_parse_profile_exponent_limit():
     for value in ("1e4300", "1e-4300"):
-        p = parse_profile(f"name = edge\nyiq.scalar.cycles_per_pixel = {value}\n")
+        p = load(f"name = edge\nyiq.scalar.cycles_per_pixel = {value}\n")
         assert p.rates[("yiq", "scalar")] == Fraction(value)
     for value in ("1e4301", "1e-4301"):
         with pytest.raises(ValueError, match=r"line 2: \|exponent\| > 4300"):
-            parse_profile(f"name = edge\nyiq.scalar.cycles_per_pixel = {value}\n")
+            load(f"name = edge\nyiq.scalar.cycles_per_pixel = {value}\n")
 
 
 def test_parse_profile_rejects_a_repeated_key():
     for text in ("yiq.ei5.ei_cycles = 3\n# again\nyiq.ei5.ei_cycles = 4\n",
                  "name = a\nmerge_cycles = 1\nname = b\n"):
         with pytest.raises(ValueError, match=r"line 3: .* repeats line 1"):
-            parse_profile(text)
+            load(text)
 
 
 profile_keys = st.sampled_from(
@@ -401,35 +406,38 @@ profile_lines = st.one_of(
 @given(st.lists(profile_lines, max_size=6).map("\n".join))
 def test_parse_profile_raises_only_value_errors(text):
     try:
-        parse_profile(text)
+        load(text)
     except ValueError:
         pass
 
 
 def test_parse_profile_ignores_comments_and_blanks():
     text = "# fitted by hand\n\nname = tiny\nyiq.scalar.cycles_per_pixel = 3/2\n"
-    p = parse_profile(text)
+    p = load(text)
     assert p.name == "tiny"
     assert p.rates[("yiq", "scalar")] == Fraction(3, 2)
 
 
 def test_load_and_resolve_profile(tmp_path, monkeypatch, profile):
     path = tmp_path / "custom.profile"
-    path.write_text(format_profile(profile))
+    path.write_text(BUILTIN_PROFILE_TEXT)
     assert load_profile(path) == profile
-    # lookup through the profile directory
-    monkeypatch.setenv("SCPSIM_PROFILE_DIR", str(tmp_path))
-    assert resolve_profile("custom") == profile
-    # direct path
+    assert resolve_profile("s6000_paper") is profile
     assert resolve_profile(str(path)) == profile
-    with pytest.raises(FileNotFoundError):
-        resolve_profile("nope")
+    # a relative path is read from the working directory
+    monkeypatch.chdir(tmp_path)
+    assert resolve_profile("custom.profile") == profile
+    # a name is only ever a path: no environment variable names a profile directory
+    monkeypatch.setenv("SCPSIM_PROFILE_DIR", str(tmp_path))
+    for spec in ("custom", "nope"):
+        with pytest.raises(FileNotFoundError):
+            resolve_profile(spec)
 
 
 HUGE_RATES = {
-    "fractional-speedup": parse_profile("yiq.scalar.cycles_per_pixel = 1e400\nyiq.ei5.ei_cycles = 3\n"),
-    "integral-speedup": parse_profile("yiq.scalar.cycles_per_pixel = 6e400\nyiq.ei5.ei_cycles = 1\n"),
-    "total": parse_profile("yiq.scalar.cycles_per_pixel = 1\nyiq.ei5.ei_cycles = 1e400\n"),
+    "fractional-speedup": load("yiq.scalar.cycles_per_pixel = 1e400\nyiq.ei5.ei_cycles = 3\n"),
+    "integral-speedup": load("yiq.scalar.cycles_per_pixel = 6e400\nyiq.ei5.ei_cycles = 1\n"),
+    "total": load("yiq.scalar.cycles_per_pixel = 1\nyiq.ei5.ei_cycles = 1e400\n"),
     # more digits than str() of an int allows; the parser rejects such a literal
     "over-4300-digits": CalibrationProfile(
         "huge", {("yiq", "scalar"): Fraction(10**5000), ("yiq", "ei5"): Fraction(3)}

@@ -25,7 +25,7 @@ Exits 1 if any mutant survives, 2 if a mutant's target string does not
 occur exactly once in its file (the list has gone stale), if a name is
 unknown or if the unmutated copy fails Tier-1, else 0.
 
-On a 2-core host, 97 mutants took 1.4-11.2 s each and 3 min 17 s in all,
+On a 2-core host, 99 mutants took 1.2-10.7 s each and 3 min 6 s in all,
 two at a time, against 3 min 25 s for 80 judged one at a time.  Shrinking
 made one mutant take 6.7-36 s without the profile, and 47 took 3 min 17
 s; running Tier-1 alone on each of 37 took 2.2-108 s and 7 min 46 s.
@@ -223,6 +223,8 @@ MUTANTS = (
            "class _Workspace(threading.local):", "class _Workspace:"),
     Mutant("workspace-arrays-overlap", COLORSPACE,
            "for start in (0, 3 * k, 6 * k)]", "for start in (0, 3 * k, 3 * k)]"),
+    Mutant("staging-overlaps-the-block-arrays", COLORSPACE,
+           "buffer[9 * _BLOCK :]", "buffer[6 * _BLOCK :]"),
     # Register traffic: group copies and the kernel body's output.
     Mutant("one-pixel-copy-skips-a-channel", COLORSPACE,
            "for c in range(3):", "for c in range(2):"),
@@ -293,6 +295,8 @@ MUTANTS = (
            "        if key in entries:\n", "        if False:\n"),
     Mutant("profile-line-error-drops-the-file", CYCLE_MODEL,
            'where = f"{source} line {lineno}"', 'where = f"profile line {lineno}"'),
+    # A profile is the builtin fit or a file.
+    Mutant("builtin-name-not-resolved", CYCLE_MODEL, 'if spec == "s6000_paper":', "if False:"),
     Mutant("pnm-accepts-short-raster", IMAGE_IO,
            "if len(data) - pos < need:", "if len(data) - pos < need - 1:"),
     Mutant("token-pattern-drops-vertical-tab", IMAGE_IO,
